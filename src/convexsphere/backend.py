@@ -1,75 +1,67 @@
-"""Hot numeric kernels with two interchangeable implementations.
+"""Hot numeric kernels: blocked numpy scans over point/direction pairs.
 
-The numba-jitted versions are used by default; set the environment
-variable CONVEXSPHERE_DISABLE_NUMBA=1 (or install without numba) to get
-pure-numpy equivalents. Both paths produce the same values up to
-floating-point noise; the selection never changes any result that a
-tolerance in this package can see. `benchmarks/bench_kernels.py` times
-the two side by side.
+Each kernel is a quadratic scan with a tiny inner dimension (n <= 4).
+The scans go through BLAS in blocks of `_BLOCK` rows, which bounds the
+temporary at G * _BLOCK doubles instead of G^2. Every entry point
+coerces its array arguments to contiguous float64.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-_DISABLED = os.environ.get("CONVEXSPHERE_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-USE_NUMBA = HAS_NUMBA and not _DISABLED
+_BLOCK = 256  # rows per block; bounds temporary memory at G*BLOCK
 
 
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
-
-_BLOCK = 256  # directions per block; bounds temporary memory at G*BLOCK
+def _c(a):
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _np_support_max_dot(points, dirs):
+def backend_name() -> str:
+    return "numpy"
+
+
+def support_max_dot(points, dirs):
     """h[j] = max_i <points[i], dirs[j]>."""
+    points, dirs = _c(points), _c(dirs)
     out = np.empty(dirs.shape[0])
     for a in range(0, dirs.shape[0], _BLOCK):
         b = min(a + _BLOCK, dirs.shape[0])
         out[a:b] = (points @ dirs[a:b].T).max(axis=0)
     return out
 
-def _np_minkowski_support(rows, offsets, weights, ball_r, dirs):
+
+def minkowski_support(rows, offsets, weights, ball_r, dirs):
     """Support of  sum_t w_t * conv(rows[offsets[t]:offsets[t+1]])  (+ ball_r
     on unit directions)."""
-    nt = len(weights)
-    out = np.full(dirs.shape[0], ball_r)
+    rows, weights, dirs = _c(rows), _c(weights), _c(dirs)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    out = np.full(dirs.shape[0], float(ball_r))
     for a in range(0, dirs.shape[0], _BLOCK):
         b = min(a + _BLOCK, dirs.shape[0])
         dot = rows @ dirs[a:b].T
         acc = np.zeros(b - a)
-        for t in range(nt):
+        for t in range(len(weights)):
             acc += weights[t] * dot[offsets[t]:offsets[t + 1]].max(axis=0)
         out[a:b] += acc
     return out
 
-def _np_hull_gaps(cloud, dirs, h):
+
+def hull_gaps(cloud, dirs, h):
     """gap[i] = max_j (<cloud[i], dirs[j]> - h[j]); <= 0 when cloud[i] lies
     inside the polytope {x : <x, dirs[j]> <= h[j]}, with equality on active
     constraints."""
+    cloud, dirs, h = _c(cloud), _c(dirs), _c(h)
     out = np.empty(cloud.shape[0])
     for a in range(0, cloud.shape[0], _BLOCK):
         b = min(a + _BLOCK, cloud.shape[0])
         out[a:b] = (cloud[a:b] @ dirs.T - h[None, :]).max(axis=1)
     return out
 
-def _np_radial_from_support(h, dirs, queries, pos_tol):
+
+def radial_from_support(h, dirs, queries, pos_tol=1e-9):
     """r[q] = min over dirs with <q, dir> > pos_tol of h/<q,dir>.
     -1 marks queries with no positive-dot direction (should not happen on
     antipodal grids)."""
+    h, dirs, queries, pos_tol = _c(h), _c(dirs), _c(queries), float(pos_tol)
     out = np.empty(queries.shape[0])
     for a in range(0, queries.shape[0], _BLOCK):
         b = min(a + _BLOCK, queries.shape[0])
@@ -79,200 +71,15 @@ def _np_radial_from_support(h, dirs, queries, pos_tol):
         out[a:b] = np.where(np.isfinite(m), m, -1.0)
     return out
 
-def _np_max_nn_gap(nodes):
+
+def max_nn_gap(nodes):
     """Largest nearest-neighbor geodesic gap of a unit-vector cloud."""
+    nodes = _c(nodes)
     worst = 0.0
     for a in range(0, nodes.shape[0], _BLOCK):
         b = min(a + _BLOCK, nodes.shape[0])
         dot = nodes[a:b] @ nodes.T
-        for i in range(a, b):
-            dot[i - a, i] = -2.0
+        dot[np.arange(b - a), np.arange(a, b)] = -2.0  # exclude self-pairs
         best = np.arccos(np.clip(dot.max(axis=1), -1.0, 1.0))
         worst = max(worst, best.max())
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    # The kernels are quadratic scans with a tiny inner dimension
-    # (n <= 4), so the win over BLAS comes from fusing the reduction
-    # into the scan (no G^2 temporary) and letting LLVM vectorize an
-    # unrolled inner product over column-major streams.
-
-    @njit(cache=True, fastmath=True)
-    def _cols(points):
-        m, n = points.shape
-        out = np.empty((4, m))
-        for k in range(4):
-            if k < n:
-                for i in range(m):
-                    out[k, i] = points[i, k]
-            else:
-                for i in range(m):
-                    out[k, i] = 0.0
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _dir4(dirs, j):
-        n = dirs.shape[1]
-        d0 = dirs[j, 0]
-        d1 = dirs[j, 1]
-        d2 = dirs[j, 2] if n > 2 else 0.0
-        d3 = dirs[j, 3] if n > 3 else 0.0
-        return d0, d1, d2, d3
-
-    @njit(cache=True, fastmath=True)
-    def _nb_support_max_dot(points, dirs):
-        m = points.shape[0]
-        g = dirs.shape[0]
-        pt = _cols(points)
-        p0, p1, p2, p3 = pt[0], pt[1], pt[2], pt[3]
-        out = np.empty(g)
-        for j in range(g):
-            d0, d1, d2, d3 = _dir4(dirs, j)
-            best = -1e300
-            for i in range(m):
-                s = p0[i] * d0 + p1[i] * d1 + p2[i] * d2 + p3[i] * d3
-                best = max(best, s)
-            out[j] = best
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _nb_minkowski_support(rows, offsets, weights, ball_r, dirs):
-        g = dirs.shape[0]
-        nt = weights.shape[0]
-        pt = _cols(rows)
-        p0, p1, p2, p3 = pt[0], pt[1], pt[2], pt[3]
-        out = np.empty(g)
-        for j in range(g):
-            d0, d1, d2, d3 = _dir4(dirs, j)
-            acc = ball_r
-            for t in range(nt):
-                best = -1e300
-                for i in range(offsets[t], offsets[t + 1]):
-                    s = p0[i] * d0 + p1[i] * d1 + p2[i] * d2 + p3[i] * d3
-                    if s > best:
-                        best = s
-                acc += weights[t] * best
-            out[j] = acc
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _nb_hull_gaps(cloud, dirs, h):
-        nc = cloud.shape[0]
-        g = dirs.shape[0]
-        dt = _cols(dirs)
-        d0, d1, d2, d3 = dt[0], dt[1], dt[2], dt[3]
-        out = np.empty(nc)
-        for i in range(nc):
-            c0, c1, c2, c3 = _dir4(cloud, i)
-            best = -1e300
-            for j in range(g):
-                s = c0 * d0[j] + c1 * d1[j] + c2 * d2[j] + c3 * d3[j] - h[j]
-                best = max(best, s)
-            out[i] = best
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _nb_radial_from_support(h, dirs, queries, pos_tol):
-        nq = queries.shape[0]
-        g = dirs.shape[0]
-        dt = _cols(dirs)
-        d0, d1, d2, d3 = dt[0], dt[1], dt[2], dt[3]
-        out = np.empty(nq)
-        for i in range(nq):
-            q0, q1, q2, q3 = _dir4(queries, i)
-            best = 1e300
-            seen = False
-            for j in range(g):
-                s = q0 * d0[j] + q1 * d1[j] + q2 * d2[j] + q3 * d3[j]
-                if s > pos_tol:
-                    r = h[j] / s
-                    seen = True
-                    if r < best:
-                        best = r
-            out[i] = best if seen else -1.0
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _nb_max_nn_gap(nodes):
-        g = nodes.shape[0]
-        pt = _cols(nodes)
-        p0, p1, p2, p3 = pt[0], pt[1], pt[2], pt[3]
-        worst_dot = 2.0
-        for i in range(g):
-            a0, a1, a2, a3 = p0[i], p1[i], p2[i], p3[i]
-            nearest = -2.0
-            for j in range(g):
-                s = a0 * p0[j] + a1 * p1[j] + a2 * p2[j] + a3 * p3[j]
-                s = s - (4.0 if j == i else 0.0)
-                nearest = max(nearest, s)
-            if nearest < worst_dot:
-                worst_dot = nearest
-        if worst_dot > 1.0:
-            worst_dot = 1.0
-        return np.arccos(worst_dot)
-
-
-def _c(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-class _Impl:
-    """Thin namespace bundling one implementation of every kernel."""
-
-    def __init__(self, which):
-        self.name = which
-        if which == "numba":
-            self._support = _nb_support_max_dot
-            self._minkowski = _nb_minkowski_support
-            self._gaps = _nb_hull_gaps
-            self._radial = _nb_radial_from_support
-            self._nngap = _nb_max_nn_gap
-        else:
-            self._support = _np_support_max_dot
-            self._minkowski = _np_minkowski_support
-            self._gaps = _np_hull_gaps
-            self._radial = _np_radial_from_support
-            self._nngap = _np_max_nn_gap
-
-    def support_max_dot(self, points, dirs):
-        return self._support(_c(points), _c(dirs))
-
-    def minkowski_support(self, rows, offsets, weights, ball_r, dirs):
-        return self._minkowski(
-            _c(rows),
-            np.ascontiguousarray(offsets, dtype=np.int64),
-            _c(weights),
-            float(ball_r),
-            _c(dirs),
-        )
-
-    def hull_gaps(self, cloud, dirs, h):
-        return self._gaps(_c(cloud), _c(dirs), _c(h))
-
-    def radial_from_support(self, h, dirs, queries, pos_tol=1e-9):
-        return self._radial(_c(h), _c(dirs), _c(queries), float(pos_tol))
-
-    def max_nn_gap(self, nodes):
-        return float(self._nngap(_c(nodes)))
-
-
-numpy_impl = _Impl("numpy")
-numba_impl = _Impl("numba") if HAS_NUMBA else None
-
-active = numba_impl if USE_NUMBA else numpy_impl
-
-
-def backend_name() -> str:
-    return active.name
-
-
-support_max_dot = active.support_max_dot
-minkowski_support = active.minkowski_support
-hull_gaps = active.hull_gaps
-radial_from_support = active.radial_from_support
-max_nn_gap = active.max_nn_gap
+    return float(worst)

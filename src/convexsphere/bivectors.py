@@ -195,10 +195,6 @@ def unit_pm(sign: int, coeffs) -> np.ndarray:
     return basis @ (c / nrm)
 
 
-def _skew_from_params(k: np.ndarray) -> np.ndarray:
-    return to_matrix(k)
-
-
 def axis_rotation3(axis_index: int, angle: float) -> np.ndarray:
     """Rotation of R^3 about a coordinate axis."""
     c, s = np.cos(angle), np.sin(angle)
@@ -221,7 +217,7 @@ def rho_preimage(target: np.ndarray, sign: int = +1, tol: float = 1e-6) -> dict:
     basis = E_PLUS if sign > 0 else E_MINUS
 
     def objective(k):
-        r = expm(_skew_from_params(k))
+        r = expm(to_matrix(k))
         return float(np.sum((basis.T @ lambda2_matrix(r) @ basis - target) ** 2))
 
     angle = np.arccos(np.clip((np.trace(target) - 1.0) / 2.0, -1.0, 1.0))
@@ -247,7 +243,7 @@ def rho_preimage(target: np.ndarray, sign: int = +1, tol: float = 1e-6) -> dict:
             best = res
         if best.fun < (tol * 1e-2) ** 2:
             break
-    rot = expm(_skew_from_params(best.x))
+    rot = expm(to_matrix(best.x))
     residual = float(np.linalg.norm(rho_pm(rot, sign) - target))
     return {
         "rotation": rot,

@@ -292,14 +292,14 @@ def certify_convex_radial(body: ConvexBody, tol: float | None = None) -> bool:
 
     n = 2: spectral criterion r^2 + 2 r'^2 - r r'' >= -tol with FFT
     derivatives (exact for band-limited samples).
-    n >= 3: hull-consistency gaps of the radial cloud against its own
-    sampled support, with tolerance scaled by the squared grid gap.
+    n >= 3: hull_depth of the radial cloud against its own sampled
+    support, with tolerance scaled by the squared grid gap.
     """
     r = body.radial_samples()
-    if np.min(r) <= 0:
-        return False
     grid = body.grid
     if grid.n == 2:
+        if np.min(r) <= 0:
+            return False
         if tol is None:
             tol = 1e-8 * float(np.max(r)) ** 2
         m = grid.size
@@ -312,10 +312,23 @@ def certify_convex_radial(body: ConvexBody, tol: float | None = None) -> bool:
         return bool(crit.min() >= -tol)
     if tol is None:
         tol = float(np.max(r)) ** 2 * grid.max_gap**2
-    cloud = r[:, None] * grid.nodes
-    h = backend.support_max_dot(cloud, grid.nodes)
-    gaps = backend.hull_gaps(cloud, grid.nodes, h)
-    return bool(gaps.min() >= -tol)
+    return bool(hull_depth(grid.nodes, r) >= -tol)
+
+
+def hull_depth(nodes: np.ndarray, r: np.ndarray) -> float:
+    """Minimum hull gap of the radial cloud {r_i u_i} against its own
+    sampled support h_j = max_i <r_i u_i, u_j>.
+
+    Zero when every cloud point lies on the hull of the cloud, negative
+    by the depth of the deepest dimple otherwise; -inf when r has a
+    non-positive entry, since then there is no star body to certify.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.min() <= 0:
+        return -math.inf
+    cloud = r[:, None] * nodes
+    h = backend.support_max_dot(cloud, nodes)
+    return float(backend.hull_gaps(cloud, nodes, h).min())
 
 
 def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:

@@ -206,7 +206,6 @@ def round_section_search(
 
     energies = np.array([score(fr) for fr in frames])
     order = np.argsort(energies)
-    trace = [float(np.minimum.accumulate(energies[order][:1])[0])]
     best_frame = frames[order[0]]
     best_e = float(energies[order[0]])
     trace = [best_e]

@@ -2,11 +2,13 @@
 
 Every document carries a kind tag, the toolkit version, and a content
 hash over its canonical payload, so reports embedding a document can
-state exactly what they were computed from. Loaders rebuild exact
-evaluators (vertex sets, Minkowski terms, radial profiles) rather than
-trusting stored samples, and reject structurally invalid input with
-the path in the message. Nothing here writes timestamps; rerunning a
-command on the same input produces byte-identical files.
+state exactly what they were computed from. Loaders recompute that
+hash and refuse a document whose payload no longer matches it. They
+rebuild exact evaluators (vertex sets, Minkowski terms, radial
+profiles) rather than trusting stored samples, and reject structurally
+invalid input with the path in the message. Nothing here writes
+timestamps; rerunning a command on the same input produces
+byte-identical files.
 """
 
 import json
@@ -62,9 +64,18 @@ def load_json(path: str) -> dict:
             ) from exc
 
 
-def _expect_kind(doc: dict, kind: str, path: str) -> None:
+def _load_checked(path: str, kind: str) -> dict:
+    """Read a saved document, check its kind, and recompute its content
+    hash, so a document edited after it was stamped is refused."""
+    doc = load_json(path)
     if doc.get("kind") != kind:
         raise InputError(f"{path}: expected kind {kind!r}, found {doc.get('kind')!r}")
+    stored = doc.get("content_hash")
+    if stored is None:
+        raise InputError(f"{path}: document has no content_hash")
+    if stored != content_hash({k: v for k, v in doc.items() if k != "content_hash"}):
+        raise InputError(f"{path}: content_hash does not match the document")
+    return doc
 
 
 # -- grids -------------------------------------------------------------------
@@ -116,8 +127,7 @@ def poly_from_doc(doc: dict, grid: SphereGrid | None = None) -> SphericalPoly:
 
 
 def load_poly(path: str, grid: SphereGrid | None = None) -> SphericalPoly:
-    doc = load_json(path)
-    _expect_kind(doc, "spherical_poly", path)
+    doc = _load_checked(path, "spherical_poly")
     return poly_from_doc(doc, grid)
 
 
@@ -203,8 +213,7 @@ def body_from_doc(doc: dict, grid: SphereGrid | None = None) -> ConvexBody:
 
 
 def load_body(path: str, grid: SphereGrid | None = None) -> ConvexBody:
-    doc = load_json(path)
-    _expect_kind(doc, "convex_body", path)
+    doc = _load_checked(path, "convex_body")
     try:
         return body_from_doc(doc, grid)
     except InputError:
@@ -234,8 +243,7 @@ def save_field(fld: BodyField, path: str) -> None:
 
 
 def load_field(path: str) -> BodyField:
-    doc = load_json(path)
-    _expect_kind(doc, "body_field", path)
+    doc = _load_checked(path, "body_field")
     grid = build_grid(int(doc["n"]), int(doc["resolution"]))
     frames = np.asarray(doc["frames"], dtype=float)
     bodies = [body_from_doc(b, grid) for b in doc["bodies"]]

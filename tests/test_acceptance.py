@@ -8,7 +8,6 @@ hard-coding them, since those numbers are outputs of the pipeline.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -44,8 +43,6 @@ from convexsphere.sections import ellipsoid_family, round_section_search
 from convexsphere.sphere import integrate
 
 from oracles import set_hausdorff, sw_top_oracle
-
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
 
 def _line(capsys, num, ok, detail):
@@ -220,7 +217,7 @@ def test_criterion_04_octahedron(capsys, grid3):
 # -- 5: certified epsilon and separation --------------------------------------
 
 
-def test_criterion_05_certified_epsilon(capsys, grid3):
+def test_criterion_05_certified_epsilon(capsys, grid3, tmp_path):
     t0 = time.perf_counter()
     fine = grid3.refined(2)
     runs = {
@@ -250,8 +247,8 @@ def test_criterion_05_certified_epsilon(capsys, grid3):
         if "refined_pass_rate" in man:
             record[name]["refined_pass_rate"] = man["refined_pass_rate"]
 
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    with open(os.path.join(ARTIFACT_DIR, "criterion5_epsilon.json"), "w") as fh:
+    artifact = tmp_path / "criterion5_epsilon.json"
+    with open(artifact, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
 
     e1, e2, er = (record[k]["eps_star"] for k in ("seed1", "seed2", "refined"))
@@ -269,7 +266,7 @@ def test_criterion_05_certified_epsilon(capsys, grid3):
         capsys, 5, t0, 600.0, ok,
         f"eps*={e1:.4f}/{e2:.4f}/refined {er:.4f}, "
         f"delta={d1:.4f}/{d2:.4f}/{dr:.4f}, 100% certified: {all_certified}, "
-        f"artifact tests/artifacts/criterion5_epsilon.json",
+        f"artifact {artifact}",
     )
 
 

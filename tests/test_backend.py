@@ -1,91 +1,81 @@
-"""Agreement between the compiled kernels and the numpy fallback.
+"""The blocked kernels against full-matrix numpy references, and the
+hull-depth certificate built on them."""
 
-Both implementations must produce the same numbers to round-off; the
-fallback is selected by CONVEXSPHERE_DISABLE_NUMBA=1, checked here in a
-subprocess because the choice is frozen at import time.
-"""
-
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
 from convexsphere import backend
+from convexsphere.bodies import certify_convex_radial, from_radial, hull_depth
 from convexsphere.sphere import build_grid
 
-needs_numba = pytest.mark.skipif(
-    backend.numba_impl is None, reason="numba not installed"
-)
+
+def _dense_hull_gaps(cloud, dirs):
+    dots = cloud @ dirs.T
+    return (dots - dots.max(axis=0)[None, :]).max(axis=1)
 
 
-def _random_inputs(n, rng):
-    grid = build_grid(n)
-    dirs = grid.nodes
-    points = rng.normal(size=(40, n))
-    h = backend.numpy_impl.support_max_dot(points, dirs)
-    queries = dirs[:: max(1, dirs.shape[0] // 97)]
-    rows = rng.normal(size=(18, n))
-    offsets = np.array([0, 7, 12, 18], dtype=np.int64)
-    weights = np.array([0.5, 1.25, 0.25])
-    return grid, dirs, points, h, queries, rows, offsets, weights
-
-
-@needs_numba
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_kernels_agree_between_backends(n):
+def test_kernels_match_full_matrix_reference(n):
     rng = np.random.default_rng(100 + n)
-    grid, dirs, points, h, queries, rows, offsets, weights = _random_inputs(n, rng)
-    a, b = backend.numpy_impl, backend.numba_impl
+    dirs = build_grid(n).nodes
+    points = rng.normal(size=(40, n))
+    rows = rng.normal(size=(18, n))
+    offsets = np.array([0, 7, 12, 18])
+    weights = np.array([0.5, 1.25, 0.25])
+    queries = dirs[:: max(1, dirs.shape[0] // 97)]
+    cloud = (1.0 + 0.1 * rng.random(dirs.shape[0]))[:, None] * dirs
+
+    h = (points @ dirs.T).max(axis=0)
+    dot_rows = rows @ dirs.T
+    mink = 0.3 + sum(
+        w * dot_rows[a:b].max(axis=0) for w, a, b in zip(weights, offsets[:-1], offsets[1:])
+    )
+    hc = (cloud @ dirs.T).max(axis=0)
+    qd = queries @ dirs.T
+    pos = qd > 1e-9
+    radial = np.where(pos, (h + 2.0)[None, :] / np.where(pos, qd, 1.0), np.inf).min(axis=1)
+    self_dots = dirs @ dirs.T
+    np.fill_diagonal(self_dots, -2.0)
+    nn_gap = np.arccos(np.clip(self_dots.max(axis=1), -1.0, 1.0)).max()
 
     for got, want in [
-        (b.support_max_dot(points, dirs), a.support_max_dot(points, dirs)),
-        (
-            b.minkowski_support(rows, offsets, weights, 0.3, dirs),
-            a.minkowski_support(rows, offsets, weights, 0.3, dirs),
-        ),
-        (b.hull_gaps(points, dirs, h), a.hull_gaps(points, dirs, h)),
-        (
-            b.radial_from_support(h + 2.0, dirs, queries),
-            a.radial_from_support(h + 2.0, dirs, queries),
-        ),
+        (backend.support_max_dot(points, dirs), h),
+        (backend.minkowski_support(rows, offsets, weights, 0.3, dirs), mink),
+        (backend.hull_gaps(cloud, dirs, hc), _dense_hull_gaps(cloud, dirs)),
+        (backend.radial_from_support(h + 2.0, dirs, queries), radial),
     ]:
-        assert np.abs(np.asarray(got) - np.asarray(want)).max() < 1e-12
-
-    assert abs(b.max_nn_gap(grid.nodes) - a.max_nn_gap(grid.nodes)) < 1e-12
-
-
-@needs_numba
-def test_active_backend_default():
-    if os.environ.get("CONVEXSPHERE_DISABLE_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-    ):
-        assert backend.active.name == "numpy"
-    else:
-        assert backend.active.name == "numba"
-
-
-def test_disable_flag_selects_numpy_fallback():
-    code = (
-        "from convexsphere import backend; "
-        "print(backend.active.name, backend.backend_name())"
-    )
-    env = dict(os.environ, CONVEXSPHERE_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.split() == ["numpy", "numpy"]
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() < 1e-12
+    assert abs(backend.max_nn_gap(dirs) - nn_gap) < 1e-12
+    assert backend.backend_name() == "numpy"
 
 
 def test_radial_matches_support_on_ball():
     grid = build_grid(3)
     h = np.full(grid.size, 1.5)
-    r = backend.active.radial_from_support(h, grid.nodes, grid.nodes)
+    r = backend.radial_from_support(h, grid.nodes, grid.nodes)
     assert np.abs(r - 1.5).max() < 1e-12
+
+
+def test_hull_depth(grid3):
+    nodes = grid3.nodes
+    rng = np.random.default_rng(7)
+    r = 1.0 + 0.05 * rng.random(grid3.size)
+    assert hull_depth(nodes, r) == pytest.approx(
+        _dense_hull_gaps(r[:, None] * nodes, nodes).min(), abs=1e-12
+    )
+
+    bad = r.copy()
+    bad[3] = 0.0
+    assert hull_depth(nodes, bad) == -math.inf
+
+    # a dimple at the north pole: the certificate accepts exactly the
+    # tolerances that reach down to the measured depth
+    dimpled = 1.0 - 0.6 * np.exp(-8.0 * (1.0 - nodes[:, 2]))
+    depth = hull_depth(nodes, dimpled)
+    assert depth < -0.01
+    body = from_radial(grid3, dimpled)
+    assert certify_convex_radial(body, tol=-depth)
+    assert not certify_convex_radial(body, tol=-0.999 * depth)

@@ -167,19 +167,47 @@ def test_write_csv(tmp_path):
 
 
 def test_content_hash_detects_tampering(tmp_path, grid3):
-    # loaders do not enforce the stamp, but a modified doc no longer
-    # matches its stored hash, so edits are detectable after the fact
+    # loaders recompute the stamp and refuse a doc edited after saving,
+    # naming the file in the error
     body = ball(grid3, 1.0)
     path = tmp_path / "ball.json"
     save_body(body, str(path))
     doc = json.loads(path.read_text())
-    assert doc["content_hash"] == content_hash(
-        {k: v for k, v in doc.items() if k != "content_hash"}
-    )
     doc["ball_radius"] = 2.0
-    assert doc["content_hash"] != content_hash(
-        {k: v for k, v in doc.items() if k != "content_hash"}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="content_hash does not match") as info:
+        load_body(str(path))
+    assert str(path) in str(info.value)
+
+    del doc["content_hash"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="no content_hash"):
+        load_body(str(path))
+
+
+def test_poly_and_field_loads_check_content_hash(tmp_path, grid3):
+    p = project(grid3, grid3.nodes[:, 0] ** 2 - grid3.nodes[:, 1] ** 2, 4)
+    poly_path = str(tmp_path / "poly.json")
+    save_poly(p, poly_path)
+    doc = load_json(poly_path)
+    doc["coeffs"][0] += 1.0
+    dump_json(doc, poly_path)
+    with pytest.raises(InputError, match="content_hash"):
+        load_poly(poly_path)
+
+    fld = build_field(
+        grid3,
+        {"type": "ambient_quad", "matrix": np.diag([1.0, -0.5, -0.5]).tolist(), "eps": 0.02},
+        seed=1,
+        count=2,
     )
+    field_path = str(tmp_path / "field.json")
+    save_field(fld, field_path)
+    doc = load_json(field_path)
+    doc["bodies"][0]["radial_profile"]["eps"] = 0.03
+    dump_json(doc, field_path)
+    with pytest.raises(InputError, match="content_hash"):
+        load_field(field_path)
 
 
 def test_field_rejects_mis_sized_ambient_matrix(grid3):
