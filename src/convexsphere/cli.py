@@ -142,9 +142,10 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
         raise InputError(f"counterexample needs n in {{3, 4}}, got n={cfg.n}")
     grid = build_grid(cfg.n, cfg.resolution)
     payload = {"n": cfg.n, "grid_key": grid.key}
+    phis = sample_unit_F(cfg.n, cfg.d, cfg.samples, cfg.seed, grid)
     if cfg.eps is None:
         manifest = find_epsilon(
-            cfg.n, cfg.samples, cfg.seed, grid=grid, d=cfg.d
+            cfg.n, cfg.samples, cfg.seed, grid=grid, d=cfg.d, phis=phis
         )
         eps = manifest["eps_star"]
         payload["eps_source"] = "bisection"
@@ -156,7 +157,6 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
         payload["eps_source"] = "override"
     payload["eps"] = eps
 
-    phis = sample_unit_F(cfg.n, cfg.d, cfg.samples, cfg.seed, grid)
     bodies = []
     failures = []
     for i, phi in enumerate(phis):

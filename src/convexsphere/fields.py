@@ -238,6 +238,7 @@ def find_epsilon(
     steps: int = 18,
     depth_tol: float = DEPTH_TOL,
     refined_check: bool = True,
+    phis: list[SphericalPoly] | None = None,
 ) -> dict:
     """Bisection for the largest eps such that every sampled body with
     radial function 1 + eps*phi certifies convex, over Haar-rotated
@@ -248,12 +249,22 @@ def find_epsilon(
     the working grid; the final eps is re-certified on the 2x-refined
     grid and the pass rate reported (running the refined check inside
     every bisection step would be orders of magnitude more work).
+
+    phis, when given, are the samples sample_unit_F(n, d, sample_count,
+    seed, grid) already drawn by the caller; they are used as they are.
     """
     if n not in (3, 4):
         raise InputError(f"find_epsilon needs n in {{3, 4}}, got n={n}")
     if grid is None:
         grid = build_grid(n)
-    phis = sample_unit_F(n, d, sample_count, seed, grid)
+    if phis is None:
+        phis = sample_unit_F(n, d, sample_count, seed, grid)
+    elif len(phis) != sample_count or any(
+        (p.n, p.d) != (n, d) or p.grid != grid for p in phis
+    ):
+        raise InputError(
+            f"find_epsilon needs {sample_count} samples of degree {d} on its grid"
+        )
     vals = np.stack([p.samples for p in phis])
     mins = vals.min(axis=1)
     if np.any(mins >= 0):

@@ -3,12 +3,14 @@
 Every document carries a kind tag, the toolkit version, and a content
 hash over its canonical payload, so reports embedding a document can
 state exactly what they were computed from. Loaders recompute that
-hash and refuse a document whose payload no longer matches it. They
-rebuild exact evaluators (vertex sets, Minkowski terms, radial
-profiles) rather than trusting stored samples, and reject structurally
-invalid input with the path in the message. Nothing here writes
-timestamps; rerunning a command on the same input produces
-byte-identical files.
+hash and refuse a document whose payload no longer matches it.
+Polynomial, body and field documents record the grid_key of their
+grid, and loaders refuse a document whose key differs from the grid it
+is loaded on (documents without a key still load). Loaders rebuild
+exact evaluators (vertex sets, Minkowski terms, radial profiles) rather
+than trusting stored samples, and reject structurally invalid input
+with the path in the message. Nothing here writes timestamps; rerunning
+a command on the same input produces byte-identical files.
 """
 
 import json
@@ -85,12 +87,17 @@ def grid_meta(grid: SphereGrid) -> dict:
     return {"n": grid.n, "resolution": grid.resolution, "grid_key": grid.key}
 
 
-def grid_from_meta(meta: dict) -> SphereGrid:
-    grid = build_grid(int(meta["n"]), int(meta["resolution"]))
+def grid_from_meta(meta: dict, grid: SphereGrid | None = None) -> SphereGrid:
+    """The grid a document was computed on: rebuilt from its n and
+    resolution, or the one given. A stored grid_key must match it;
+    documents written before keys were stored carry none and are not
+    checked."""
+    if grid is None:
+        grid = build_grid(int(meta["n"]), int(meta["resolution"]))
     want = meta.get("grid_key")
     if want is not None and want != grid.key:
         raise InputError(
-            "grid reconstruction mismatch: stored key does not match this build"
+            f"grid key mismatch: the document stores {want}, the grid is {grid.key}"
         )
     return grid
 
@@ -101,9 +108,8 @@ def grid_from_meta(meta: dict) -> SphereGrid:
 def poly_doc(poly: SphericalPoly) -> dict:
     doc = {
         "kind": "spherical_poly",
-        "n": poly.n,
+        **grid_meta(poly.grid),
         "d": poly.d,
-        "resolution": poly.basis.grid.resolution,
         "coeffs": poly.coeffs.tolist(),
     }
     return _finalize(doc)
@@ -115,8 +121,7 @@ def save_poly(poly: SphericalPoly, path: str) -> None:
 
 def poly_from_doc(doc: dict, grid: SphereGrid | None = None) -> SphericalPoly:
     n, d = int(doc["n"]), int(doc["d"])
-    if grid is None:
-        grid = build_grid(n, int(doc["resolution"]))
+    grid = grid_from_meta(doc, grid)
     basis = get_basis(n, d, grid)
     coeffs = np.asarray(doc["coeffs"], dtype=float)
     if coeffs.shape != (basis.dim,):
@@ -137,8 +142,7 @@ def load_poly(path: str, grid: SphereGrid | None = None) -> SphericalPoly:
 def body_doc(body: ConvexBody) -> dict:
     doc = {
         "kind": "convex_body",
-        "n": body.n,
-        "resolution": body.grid.resolution,
+        **grid_meta(body.grid),
         "ball_radius": body.ball_radius,
     }
     if body.radial_profile is not None:
@@ -163,8 +167,7 @@ def save_body(body: ConvexBody, path: str) -> None:
 
 def body_from_doc(doc: dict, grid: SphereGrid | None = None) -> ConvexBody:
     n = int(doc["n"])
-    if grid is None:
-        grid = build_grid(n, int(doc["resolution"]))
+    grid = grid_from_meta(doc, grid)
     rho = float(doc.get("ball_radius", 0.0))
     if "radial_profile" in doc:
         prof = doc["radial_profile"]
@@ -228,8 +231,7 @@ def load_body(path: str, grid: SphereGrid | None = None) -> ConvexBody:
 def field_doc(fld: BodyField) -> dict:
     doc = {
         "kind": "body_field",
-        "n": fld.grid.n,
-        "resolution": fld.grid.resolution,
+        **grid_meta(fld.grid),
         "frames": fld.frames.tolist(),
         "descriptor": fld.descriptor,
         "adjacency": [list(p) for p in fld.adjacency],
@@ -244,7 +246,7 @@ def save_field(fld: BodyField, path: str) -> None:
 
 def load_field(path: str) -> BodyField:
     doc = _load_checked(path, "body_field")
-    grid = build_grid(int(doc["n"]), int(doc["resolution"]))
+    grid = grid_from_meta(doc)
     frames = np.asarray(doc["frames"], dtype=float)
     bodies = [body_from_doc(b, grid) for b in doc["bodies"]]
     adjacency = [tuple(p) for p in doc.get("adjacency", [])] or None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexsphere.bodies import (
+    _polish_extreme,
     ball,
     bm_distance,
     c0_l2_constant,
@@ -77,6 +78,30 @@ def test_distance_to_ball(grid3):
     assert distance_to_ball(ball(grid3, 2.5)) == pytest.approx(0.0, abs=1e-12)
     r = 1.0 + 0.1 * (grid3.nodes[:, 2] ** 2 - 1.0 / 3.0)
     assert distance_to_ball(from_radial(grid3, r)) > 1e-3
+
+
+def test_gradient_polish_matches_nelder_mead(grid3):
+    # BFGS on the exact chart gradient and derivative-free Nelder-Mead
+    # reach the same extremes of 1 + eps*phi from the same grid nodes
+    from convexsphere.fields import sample_unit_F
+
+    eps = 0.0195
+    for phi in sample_unit_F(3, 8, 4, seed=1, grid=grid3):
+        def rfun(pts):
+            return 1.0 + eps * phi.eval(pts)
+
+        def rgrad(pts):
+            return eps * phi.grad(pts)
+
+        order = np.argsort(phi.samples)
+        for i, maximize in ((order[-1], True), (order[0], False)):
+            u0 = grid3.nodes[i]
+            fast = _polish_extreme(rfun, u0, maximize, grad=rgrad)
+            slow = _polish_extreme(rfun, u0, maximize)
+            assert fast == pytest.approx(slow, rel=1e-9)
+            # both improve on the grid value
+            start = float(rfun(u0[None, :])[0])
+            assert (fast >= start) if maximize else (fast <= start)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

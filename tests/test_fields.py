@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexsphere.bodies import ball, hausdorff
+from convexsphere.bodies import ball, distance_to_ball, hausdorff
 from convexsphere.errors import InputError, NonpositiveRadius
 from convexsphere.fields import (
     QUADFORM_UNIT_FROBENIUS,
@@ -259,3 +259,28 @@ def test_rotate_body_rotates_support(grid3):
     a = rotate_body(from_vertices(grid3, verts), r)
     b = from_vertices(grid3, verts @ r.T)
     assert np.abs(a.support - b.support).max() < 1e-12
+
+
+def test_distance_to_ball_is_rotation_invariant(grid3):
+    # the off-grid polish makes the separation of a profiled body a
+    # property of the body, not of where the grid nodes fall on it
+    rng = np.random.default_rng(9)
+    rots = random_rotations(3, 2, rng)
+    for phi in sample_unit_F(3, 8, 3, seed=1, grid=grid3):
+        body = radial_body(grid3, phi, 0.0195)
+        want = distance_to_ball(body)
+        for r in rots:
+            assert distance_to_ball(rotate_body(body, r)) == pytest.approx(want, rel=1e-9)
+
+
+def test_find_epsilon_uses_given_samples(grid3):
+    # samples drawn by the caller give the report find_epsilon gives
+    # when it draws them itself
+    phis = sample_unit_F(3, 8, 6, seed=1, grid=grid3)
+    given = find_epsilon(3, 6, seed=1, grid=grid3, steps=8, phis=phis)
+    drawn = find_epsilon(3, 6, seed=1, grid=grid3, steps=8)
+    assert given == drawn
+    with pytest.raises(InputError):
+        find_epsilon(3, 5, seed=1, grid=grid3, steps=8, phis=phis)
+    with pytest.raises(InputError):
+        find_epsilon(3, 6, seed=1, grid=grid3, d=6, steps=8, phis=phis)

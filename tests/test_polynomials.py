@@ -7,6 +7,10 @@ from convexsphere.errors import ConstantPolynomial, InputError
 from convexsphere.groups import random_rotations
 from convexsphere.polynomials import (
     JoinPoint,
+    SphericalPoly,
+    _family,
+    _fit_monomials,
+    _monomial_exponents,
     get_basis,
     is_nonconstant,
     join_product,
@@ -30,12 +34,76 @@ def test_space_dimension_frozen_values():
     assert space_dimension(3, 1) == 4
 
 
-@pytest.mark.parametrize("n,d", [(2, 8), (3, 6), (4, 4)])
+# (n, d) of the bases the pipelines use: the planar default, F^8 on S^2
+# and S^3, and the largest degree on S^2
+CASES = [(2, 8), (3, 8), (3, 12), (4, 8)]
+
+
+def _unit_vectors(n, count, seed):
+    x = np.random.default_rng(seed).normal(size=(count, n))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n,d", [(2, 8), (3, 6), (4, 4), (3, 8), (3, 12), (4, 8)])
 def test_basis_is_orthonormal(n, d, grid2, grid3, grid4):
     grid = {2: grid2, 3: grid3, 4: grid4}[n]
     basis = get_basis(n, d, grid)
     gram = basis.samples.T @ (grid.weights[:, None] * basis.samples)
     assert np.abs(gram - np.eye(basis.dim)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n,d", CASES)
+def test_basis_eval_matches_harmonic_family(n, d, grid2, grid3, grid4):
+    # the monomial form reproduces the harmonic construction off the grid
+    basis = get_basis(n, d, {2: grid2, 3: grid3, 4: grid4}[n])
+    assert basis.monomial_form[0].shape == (basis.dim, n)
+    pts = _unit_vectors(n, 2000, seed=n * 100 + d)
+    fam, _ = _family(n, d, pts)
+    assert np.abs(basis.eval(pts) - fam @ basis.transform).max() <= 1e-11
+
+
+def test_monomial_fit_refuses_ill_conditioning(grid3):
+    # nodes crowded into a cap of radius 1e-3 cannot tell degree-8
+    # monomials apart: the fit's condition number is far above the limit
+    basis = get_basis(3, 8, grid3)
+    exps = _monomial_exponents(3, 8)
+    rng = np.random.default_rng(5)
+    nodes = np.column_stack([1e-3 * rng.normal(size=(512, 2)), np.ones(512)])
+    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+    weights = np.full(512, 4.0 * math.pi / 512)
+    with pytest.raises(InputError, match="condition number"):
+        _fit_monomials(exps, nodes, weights, basis.eval(nodes))
+    # the grid's own fit is the basis' monomial form
+    fit = _fit_monomials(exps, grid3.nodes, grid3.weights, basis.samples)
+    assert np.array_equal(fit, basis.monomial_form[1])
+
+
+@pytest.mark.parametrize("n,d", CASES)
+def test_grad_matches_finite_differences(n, d, grid2, grid3, grid4):
+    basis = get_basis(n, d, {2: grid2, 3: grid3, 4: grid4}[n])
+    rng = np.random.default_rng(7)
+    p = SphericalPoly(n, d, rng.normal(size=basis.dim) / np.sqrt(basis.dim), basis)
+    pts = _unit_vectors(n, 20, seed=8)
+    g = p.grad(pts)
+    assert g.shape == (20, n)
+    scale = max(1.0, float(np.abs(g).max()))
+    h = 1e-6
+    # ambient central differences of the monomial form
+    fd = np.column_stack(
+        [(p.eval(pts + h * e) - p.eval(pts - h * e)) / (2 * h) for e in np.eye(n)]
+    )
+    assert np.abs(fd - g).max() < 1e-7 * scale
+    # tangential differences along great circles, which do not depend on
+    # how the polynomial is extended off the sphere
+    t = rng.normal(size=pts.shape)
+    t -= np.sum(t * pts, axis=1, keepdims=True) * pts
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+
+    def on_circle(s):
+        return p.eval(np.cos(s) * pts + np.sin(s) * t)
+
+    fd_t = (on_circle(h) - on_circle(-h)) / (2 * h)
+    assert np.abs(fd_t - np.sum(g * t, axis=1)).max() < 1e-7 * scale
 
 
 def test_projection_reproduces_polynomials(grid3):

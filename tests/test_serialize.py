@@ -210,6 +210,68 @@ def test_poly_and_field_loads_check_content_hash(tmp_path, grid3):
         load_field(field_path)
 
 
+
+def _restamp(doc):
+    doc["content_hash"] = content_hash({k: v for k, v in doc.items() if k != "content_hash"})
+    return doc
+
+
+def test_loads_check_grid_key(tmp_path, grid3):
+    # documents record the key of their grid; a key that does not match
+    # the grid rebuilt (or given) at load time is refused even when the
+    # content hash is restamped over the edit
+    phi = sample_unit_F(3, 8, 1, seed=3, grid=grid3)[0]
+    body = radial_body(grid3, phi, 0.02)
+    for doc in (body_doc(body), poly_doc(phi)):
+        assert doc["grid_key"] == grid3.key
+    path = str(tmp_path / "prof.json")
+    save_body(body, path)
+
+    doc = load_json(path)
+    doc["grid_key"] = "0" * 16
+    dump_json(_restamp(doc), path)
+    with pytest.raises(InputError, match="grid"):
+        load_body(path)
+
+    poly_path = str(tmp_path / "poly.json")
+    doc = poly_doc(phi)
+    doc["grid_key"] = "0" * 16
+    dump_json(_restamp(doc), poly_path)
+    with pytest.raises(InputError, match="grid"):
+        load_poly(poly_path)
+    with pytest.raises(InputError, match="grid key"):
+        poly_from_doc(doc, grid3)
+
+    # a body loaded on a grid other than its own
+    with pytest.raises(InputError, match="grid key"):
+        body_from_doc(body_doc(body), grid3.refined())
+
+    fld = build_field(
+        grid3,
+        {"type": "ambient_quad", "matrix": np.diag([1.0, -0.5, -0.5]).tolist(), "eps": 0.02},
+        seed=1,
+        count=2,
+    )
+    field_path = str(tmp_path / "field.json")
+    doc = field_doc(fld)
+    assert doc["grid_key"] == grid3.key
+    doc["bodies"][1]["grid_key"] = "0" * 16
+    dump_json(_restamp(doc), field_path)
+    with pytest.raises(InputError, match="grid key"):
+        load_field(field_path)
+
+
+def test_documents_without_grid_key_still_load(tmp_path, grid3):
+    phi = sample_unit_F(3, 8, 1, seed=3, grid=grid3)[0]
+    body = radial_body(grid3, phi, 0.02)
+    doc = body_doc(body)
+    del doc["grid_key"]
+    del doc["radial_profile"]["poly"]["grid_key"]
+    path = str(tmp_path / "old.json")
+    dump_json(_restamp(doc), path)
+    back = load_body(path)
+    assert np.abs(back.radial_samples() - body.radial_samples()).max() < 1e-12
+
 def test_field_rejects_mis_sized_ambient_matrix(grid3):
     with pytest.raises(InputError):
         build_field(
