@@ -44,6 +44,7 @@ from .bodies import (
     empirical_L2_uniform,
     from_radial,
     from_support_samples,
+    from_terms,
     from_vertices,
     group_average,
     hausdorff,

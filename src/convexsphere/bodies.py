@@ -6,12 +6,14 @@ Minkowski combination of polytopes) plus a ball radius offset,
 
     h(v) = sum_t w_t * max_{p in V_t} <p, v>  +  rho * |v|.
 
-Polytopes, balls, thickenings and group averages of such all stay in
-this class, which is what makes exact-group invariance defects drop to
-floating-point level instead of the O(grid gap^2) floor of interpolated
-evaluation. Bodies that only have samples fall back to the inscribed
-radial cloud (n >= 3) or to the exact outer-polygon interpolation
-formula (n = 2).
+These terms and rho are the one exact description of a body, and
+from_terms, which checks them, is the one constructor of such bodies.
+Polytopes (one term of weight 1), balls (the origin plus rho),
+thickenings and group averages of such all stay in this class, which
+is what makes exact-group invariance defects drop to floating-point
+level instead of the O(grid gap^2) floor of interpolated evaluation.
+Bodies that only have samples fall back to the inscribed radial cloud
+(n >= 3) or to the exact outer-polygon interpolation formula (n = 2).
 
 The sandwich distance between origin-interior bodies is
 log(max_u hB/hA / min_u hB/hA); it vanishes exactly for scalings,
@@ -19,7 +21,7 @@ is symmetric, and obeys the triangle inequality on the grid.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -55,7 +57,6 @@ class ConvexBody:
     grid: SphereGrid = field(repr=False)
     support: np.ndarray = field(repr=False)
     radial: np.ndarray | None = field(default=None, repr=False)
-    vertices: np.ndarray | None = field(default=None, repr=False)
     minkowski_terms: list | None = field(default=None, repr=False)  # [(w, verts)]
     ball_radius: float = 0.0
     radial_profile: tuple | None = field(default=None, repr=False)  # (eps, poly)
@@ -64,37 +65,15 @@ class ConvexBody:
     def n(self) -> int:
         return self.grid.n
 
-    def _exact_terms(self):
-        if self.minkowski_terms is not None:
-            return self.minkowski_terms
-        if self.vertices is not None:
-            return [(1.0, self.vertices)]
-        return None
-
-    @property
-    def has_exact_support(self) -> bool:
-        return self._exact_terms() is not None or (
-            self.ball_radius > 0 and self.radial is not None
-            and np.allclose(self.support, self.ball_radius)
-        )
-
     def support_eval(self, points: np.ndarray) -> np.ndarray:
         """Support values at arbitrary unit directions, via the best
         available evaluator."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        terms = self._exact_terms()
-        if terms is not None:
-            rows = np.vstack([v for _, v in terms])
-            offsets = np.cumsum([0] + [v.shape[0] for _, v in terms])
-            weights = np.array([w for w, _ in terms], dtype=float)
-            return backend.minkowski_support(rows, offsets, weights, self.ball_radius, points)
-        if self.ball_radius > 0 and np.allclose(self.support, self.ball_radius):
-            return np.full(points.shape[0], self.ball_radius)
+        if self.minkowski_terms is not None:
+            return _terms_support(self.minkowski_terms, self.ball_radius, points)
         if self.n == 2:
             return _polygon_support_interp(self.grid, self.support, points)
-        r = self.radial_samples()
-        cloud = r[:, None] * self.grid.nodes
-        return backend.support_max_dot(cloud, points)
+        return backend.support_max_dot(self.cloud(), points)
 
     def radial_samples(self) -> np.ndarray:
         if self.radial is not None:
@@ -105,32 +84,59 @@ class ConvexBody:
         return self.radial_samples()[:, None] * self.grid.nodes
 
 
-def from_support_samples(grid: SphereGrid, h, **extra) -> ConvexBody:
+def _terms_support(terms, ball_radius: float, points: np.ndarray) -> np.ndarray:
+    rows = np.vstack([v for _, v in terms])
+    offsets = np.cumsum([0] + [v.shape[0] for _, v in terms])
+    weights = np.array([w for w, _ in terms], dtype=float)
+    return backend.minkowski_support(rows, offsets, weights, ball_radius, points)
+
+
+def from_terms(grid: SphereGrid, terms, ball_radius: float = 0.0) -> ConvexBody:
+    """Body with the exact support sum_t w_t max_{p in V_t} <p, v> + rho |v|
+    of the given [(w_t, V_t)] terms and ball radius rho. Weights and rho
+    must be finite and >= 0, and each V_t a non-empty finite array of
+    points in R^n."""
+    checked = []
+    for w, v in terms:
+        w = float(w)
+        v = np.asarray(v, dtype=float)
+        if not (math.isfinite(w) and w >= 0):
+            raise InputError(f"minkowski term weight {w} is not finite and >= 0")
+        if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] != grid.n:
+            raise InputError(
+                f"minkowski term vertices of shape {v.shape} are not points in R^{grid.n}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise InputError("minkowski term vertices are not finite")
+        checked.append((w, v))
+    if not checked:
+        raise InputError("need at least one minkowski term")
+    rho = float(ball_radius)
+    if not (math.isfinite(rho) and rho >= 0):
+        raise InputError(f"ball radius {rho} is not finite and >= 0")
+    return ConvexBody(
+        grid=grid,
+        support=_terms_support(checked, rho, grid.nodes),
+        minkowski_terms=checked,
+        ball_radius=rho,
+    )
+
+
+def from_support_samples(grid: SphereGrid, h) -> ConvexBody:
     h = check_samples(grid, np.asarray(h, dtype=float))
-    return ConvexBody(grid=grid, support=h.copy(), **extra)
+    return ConvexBody(grid=grid, support=h.copy())
 
 
 def from_vertices(grid: SphereGrid, verts) -> ConvexBody:
-    verts = np.atleast_2d(np.asarray(verts, dtype=float))
-    if verts.shape[0] == 0:
-        raise InputError("need at least one vertex")
-    if verts.shape[1] != grid.n:
-        raise InputError(f"vertices of dimension {verts.shape[1]} on an S^{grid.n - 1} grid")
-    h = backend.support_max_dot(verts, grid.nodes)
-    return ConvexBody(grid=grid, support=h, vertices=verts, minkowski_terms=[(1.0, verts)])
+    return from_terms(grid, [(1.0, np.atleast_2d(np.asarray(verts, dtype=float)))])
 
 
 def ball(grid: SphereGrid, radius: float = 1.0) -> ConvexBody:
     if radius <= 0:
         raise NonpositiveRadius(f"ball radius {radius}")
-    g = grid.size
-    return ConvexBody(
-        grid=grid,
-        support=np.full(g, float(radius)),
-        radial=np.full(g, float(radius)),
-        minkowski_terms=[(1.0, np.zeros((1, grid.n)))],
-        ball_radius=float(radius),
-    )
+    body = from_terms(grid, [(1.0, np.zeros((1, grid.n)))], radius)
+    body.radial = np.full(grid.size, body.ball_radius)
+    return body
 
 
 def from_radial(grid: SphereGrid, r, profile=None) -> ConvexBody:
@@ -264,7 +270,7 @@ def bm_distance(a: ConvexBody, b: ConvexBody, refine: bool = False) -> float:
     ratio = hb / ha
     t_star = float(ratio.max())
     s_star = float(ratio.min())
-    if refine and a._exact_terms() is not None and b._exact_terms() is not None:
+    if refine and a.minkowski_terms is not None and b.minkowski_terms is not None:
         def rfun(pts):
             return b.support_eval(pts) / a.support_eval(pts)
 
@@ -371,20 +377,14 @@ def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:
     if sample.n != body.n:
         raise InputError(f"group on R^{sample.n} vs body in R^{body.n}")
     grid = body.grid
-    terms = body._exact_terms()
-    if terms is not None:
-        new_terms = []
-        for g, wg in zip(sample.elements, sample.weights):
-            for w, v in terms:
-                new_terms.append((wg * w, v @ g))
-        out = ConvexBody(
-            grid=grid,
-            support=np.empty(grid.size),
-            minkowski_terms=new_terms,
-            ball_radius=body.ball_radius,
+    if body.minkowski_terms is not None:
+        return from_terms(
+            grid,
+            [(wg * w, v @ g)
+             for g, wg in zip(sample.elements, sample.weights)
+             for w, v in body.minkowski_terms],
+            body.ball_radius,
         )
-        out.support = out.support_eval(grid.nodes)
-        return out
     pts = np.einsum("kij,gj->kgi", sample.elements, grid.nodes).reshape(-1, body.n)
     vals = body.support_eval(pts).reshape(sample.size, grid.size)
     return ConvexBody(grid=grid, support=sample.weights @ vals)
@@ -476,13 +476,11 @@ def empirical_L2_uniform(
 def scaled_body(body: ConvexBody, s: float) -> ConvexBody:
     if s <= 0:
         raise InputError("scale must be positive")
-    terms = body._exact_terms()
-    return replace(
-        body,
-        support=s * body.support,
-        radial=None if body.radial is None else s * body.radial,
-        vertices=None if body.vertices is None else s * body.vertices,
-        minkowski_terms=None if terms is None else [(w, s * v) for w, v in terms],
-        ball_radius=s * body.ball_radius,
-        radial_profile=None,
-    )
+    radial = None if body.radial is None else s * body.radial
+    if body.minkowski_terms is not None:
+        out = from_terms(
+            body.grid, [(w, s * v) for w, v in body.minkowski_terms], s * body.ball_radius
+        )
+        out.radial = radial
+        return out
+    return ConvexBody(grid=body.grid, support=s * body.support, radial=radial)

@@ -93,11 +93,10 @@ def cmd_metrics(cfg: ExperimentConfig) -> int:
             f"bodies live on different grids: n={a.n} r={a.grid.resolution} "
             f"vs n={b.n} r={b.grid.resolution}"
         )
-    refine = a.has_exact_support and b.has_exact_support
     bound = check_c0_l2_bound(a.grid, a.support, b.support)
     rows = {
         "grid": {"n": a.n, "resolution": a.grid.resolution, "grid_key": a.grid.key},
-        "banach_mazur": bm_distance(a, b, refine=refine),
+        "banach_mazur": bm_distance(a, b, refine=True),
         "hausdorff": hausdorff(a, b),
         "distance_to_ball_a": distance_to_ball(a),
         "distance_to_ball_b": distance_to_ball(b),

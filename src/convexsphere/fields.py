@@ -16,7 +16,7 @@ whose largest working eps is estimated by bisection in find_epsilon.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .bodies import (
     ConvexBody,
     distance_to_ball,
     from_radial,
+    from_terms,
     from_vertices,
     hausdorff,
     hull_depth,
@@ -111,27 +112,20 @@ class QuadForm3:
     def samples(self, grid: SphereGrid) -> np.ndarray:
         return np.einsum("gi,ij,gj->g", grid.nodes, self.matrix, grid.nodes)
 
-    def as_poly(self, grid: SphereGrid) -> SphericalPoly:
-        return project(grid, self.samples(grid), 2)
+
+def _octahedron_vertices(q: QuadForm3) -> np.ndarray:
+    """The six vertices +-(l_i / 2) e_i of the octahedron of Q, with
+    lengths l = ((lam-mu)^2, (lam-mu)^2, nu^2) along its eigenvectors."""
+    pair_len = (q.lam - q.mu) ** 2
+    half = 0.5 * np.array([pair_len, pair_len, q.nu**2])[:, None] * q.evecs.T
+    return np.vstack([half, -half])
 
 
 def octahedron(grid: SphereGrid, q: QuadForm3) -> ConvexBody:
     """Hull of the three orthogonal segments along the eigenvectors of
     Q, total lengths (lam-mu)^2, (lam-mu)^2, nu^2 (possibly degenerate
     down to a segment or the origin)."""
-    pair_len = (q.lam - q.mu) ** 2
-    lengths = np.array([pair_len, pair_len, q.nu**2])
-    verts = np.vstack(
-        [
-            +0.5 * lengths[i] * q.evecs[:, i]
-            for i in range(3)
-        ]
-        + [
-            -0.5 * lengths[i] * q.evecs[:, i]
-            for i in range(3)
-        ]
-    )
-    return from_vertices(grid, verts)
+    return from_vertices(grid, _octahedron_vertices(q))
 
 
 def pair_hull(grid: SphereGrid, t: float, qa: QuadForm3, qb: QuadForm3) -> ConvexBody:
@@ -145,27 +139,24 @@ def pair_hull(grid: SphereGrid, t: float, qa: QuadForm3, qb: QuadForm3) -> Conve
             raise InputError(
                 f"pair_hull needs unit-norm forms, got L2 norm {q.l2_norm:.8f}"
             )
-    va = octahedron(grid, qa.scaled(t)).vertices
-    vb = octahedron(grid, qb.scaled(1.0 - t)).vertices
-    verts = np.vstack([va, vb])
+    verts = np.vstack([
+        _octahedron_vertices(qa.scaled(t)),
+        _octahedron_vertices(qb.scaled(1.0 - t)),
+    ])
     if np.max(np.linalg.norm(verts, axis=1)) < 1e-14:
         raise DegenerateToPoint("paired octahedra collapsed to the origin")
     return from_vertices(grid, verts)
 
 
 def thicken(body: ConvexBody, rho: float) -> ConvexBody:
-    """Minkowski sum with the ball of radius rho."""
+    """Minkowski sum with the ball of radius rho. A body with exact terms
+    keeps them and gains rho on its ball radius; a sample-only body gets
+    rho added to its support samples."""
     if rho <= 0:
         raise InputError(f"thickening radius must be positive, got {rho}")
-    return replace(
-        body,
-        support=body.support + rho,
-        radial=None,
-        vertices=None,
-        minkowski_terms=body._exact_terms(),
-        ball_radius=body.ball_radius + rho,
-        radial_profile=None,
-    )
+    if body.minkowski_terms is not None:
+        return from_terms(body.grid, body.minkowski_terms, body.ball_radius + rho)
+    return ConvexBody(grid=body.grid, support=body.support + rho)
 
 
 def psi_product(fp: SphericalPoly, fm: SphericalPoly, d_out: int = 8) -> SphericalPoly:
@@ -354,30 +345,23 @@ def rotate_body(body: ConvexBody, rot: np.ndarray) -> ConvexBody:
     """Image body under x -> R x (exact for evaluator-backed bodies)."""
     rot = np.asarray(rot, dtype=float)
     grid = body.grid
-    terms = body._exact_terms()
+    if body.minkowski_terms is not None:
+        return from_terms(
+            grid, [(w, v @ rot.T) for w, v in body.minkowski_terms], body.ball_radius
+        )
     profile = None
-    radial = None
+    radial = None  # a sampled radial does not transport exactly
     if body.radial_profile is not None:
         eps, phi = body.radial_profile
         rphi = rotate_poly(phi, rot.T)
         profile = (eps, rphi)
         radial = 1.0 + eps * rphi.samples
-    elif body.radial is not None:
-        radial = None  # sampled radial does not transport exactly
-    new = ConvexBody(
+    return ConvexBody(
         grid=grid,
-        support=np.empty(grid.size),
+        support=body.support_eval(grid.nodes @ rot),
         radial=radial,
-        vertices=None if body.vertices is None else body.vertices @ rot.T,
-        minkowski_terms=None if terms is None else [(w, v @ rot.T) for w, v in terms],
-        ball_radius=body.ball_radius,
         radial_profile=profile,
     )
-    if new._exact_terms() is not None:
-        new.support = new.support_eval(grid.nodes)
-    else:
-        new.support = body.support_eval(grid.nodes @ rot)
-    return new
 
 
 @dataclass

@@ -7,10 +7,13 @@ hash and refuse a document whose payload no longer matches it.
 Polynomial, body and field documents record the grid_key of their
 grid, and loaders refuse a document whose key differs from the grid it
 is loaded on (documents without a key still load). Loaders rebuild
-exact evaluators (vertex sets, Minkowski terms, radial profiles) rather
-than trusting stored samples, and reject structurally invalid input
-with the path in the message. Nothing here writes timestamps; rerunning
-a command on the same input produces byte-identical files.
+exact evaluators (Minkowski terms with a ball radius, radial profiles)
+rather than trusting stored samples; term bodies go through
+bodies.from_terms, which refuses negative or non-finite weights and
+radii and empty or non-finite vertex sets. Every invalid document is
+refused with an InputError naming its path. Nothing here writes
+timestamps; rerunning a command on the same input produces
+byte-identical files.
 """
 
 import json
@@ -18,8 +21,8 @@ import os
 
 import numpy as np
 
-from .bodies import ConvexBody, from_radial, from_support_samples, from_vertices
-from .errors import InputError
+from .bodies import ConvexBody, from_radial, from_support_samples, from_terms
+from .errors import ConvexSphereError, InputError
 from .fields import BodyField
 from .polynomials import SphericalPoly, get_basis
 from .sphere import SphereGrid, build_grid
@@ -66,9 +69,13 @@ def load_json(path: str) -> dict:
             ) from exc
 
 
-def _load_checked(path: str, kind: str) -> dict:
-    """Read a saved document, check its kind, and recompute its content
-    hash, so a document edited after it was stamped is refused."""
+def _load_checked(path: str, kind: str, build):
+    """Read a saved document, check its kind, recompute its content
+    hash, so a document edited after it was stamped is refused, and
+    build the object with build(doc). Every package error that build
+    raises (an InputError, a non-positive radial sample), and every
+    structural fault it meets (missing keys, wrong types or values),
+    leaves here as an InputError naming the path."""
     doc = load_json(path)
     if doc.get("kind") != kind:
         raise InputError(f"{path}: expected kind {kind!r}, found {doc.get('kind')!r}")
@@ -77,7 +84,12 @@ def _load_checked(path: str, kind: str) -> dict:
         raise InputError(f"{path}: document has no content_hash")
     if stored != content_hash({k: v for k, v in doc.items() if k != "content_hash"}):
         raise InputError(f"{path}: content_hash does not match the document")
-    return doc
+    try:
+        return build(doc)
+    except ConvexSphereError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"{path}: invalid {kind} document ({exc!r})") from exc
 
 
 # -- grids -------------------------------------------------------------------
@@ -132,8 +144,7 @@ def poly_from_doc(doc: dict, grid: SphereGrid | None = None) -> SphericalPoly:
 
 
 def load_poly(path: str, grid: SphereGrid | None = None) -> SphericalPoly:
-    doc = _load_checked(path, "spherical_poly")
-    return poly_from_doc(doc, grid)
+    return _load_checked(path, "spherical_poly", lambda doc: poly_from_doc(doc, grid))
 
 
 # -- convex bodies -----------------------------------------------------------
@@ -152,8 +163,6 @@ def body_doc(body: ConvexBody) -> dict:
         doc["minkowski_terms"] = [
             {"weight": w, "vertices": v.tolist()} for w, v in body.minkowski_terms
         ]
-    elif body.vertices is not None:
-        doc["vertices"] = body.vertices.tolist()
     elif body.radial is not None:
         doc["radial"] = body.radial.tolist()
     else:
@@ -166,38 +175,15 @@ def save_body(body: ConvexBody, path: str) -> None:
 
 
 def body_from_doc(doc: dict, grid: SphereGrid | None = None) -> ConvexBody:
-    n = int(doc["n"])
     grid = grid_from_meta(doc, grid)
-    rho = float(doc.get("ball_radius", 0.0))
     if "radial_profile" in doc:
         prof = doc["radial_profile"]
         phi = poly_from_doc(prof["poly"], grid)
         eps = float(prof["eps"])
         return from_radial(grid, 1.0 + eps * phi.samples, profile=(eps, phi))
     if "minkowski_terms" in doc:
-        terms = [
-            (float(t["weight"]), np.asarray(t["vertices"], dtype=float))
-            for t in doc["minkowski_terms"]
-        ]
-        for _, v in terms:
-            if v.ndim != 2 or v.shape[1] != n:
-                raise InputError("minkowski term vertices must be points in R^n")
-        body = ConvexBody(
-            grid, np.empty(grid.size), minkowski_terms=terms, ball_radius=rho
-        )
-        body.support = body.support_eval(grid.nodes)
-        return body
-    if "vertices" in doc:
-        verts = np.asarray(doc["vertices"], dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != n:
-            raise InputError("vertices must be points in R^n")
-        body = from_vertices(grid, verts)
-        if rho:
-            body.minkowski_terms = [(1.0, verts)]
-            body.vertices = None
-            body.ball_radius = rho
-            body.support = body.support_eval(grid.nodes)
-        return body
+        terms = [(t["weight"], t["vertices"]) for t in doc["minkowski_terms"]]
+        return from_terms(grid, terms, doc.get("ball_radius", 0.0))
     if "radial" in doc:
         r = np.asarray(doc["radial"], dtype=float)
         if r.shape != (grid.size,):
@@ -211,18 +197,12 @@ def body_from_doc(doc: dict, grid: SphereGrid | None = None) -> ConvexBody:
             raise InputError(
                 f"support sample count {h.shape} does not match grid size {grid.size}"
             )
-        return from_support_samples(grid, h, ball_radius=rho)
+        return from_support_samples(grid, h)
     raise InputError("body document has no geometry")
 
 
 def load_body(path: str, grid: SphereGrid | None = None) -> ConvexBody:
-    doc = _load_checked(path, "convex_body")
-    try:
-        return body_from_doc(doc, grid)
-    except InputError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: invalid body document ({exc})") from exc
+    return _load_checked(path, "convex_body", lambda doc: body_from_doc(doc, grid))
 
 
 # -- body fields -------------------------------------------------------------
@@ -245,12 +225,14 @@ def save_field(fld: BodyField, path: str) -> None:
 
 
 def load_field(path: str) -> BodyField:
-    doc = _load_checked(path, "body_field")
-    grid = grid_from_meta(doc)
-    frames = np.asarray(doc["frames"], dtype=float)
-    bodies = [body_from_doc(b, grid) for b in doc["bodies"]]
-    adjacency = [tuple(p) for p in doc.get("adjacency", [])] or None
-    return BodyField(frames, bodies, doc.get("descriptor", {}), grid, adjacency)
+    def build(doc):
+        grid = grid_from_meta(doc)
+        frames = np.asarray(doc["frames"], dtype=float)
+        bodies = [body_from_doc(b, grid) for b in doc["bodies"]]
+        adjacency = [tuple(p) for p in doc.get("adjacency", [])] or None
+        return BodyField(frames, bodies, doc.get("descriptor", {}), grid, adjacency)
+
+    return _load_checked(path, "body_field", build)
 
 
 # -- JSONL sweeps ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Small shared helpers: hashing, canonical JSON, principal angles."""
+"""Small shared helpers: content hashing, principal angles."""
 
 import hashlib
 import json
@@ -26,10 +26,6 @@ def _jsonable(obj):
     return obj
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=1)
-
-
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Principal angles between the column spans of A and B (columns
     need not be orthonormal; thin QR is applied first). Cosines come
@@ -44,14 +40,3 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     k = min(cosv.size, sinv.size)
     return np.arctan2(sinv[:k], cosv[:k])
 
-
-def as_unit_rows(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    nrm = np.linalg.norm(M, axis=-1, keepdims=True)
-    return M / nrm
-
-
-def orthonormal_rows(M: np.ndarray, tol: float = 1e-8) -> bool:
-    M = np.asarray(M, dtype=float)
-    G = M @ M.T
-    return bool(np.max(np.abs(G - np.eye(M.shape[0]))) <= tol)

@@ -14,6 +14,7 @@ from convexsphere.bodies import (
     empirical_L2_uniform,
     from_radial,
     from_support_samples,
+    from_terms,
     from_vertices,
     group_average,
     hausdorff,
@@ -171,7 +172,7 @@ def test_group_average_keeps_exact_evaluators(grid3):
     avg = group_average(body, g)
     # the 4-fold average of the cube is again an exact body; its defect
     # under the very group it was averaged over collapses to round-off
-    assert avg._exact_terms() is not None
+    assert avg.minkowski_terms is not None
     assert invariance_defect(avg, g) < 1e-12
 
 
@@ -228,6 +229,21 @@ def test_empirical_L2_uniform_coarse_eps_resolves(grid3):
 def test_from_vertices_needs_points(grid3):
     with pytest.raises(InputError):
         from_vertices(grid3, np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("terms, rho", [
+    ([], 0.0),
+    ([(math.inf, np.eye(3))], 0.0),
+    ([(-0.5, np.eye(3))], 0.0),
+    ([(1.0, np.eye(3)[:, :2])], 0.0),
+    ([(1.0, np.ones(3))], 0.0),
+    ([(1.0, np.full((2, 3), -np.inf))], 0.0),
+    ([(1.0, np.eye(3))], math.nan),
+    ([(1.0, np.eye(3))], -0.1),
+])
+def test_from_terms_refuses_invalid_terms(grid3, terms, rho):
+    with pytest.raises(InputError):
+        from_terms(grid3, terms, rho)
 
 
 def test_scaled_body_scales_support(grid3):

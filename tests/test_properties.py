@@ -1,0 +1,61 @@
+"""Property tests over random term bodies (Minkowski terms plus a ball
+radius) at n = 2 and n = 3."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from convexsphere.bodies import from_terms, group_average, scaled_body
+from convexsphere.fields import rotate_body, thicken
+from convexsphere.groups import cyclic_rotation_group, random_rotations
+from convexsphere.serialize import body_doc, body_from_doc
+
+coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def term_specs(draw):
+    n = draw(st.sampled_from([2, 3]))
+    terms = [
+        (draw(st.floats(0.0, 2.0)), draw(arrays(np.float64, (draw(st.integers(1, 4)), n), elements=coords)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return n, terms, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(spec=term_specs())
+def test_term_bodies_round_trip_and_stay_exact(grid2, grid3, spec):
+    n, terms, rho, seed = spec
+    grid = grid2 if n == 2 else grid3
+    body = from_terms(grid, terms, rho)
+
+    back = body_from_doc(json.loads(json.dumps(body_doc(body))), grid)
+    assert np.array_equal(back.support, body.support)
+    assert back.ball_radius == body.ball_radius
+    assert len(back.minkowski_terms) == len(body.minkowski_terms)
+    for (w, v), (w2, v2) in zip(body.minkowski_terms, back.minkowski_terms):
+        assert w2 == w and np.array_equal(v2, v)
+
+    scale = 1.0 + float(np.abs(body.support).max())
+    rot = random_rotations(n, 1, np.random.default_rng(seed))[0]
+    rotated = rotate_body(body, rot)
+    assert rotated.minkowski_terms is not None
+    assert np.abs(rotated.support - body.support_eval(grid.nodes @ rot)).max() <= 1e-12 * scale
+
+    group = cyclic_rotation_group(n, (0, 1), 3)
+    avg = group_average(body, group)
+    assert avg.minkowski_terms is not None
+    want = sum(w * body.support_eval(grid.nodes @ g.T) for g, w in zip(group.elements, group.weights))
+    assert np.abs(avg.support - want).max() <= 1e-12 * scale
+
+    scaled = scaled_body(body, 2.5)
+    assert scaled.minkowski_terms is not None
+    assert np.abs(scaled.support - 2.5 * body.support).max() <= 1e-12 * scale
+
+    thick = thicken(body, 0.25)
+    assert thick.minkowski_terms is not None
+    assert thick.ball_radius == body.ball_radius + 0.25
+    assert np.abs(thick.support - (body.support + 0.25)).max() <= 1e-12 * scale

@@ -88,7 +88,7 @@ def test_body_roundtrip_vertex_form(tmp_path, grid3):
     back = load_body(str(path))
     assert np.abs(back.support - body.support).max() < 1e-14
     # exact evaluator survives the roundtrip
-    assert back._exact_terms() is not None
+    assert back.minkowski_terms is not None
 
 
 def test_body_roundtrip_minkowski_form(tmp_path, grid3):
@@ -282,3 +282,83 @@ def test_field_rejects_mis_sized_ambient_matrix(grid3):
             seed=2,
             count=2,
         )
+
+
+def _save_edited(doc, path, edit):
+    edit(doc)
+    dump_json(_restamp(doc), path)
+    return path
+
+
+def test_load_body_wraps_structural_faults(tmp_path, grid3):
+    # a restamped document whose structure is wrong is refused with the
+    # path, never with a bare KeyError
+    body = thicken(from_vertices(grid3, np.array([[0.2, 0.0, 0.0]])), 0.8)
+    path = _save_edited(body_doc(body), str(tmp_path / "body.json"),
+                        lambda d: d["minkowski_terms"][0].pop("vertices"))
+    with pytest.raises(InputError, match="invalid convex_body document") as info:
+        load_body(path)
+    assert path in str(info.value)
+
+    def negative_sample(d):
+        d["radial"][0] = -1.0
+
+    path = _save_edited(body_doc(from_radial(grid3, np.ones(grid3.size))),
+                        str(tmp_path / "radial.json"), negative_sample)
+    with pytest.raises(InputError, match="radial sample") as info:
+        load_body(path)
+    assert path in str(info.value)
+
+
+def test_load_poly_wraps_structural_faults(tmp_path, grid3):
+    p = project(grid3, grid3.nodes[:, 0] ** 2 - grid3.nodes[:, 1] ** 2, 4)
+    path = _save_edited(poly_doc(p), str(tmp_path / "poly.json"), lambda d: d.pop("coeffs"))
+    with pytest.raises(InputError, match="invalid spherical_poly document") as info:
+        load_poly(path)
+    assert path in str(info.value)
+
+
+def test_load_field_wraps_structural_faults(tmp_path, grid3):
+    desc = {"type": "quad_pair", "qa": np.diag([1.0, -0.5, -0.5]).tolist(),
+            "qb": np.diag([1.0, 0.0, -1.0]).tolist(), "t": 0.4, "rho": 0.05}
+    fld = build_field(grid3, desc, seed=1, count=2)
+    path = _save_edited(field_doc(fld), str(tmp_path / "field.json"),
+                        lambda d: d["bodies"][1]["minkowski_terms"][0].pop("weight"))
+    with pytest.raises(InputError, match="invalid body_field document") as info:
+        load_field(path)
+    assert path in str(info.value)
+
+
+def _set_weight(d):
+    d["minkowski_terms"][0]["weight"] = -1.0
+
+
+def _set_nan_vertex(d):
+    d["minkowski_terms"][0]["vertices"][0][1] = float("nan")
+
+
+def _set_radius(d):
+    d["ball_radius"] = -3.0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_weight, "weight"),
+    (_set_nan_vertex, "not finite"),
+    (_set_radius, "ball radius"),
+])
+def test_load_body_refuses_invalid_terms(tmp_path, grid3, edit, message):
+    # restamped so the hash check passes; the term check must refuse it
+    body = thicken(from_vertices(grid3, np.array([[0.2, 0.0, 0.0], [0.0, 0.3, 0.0]])), 0.5)
+    path = _save_edited(body_doc(body), str(tmp_path / "body.json"), edit)
+    with pytest.raises(InputError, match=message) as info:
+        load_body(path)
+    assert path in str(info.value)
+
+
+def test_top_level_vertices_document_has_no_geometry(tmp_path, grid3):
+    doc = body_doc(from_vertices(grid3, np.eye(3)))
+    doc["vertices"] = doc.pop("minkowski_terms")[0]["vertices"]
+    path = str(tmp_path / "old.json")
+    dump_json(_restamp(doc), path)
+    with pytest.raises(InputError, match="no geometry"):
+        load_body(path)
