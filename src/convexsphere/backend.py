@@ -2,8 +2,10 @@
 
 Each kernel is a quadratic scan with a tiny inner dimension (n <= 4).
 The scans go through BLAS in blocks of `_BLOCK` rows, which bounds the
-temporary at G * _BLOCK doubles instead of G^2. Every entry point
-coerces its array arguments to contiguous float64.
+temporary at G * _BLOCK doubles instead of G^2. The two max-scans also
+take caller-chosen (own, cand) blocks, scanning for the outputs `own`
+only the entries `cand` that can attain them (bodies.hull_depth). Every
+entry point coerces its array arguments to contiguous float64.
 """
 
 import numpy as np
@@ -19,13 +21,20 @@ def backend_name() -> str:
     return "numpy"
 
 
-def support_max_dot(points, dirs):
-    """h[j] = max_i <points[i], dirs[j]>."""
+def _row_blocks(m):
+    """Blocks of _BLOCK consecutive outputs, each scanned against everything."""
+    return [(slice(a, min(a + _BLOCK, m)), slice(None)) for a in range(0, m, _BLOCK)]
+
+
+def support_max_dot(points, dirs, blocks=None):
+    """h[j] = max_i <points[i], dirs[j]>.
+
+    blocks: (own, cand) pairs whose `own` cover the dirs; h[own] is taken
+    over the points `cand` only. Default: every point for every dir."""
     points, dirs = _c(points), _c(dirs)
     out = np.empty(dirs.shape[0])
-    for a in range(0, dirs.shape[0], _BLOCK):
-        b = min(a + _BLOCK, dirs.shape[0])
-        out[a:b] = (points @ dirs[a:b].T).max(axis=0)
+    for own, cand in _row_blocks(dirs.shape[0]) if blocks is None else blocks:
+        out[own] = (points[cand] @ dirs[own].T).max(axis=0)
     return out
 
 
@@ -45,15 +54,17 @@ def minkowski_support(rows, offsets, weights, ball_r, dirs):
     return out
 
 
-def hull_gaps(cloud, dirs, h):
+def hull_gaps(cloud, dirs, h, blocks=None):
     """gap[i] = max_j (<cloud[i], dirs[j]> - h[j]); <= 0 when cloud[i] lies
     inside the polytope {x : <x, dirs[j]> <= h[j]}, with equality on active
-    constraints."""
+    constraints.
+
+    blocks: (own, cand) pairs whose `own` cover the cloud; gap[own] is
+    taken over the dirs `cand` only. Default: every dir for every point."""
     cloud, dirs, h = _c(cloud), _c(dirs), _c(h)
     out = np.empty(cloud.shape[0])
-    for a in range(0, cloud.shape[0], _BLOCK):
-        b = min(a + _BLOCK, cloud.shape[0])
-        out[a:b] = (cloud[a:b] @ dirs.T - h[None, :]).max(axis=1)
+    for own, cand in _row_blocks(cloud.shape[0]) if blocks is None else blocks:
+        out[own] = (cloud[own] @ dirs[cand].T - h[None, cand]).max(axis=1)
     return out
 
 

@@ -145,8 +145,7 @@ def from_radial(grid: SphereGrid, r, profile=None) -> ConvexBody:
     r = check_samples(grid, np.asarray(r, dtype=float))
     if np.min(r) <= 0:
         raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
-    cloud = r[:, None] * grid.nodes
-    h = backend.support_max_dot(cloud, grid.nodes)
+    _, h = _radial_support(grid, r)
     return ConvexBody(grid=grid, support=h, radial=r.copy(), radial_profile=profile)
 
 
@@ -351,23 +350,49 @@ def certify_convex_radial(body: ConvexBody, tol: float | None = None) -> bool:
         return bool(crit.min() >= -tol)
     if tol is None:
         tol = float(np.max(r)) ** 2 * grid.max_gap**2
-    return bool(hull_depth(grid.nodes, r) >= -tol)
+    return bool(hull_depth(grid, r) >= -tol)
 
 
-def hull_depth(nodes: np.ndarray, r: np.ndarray) -> float:
-    """Minimum hull gap of the radial cloud {r_i u_i} against its own
-    sampled support h_j = max_i <r_i u_i, u_j>.
+#: Taken off both cosine cut-offs of hull_depth, so that round-off never
+#: drops a pair that attains a maximum.
+_COS_PAD = 1e-12
+
+
+def _radial_support(grid: SphereGrid, r: np.ndarray):
+    """The cloud {r_i u_i} of positive radial samples on the grid nodes
+    u_i, and its support h_j = max_i r_i <u_i, u_j> on the same nodes,
+    scanning only the pairs with <u_i, u_j> >= rmin/rmax (hull_depth)."""
+    cloud = r[:, None] * grid.nodes
+    blocks = grid.neighbourhoods(float(r.min() / r.max()) - _COS_PAD)
+    return cloud, backend.support_max_dot(cloud, grid.nodes, blocks=blocks)
+
+
+def hull_depth(grid: SphereGrid, r: np.ndarray) -> float:
+    """Minimum hull gap of the radial cloud {r_i u_i} on the grid nodes
+    u_i against its own sampled support h_j = max_i <r_i u_i, u_j>.
 
     Zero when every cloud point lies on the hull of the cloud, negative
     by the depth of the deepest dimple otherwise; -inf when r has a
     non-positive entry, since then there is no star body to certify.
+
+    Both maxima are taken over the pairs of nodes that can attain them
+    (grid.neighbourhoods), which gives the full scan's value exactly.
+    With r in [rmin, rmax]:
+
+    - support: h_j is attained where <u_i, u_j> >= rmin/rmax. Any other
+      i has r_i <u_i, u_j> < rmax * rmin/rmax = rmin <= r_j, the i = j term.
+    - gap: max_j (r_i <u_i, u_j> - h_j) is attained where <u_i, u_j> >=
+      1 - (rmax - rmin)/rmin. Any other j has r_i <u_i, u_j> - h_j <
+      r_i - (rmax - rmin) - rmin <= r_i - h_i, the j = i term, because
+      h_j >= r_j >= rmin, r_i >= rmin and h_i <= rmax.
     """
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
         return -math.inf
-    cloud = r[:, None] * nodes
-    h = backend.support_max_dot(cloud, nodes)
-    return float(backend.hull_gaps(cloud, nodes, h).min())
+    cloud, h = _radial_support(grid, r)
+    rmin, rmax = float(r.min()), float(r.max())
+    blocks = grid.neighbourhoods(1.0 - (rmax - rmin) / rmin - _COS_PAD)
+    return float(backend.hull_gaps(cloud, grid.nodes, h, blocks=blocks).min())
 
 
 def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:

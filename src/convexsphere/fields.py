@@ -243,6 +243,9 @@ def find_epsilon(
 
     phis, when given, are the samples sample_unit_F(n, d, sample_count,
     seed, grid) already drawn by the caller; they are used as they are.
+
+    limiting_sample in the result is the index of a sample that fails at
+    eps_upper, the one that bounds eps_star (None when no round failed).
     """
     if n not in (3, 4):
         raise InputError(f"find_epsilon needs n in {{3, 4}}, got n={n}")
@@ -262,11 +265,21 @@ def find_epsilon(
         raise InputError("zero-average sample without negative values")  # pragma: no cover
     hi0 = float(np.min(-1.0 / mins))
 
-    def passes(nodes: np.ndarray, r: np.ndarray) -> bool:
-        return hull_depth(nodes, r) >= -depth_tol * float(r.max())
+    def passes(g: SphereGrid, r: np.ndarray) -> bool:
+        return hull_depth(g, r) >= -depth_tol * float(r.max())
+
+    limiting = None  # the sample that failed the latest failed round
 
     def certifies(eps: float) -> bool:
-        return all(passes(grid.nodes, 1.0 + eps * row) for row in vals)
+        # the sample that failed last round is checked first: it is the
+        # likeliest to fail again, and all() does not depend on the order
+        nonlocal limiting
+        first = [] if limiting is None else [limiting]
+        for k in first + [k for k in range(len(vals)) if k != limiting]:
+            if not passes(grid, 1.0 + eps * vals[k]):
+                limiting = k
+                return False
+        return True
 
     lo, hi = 0.0, hi0
     history = []
@@ -294,6 +307,7 @@ def find_epsilon(
         "positivity_cap": hi0,
         "bisection_steps": len(history),
         "history": history,
+        "limiting_sample": limiting,
     }
     result["depth_tol"] = depth_tol
     if refined_check and lo > 0:
@@ -302,7 +316,7 @@ def find_epsilon(
         # refined nodes and take all samples as one matrix product
         coeffs = np.stack([p.coeffs for p in phis])
         fine_vals = phis[0].basis.eval(fine.nodes) @ coeffs.T
-        passed = sum(passes(fine.nodes, 1.0 + lo * col) for col in fine_vals.T)
+        passed = sum(passes(fine, 1.0 + lo * col) for col in fine_vals.T)
         result["refined_pass_rate"] = passed / sample_count
     return result
 

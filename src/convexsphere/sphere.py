@@ -37,6 +37,12 @@ from .errors import InputError
 
 DEFAULT_RESOLUTION = {2: 512, 3: 16, 4: 10}
 
+#: Nodes per tile of SphereGrid.tiles, on average.
+TILE_SIZE = 48
+#: Angle added to every tile's reach in SphereGrid.neighbourhoods, far
+#: above the round-off of the angles and dot products it compares.
+_REACH_PAD = 1e-9
+
 
 def monomial_sphere_integral(n: int, alpha) -> float:
     """Exact integral of x^alpha over S^{n-1} (unnormalized measure)."""
@@ -85,6 +91,47 @@ class SphereGrid:
         """Largest nearest-neighbor geodesic distance; the resolution
         scale used by grid-derived tolerances."""
         return backend.max_nn_gap(self.nodes)
+
+    @cached_property
+    def tiles(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """(members, centres, radii): the nodes grouped into spatially
+        compact tiles of about TILE_SIZE nodes by 8 rounds of spherical
+        k-means from a fixed seed. members[t] are the node indices of
+        tile t, centres[t] its unit centre and radii[t] the largest angle
+        from the centre to a member. O(G) memory."""
+        nodes = self.nodes
+        k = max(1, self.size // TILE_SIZE)
+        centres = nodes[np.random.default_rng(0).choice(self.size, k, replace=False)]
+        for _ in range(8):
+            label = np.argmax(centres @ nodes.T, axis=0)
+            sums = np.zeros_like(centres)
+            np.add.at(sums, label, nodes)
+            norm = np.linalg.norm(sums, axis=1)
+            centres = sums[norm > 0] / norm[norm > 0, None]
+        label = np.argmax(centres @ nodes.T, axis=0)
+        used = np.unique(label)
+        members = [np.flatnonzero(label == t) for t in used]
+        centres = centres[used]
+        # chord -> angle, well conditioned for small angles
+        radii = np.array([
+            2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(nodes[m] - c, axis=1).max()))
+            for m, c in zip(members, centres)
+        ])
+        return members, centres, radii
+
+    def neighbourhoods(self, cos_cut: float) -> list:
+        """[(members, cand)] per tile, where cand holds at least every node
+        u with <u, v> >= cos_cut for some member v: the nodes within the
+        tile's radius plus arccos(cos_cut) of its centre, or slice(None)
+        for all nodes when that reach covers the sphere."""
+        members, centres, radii = self.tiles
+        reach = radii + math.acos(min(1.0, max(-1.0, cos_cut))) + _REACH_PAD
+        near = centres @ self.nodes.T >= np.cos(np.minimum(reach, np.pi))[:, None]
+        near[reach >= np.pi] = True
+        counts = near.sum(axis=1)
+        cands = np.split(np.nonzero(near)[1], np.cumsum(counts)[:-1])
+        return [(m, slice(None) if k == self.size else c)
+                for m, k, c in zip(members, counts, cands)]
 
     def refined(self, factor: int = 2) -> "SphereGrid":
         return build_grid(self.n, self.resolution * factor)

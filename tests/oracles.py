@@ -3,8 +3,8 @@
 Everything here is deliberately written from first principles with
 different algorithms and different numeric machinery than the library
 under test: exact rational arithmetic for sphere integrals, a
-constrained quadratic program for set distances, and a dictionary-based
-GF(2) polynomial ring.
+constrained quadratic program for set distances, the exact hull of a
+point cloud from qhull, and a dictionary-based GF(2) polynomial ring.
 """
 
 import math
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import ConvexHull
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,7 @@ def sphere_monomial_integral(n: int, alpha) -> float:
 
 
 # ---------------------------------------------------------------------------
-# brute-force set distances between polytopes
+# brute-force set distances between polytopes, and hull gaps
 # ---------------------------------------------------------------------------
 
 
@@ -106,6 +107,32 @@ def set_hausdorff(verts_a: np.ndarray, verts_b: np.ndarray) -> float:
     for y in np.asarray(verts_b, dtype=float):
         d = max(d, point_to_hull_distance(y, verts_a))
     return d
+
+
+def dense_hull_gaps(cloud: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """gap_i = max_j (<cloud[i], dirs[j]> - h_j), h_j = max_k <cloud[k], dirs[j]>,
+    from one full matrix of every pair."""
+    dots = cloud @ dirs.T
+    return (dots - dots.max(axis=0)[None, :]).max(axis=1)
+
+
+def dense_hull_depth(grid, r) -> float:
+    """The library's hull_depth(grid, r) from the full G x G matrix,
+    pruning nothing: -inf for a non-positive radius, else the minimum gap
+    of the radial cloud on the grid nodes."""
+    r = np.asarray(r, dtype=float)
+    if r.min() <= 0:
+        return -math.inf
+    return float(dense_hull_gaps(r[:, None] * grid.nodes, grid.nodes).min())
+
+
+def exact_hull_gaps(cloud: np.ndarray) -> np.ndarray:
+    """gap_i = max over the facets a.x + b <= 0 (unit a) of the exact
+    convex hull of the cloud of a.cloud[i] + b: zero for a point on the
+    hull boundary, minus its distance to the boundary for a point inside.
+    The hull is qhull's (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996)."""
+    eq = ConvexHull(np.asarray(cloud, dtype=float)).equations
+    return (cloud @ eq[:, :-1].T + eq[:, -1]).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

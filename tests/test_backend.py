@@ -1,5 +1,6 @@
 """The blocked kernels against full-matrix numpy references, and the
-hull-depth certificate built on them."""
+hull-depth certificate built on them: its pruned scans against the full
+matrix, and its depth against the exact hull from qhull."""
 
 import math
 
@@ -9,11 +10,22 @@ import pytest
 from convexsphere import backend
 from convexsphere.bodies import certify_convex_radial, from_radial, hull_depth
 from convexsphere.sphere import build_grid
+from oracles import dense_hull_depth, dense_hull_gaps, exact_hull_gaps
 
 
-def _dense_hull_gaps(cloud, dirs):
-    dots = cloud @ dirs.T
-    return (dots - dots.max(axis=0)[None, :]).max(axis=1)
+def smooth_radii(grid, spread, seed):
+    """1 + spread * f, f a sum of random ridge waves scaled to [-1, 1]:
+    rmin and rmax close to 1 -/+ spread."""
+    rng = np.random.default_rng(seed)
+    f = np.cos(grid.nodes @ rng.normal(scale=3.0, size=(grid.n, 3)) + rng.random(3) * 6).sum(axis=1)
+    return 1.0 + spread * f / np.abs(f).max()
+
+
+def _kept_share(grid, cos_cut):
+    return sum(
+        m.size * (grid.size if isinstance(c, slice) else c.size)
+        for m, c in grid.neighbourhoods(cos_cut)
+    ) / grid.size**2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -43,7 +55,7 @@ def test_kernels_match_full_matrix_reference(n):
     for got, want in [
         (backend.support_max_dot(points, dirs), h),
         (backend.minkowski_support(rows, offsets, weights, 0.3, dirs), mink),
-        (backend.hull_gaps(cloud, dirs, hc), _dense_hull_gaps(cloud, dirs)),
+        (backend.hull_gaps(cloud, dirs, hc), dense_hull_gaps(cloud, dirs)),
         (backend.radial_from_support(h + 2.0, dirs, queries), radial),
     ]:
         assert got.dtype == np.float64
@@ -63,19 +75,52 @@ def test_hull_depth(grid3):
     nodes = grid3.nodes
     rng = np.random.default_rng(7)
     r = 1.0 + 0.05 * rng.random(grid3.size)
-    assert hull_depth(nodes, r) == pytest.approx(
-        _dense_hull_gaps(r[:, None] * nodes, nodes).min(), abs=1e-12
+    assert hull_depth(grid3, r) == pytest.approx(
+        dense_hull_gaps(r[:, None] * nodes, nodes).min(), abs=1e-12
     )
 
     bad = r.copy()
     bad[3] = 0.0
-    assert hull_depth(nodes, bad) == -math.inf
+    assert hull_depth(grid3, bad) == -math.inf
 
     # a dimple at the north pole: the certificate accepts exactly the
     # tolerances that reach down to the measured depth
     dimpled = 1.0 - 0.6 * np.exp(-8.0 * (1.0 - nodes[:, 2]))
-    depth = hull_depth(nodes, dimpled)
+    depth = hull_depth(grid3, dimpled)
     assert depth < -0.01
     body = from_radial(grid3, dimpled)
     assert certify_convex_radial(body, tol=-depth)
     assert not certify_convex_radial(body, tol=-0.999 * depth)
+
+
+@pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
+def test_pruned_hull_depth_equals_dense(n, resolution):
+    grid = build_grid(n, resolution)
+    for spread in (0.005, 0.02, 0.1, 0.9):
+        rmin, rmax = 1.0 - spread, 1.0 + spread
+        support_share = _kept_share(grid, rmin / rmax)
+        gap_share = _kept_share(grid, 1.0 - (rmax - rmin) / rmin)
+        if spread == 0.005:
+            assert support_share < 0.25 and gap_share < 0.25
+        if spread == 0.9:
+            # the gap caps cover the sphere: every pair is scanned
+            assert gap_share == 1.0
+        for seed in range(3):
+            r = smooth_radii(grid, spread, seed)
+            cloud = r[:, None] * grid.nodes
+            assert abs(hull_depth(grid, r) - dense_hull_depth(grid, r)) <= 1e-15
+            dense_h = (cloud @ grid.nodes.T).max(axis=0)
+            assert np.abs(from_radial(grid, r).support - dense_h).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_grid_depth_is_never_shallower_than_exact(n, grid3, grid4):
+    # the grid tests the cloud against supporting half-spaces of its
+    # exact hull only, so no point can look deeper inside than it is
+    grid = grid3 if n == 3 else grid4
+    dimpled = 1.0 - 0.3 * np.exp(-6.0 * (1.0 - grid.nodes[:, -1]))
+    for r in (dimpled, smooth_radii(grid, 0.02, 5)):
+        exact = exact_hull_gaps(r[:, None] * grid.nodes)
+        assert exact.max() <= 1e-12
+        assert exact.min() >= hull_depth(grid, r) - 1e-12
+    assert exact_hull_gaps(dimpled[:, None] * grid.nodes).min() < -0.01

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from convexsphere.bodies import ball, distance_to_ball, hausdorff
+from convexsphere import fields
+from convexsphere.bodies import ball, distance_to_ball, hausdorff, hull_depth
 from convexsphere.errors import InputError, NonpositiveRadius
 from convexsphere.fields import (
+    DEPTH_TOL,
     QUADFORM_UNIT_FROBENIUS,
     BodyField,
     QuadForm3,
@@ -25,6 +27,7 @@ from convexsphere.fields import (
 from convexsphere.groups import random_rotations
 from convexsphere.polynomials import project, to_F_space
 from convexsphere.sphere import integrate
+from oracles import dense_hull_depth
 
 
 def test_quadform_eigen_order_and_reconstruction():
@@ -196,6 +199,18 @@ def test_find_epsilon_smoke(grid3):
     assert max(certified) == pytest.approx(out["eps_star"])
     if failed:
         assert min(failed) > out["eps_star"]
+    # the recorded limiting sample fails at eps_upper
+    phi = sample_unit_F(3, 8, 10, 0, grid3)[out["limiting_sample"]]
+    r = 1.0 + out["eps_upper"] * phi.samples
+    assert hull_depth(grid3, r) < -DEPTH_TOL * r.max()
+
+
+def test_find_epsilon_decisions_match_dense_scan(monkeypatch):
+    pruned = find_epsilon(3, 10, steps=8, refined_check=False)
+    monkeypatch.setattr(fields, "hull_depth", dense_hull_depth)
+    dense = find_epsilon(3, 10, steps=8, refined_check=False)
+    assert pruned["history"] == dense["history"]
+    assert pruned["limiting_sample"] == dense["limiting_sample"]
 
 
 def test_separation_delta_positive_for_nonballs(grid3):

@@ -8,6 +8,7 @@ import numpy as np
 from oracles import (
     Gf2Poly,
     compositions_of,
+    exact_hull_gaps,
     point_to_hull_distance,
     set_hausdorff,
     sphere_monomial_integral,
@@ -29,6 +30,14 @@ def test_monomial_integral_closed_forms():
 def test_monomial_integral_odd_exponent_vanishes():
     assert sphere_monomial_integral(3, (1, 2, 0)) == 0.0
     assert sphere_monomial_integral(2, (3, 2)) == 0.0
+
+
+def test_exact_hull_gaps_closed_forms():
+    # the cube [-1, 1]^3 and a point 0.25 inside its face x = 1
+    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
+    gaps = exact_hull_gaps(np.vstack([cube, [[0.75, 0.1, -0.2]]]))
+    assert np.abs(gaps[:8]).max() < 1e-12
+    assert abs(gaps[8] + 0.25) < 1e-12
 
 
 def test_point_to_hull_distance_closed_forms():

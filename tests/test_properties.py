@@ -1,5 +1,6 @@
 """Property tests over random term bodies (Minkowski terms plus a ball
-radius) at n = 2 and n = 3."""
+radius) at n = 2 and n = 3, and over random radial clouds at n = 3 and
+n = 4 for the pruned hull-depth certificate."""
 
 import json
 
@@ -7,10 +8,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from convexsphere.bodies import from_terms, group_average, scaled_body
+from convexsphere.bodies import from_radial, from_terms, group_average, hull_depth, scaled_body
 from convexsphere.fields import rotate_body, thicken
 from convexsphere.groups import cyclic_rotation_group, random_rotations
 from convexsphere.serialize import body_doc, body_from_doc
+from oracles import dense_hull_depth
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -59,3 +61,21 @@ def test_term_bodies_round_trip_and_stay_exact(grid2, grid3, spec):
     assert thick.minkowski_terms is not None
     assert thick.ball_radius == body.ball_radius + 0.25
     assert np.abs(thick.support - (body.support + 0.25)).max() <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n=st.sampled_from([3, 4]),
+    spread=st.floats(0.001, 0.95),
+    waves=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_hull_depth_matches_full_scan(grid3, grid4, n, spread, waves, seed):
+    # radii 1 + spread * f with f a sum of random ridge waves in [-1, 1]
+    grid = grid3 if n == 3 else grid4
+    rng = np.random.default_rng(seed)
+    f = np.cos(grid.nodes @ rng.normal(scale=4.0, size=(n, waves)) + 6 * rng.random(waves)).sum(axis=1)
+    r = 1.0 + spread * f / np.abs(f).max()
+    assert abs(hull_depth(grid, r) - dense_hull_depth(grid, r)) <= 1e-15
+    cloud = r[:, None] * grid.nodes
+    assert np.abs(from_radial(grid, r).support - (cloud @ grid.nodes.T).max(axis=0)).max() <= 1e-15
