@@ -145,7 +145,7 @@ def from_radial(grid: SphereGrid, r, profile=None) -> ConvexBody:
     r = check_samples(grid, np.asarray(r, dtype=float))
     if np.min(r) <= 0:
         raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
-    _, h = _radial_support(grid, r)
+    _, h, _, _ = _radial_support(grid, r)
     return ConvexBody(grid=grid, support=h, radial=r.copy(), radial_profile=profile)
 
 
@@ -358,13 +358,29 @@ def certify_convex_radial(body: ConvexBody, tol: float | None = None) -> bool:
 _COS_PAD = 1e-12
 
 
-def _radial_support(grid: SphereGrid, r: np.ndarray):
+def _radial_support(grid: SphereGrid, r: np.ndarray, gaps: bool = False):
     """The cloud {r_i u_i} of positive radial samples on the grid nodes
-    u_i, and its support h_j = max_i r_i <u_i, u_j> on the same nodes,
-    scanning only the pairs with <u_i, u_j> >= rmin/rmax (hull_depth)."""
+    u_i, its support h_j = max_i r_i <u_i, u_j> on the same nodes, and
+    the scanned outputs: G/2 when r is exactly even, else G.
+
+    The support scans only the pairs with <u_i, u_j> >= rmin/rmax. With
+    gaps=True the grid's neighbourhoods for the gap cut-off of hull_depth
+    come back too, as (own, cand) blocks; else None. When r is exactly
+    even only the first G/2 nodes are outputs and h[G/2:] = h[:G/2].
+    """
+    rmin, rmax = float(r.min()), float(r.max())
+    cuts = [rmin / rmax - _COS_PAD]
+    if gaps:
+        cuts.append(1.0 - (rmax - rmin) / rmin - _COS_PAD)
+    even = np.array_equal(r, r[grid.antipode])
+    tiles = grid.neighbourhoods(cuts, half=even)
     cloud = r[:, None] * grid.nodes
-    blocks = grid.neighbourhoods(float(r.min() / r.max()) - _COS_PAD)
-    return cloud, backend.support_max_dot(cloud, grid.nodes, blocks=blocks)
+    h = backend.support_max_dot(cloud, grid.nodes, blocks=[t[:2] for t in tiles])
+    outputs = grid.size // 2 if even else grid.size
+    if even:
+        h[outputs:] = h[:outputs]
+    gap_blocks = [(t[0], t[2]) for t in tiles] if gaps else None
+    return cloud, h, gap_blocks, outputs
 
 
 def hull_depth(grid: SphereGrid, r: np.ndarray) -> float:
@@ -385,14 +401,16 @@ def hull_depth(grid: SphereGrid, r: np.ndarray) -> float:
       1 - (rmax - rmin)/rmin. Any other j has r_i <u_i, u_j> - h_j <
       r_i - (rmax - rmin) - rmin <= r_i - h_i, the j = i term, because
       h_j >= r_j >= rmin, r_i >= rmin and h_i <= rmax.
+    - antipodes: when r is exactly even, only the first G/2 nodes are
+      scanned as outputs. Negation is exact and nodes[G/2:] ==
+      -nodes[:G/2], so the cloud is exactly symmetric, and substituting
+      i -> -i, j -> -j in either maximum gives h_-j = h_j and gap_-i = gap_i.
     """
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
         return -math.inf
-    cloud, h = _radial_support(grid, r)
-    rmin, rmax = float(r.min()), float(r.max())
-    blocks = grid.neighbourhoods(1.0 - (rmax - rmin) / rmin - _COS_PAD)
-    return float(backend.hull_gaps(cloud, grid.nodes, h, blocks=blocks).min())
+    cloud, h, blocks, outputs = _radial_support(grid, r, gaps=True)
+    return float(backend.hull_gaps(cloud, grid.nodes, h, blocks=blocks)[:outputs].min())
 
 
 def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:

@@ -259,7 +259,10 @@ def find_epsilon(
         raise InputError(
             f"find_epsilon needs {sample_count} samples of degree {d} on its grid"
         )
+    # even to the last bit (the samples are even to round-off), so that
+    # hull_depth scans one antipodal half of the grid
     vals = np.stack([p.samples for p in phis])
+    vals = 0.5 * (vals + vals[:, grid.antipode])
     mins = vals.min(axis=1)
     if np.any(mins >= 0):
         raise InputError("zero-average sample without negative values")  # pragma: no cover
@@ -316,6 +319,7 @@ def find_epsilon(
         # refined nodes and take all samples as one matrix product
         coeffs = np.stack([p.coeffs for p in phis])
         fine_vals = phis[0].basis.eval(fine.nodes) @ coeffs.T
+        fine_vals = 0.5 * (fine_vals + fine_vals[fine.antipode])
         passed = sum(passes(fine, 1.0 + lo * col) for col in fine_vals.T)
         result["refined_pass_rate"] = passed / sample_count
     return result

@@ -244,7 +244,10 @@ class Basis:
         return self._proj @ f
 
 
+#: Bases kept by get_basis, least recently used first. Each holds two G x m
+#: matrices (1.3 MB each at G=2048, n=3, d=8), so the cache is bounded.
 _BASIS_CACHE: dict[tuple, Basis] = {}
+_BASIS_CACHE_SIZE = 8
 
 
 def get_basis(n: int, d: int, grid: SphereGrid) -> Basis:
@@ -258,8 +261,9 @@ def get_basis(n: int, d: int, grid: SphereGrid) -> Basis:
             f"degree-{d} basis (needs {2 * d})"
         )
     key = (n, d, grid.key)
-    hit = _BASIS_CACHE.get(key)
+    hit = _BASIS_CACHE.pop(key, None)
     if hit is not None:
+        _BASIS_CACHE[key] = hit
         return hit
 
     fam, degs = _family(n, d, grid.nodes)
@@ -285,6 +289,8 @@ def get_basis(n: int, d: int, grid: SphereGrid) -> Basis:
         degrees=degs,
         _proj=(q * sw[:, None]).T,
     )
+    if len(_BASIS_CACHE) >= _BASIS_CACHE_SIZE:
+        del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
     _BASIS_CACHE[key] = basis
     return basis
 

@@ -95,13 +95,16 @@ class SphereGrid:
     @cached_property
     def tiles(self) -> tuple[list, np.ndarray, np.ndarray]:
         """(members, centres, radii): the nodes grouped into spatially
-        compact tiles of about TILE_SIZE nodes by 8 rounds of spherical
-        k-means from a fixed seed. members[t] are the node indices of
-        tile t, centres[t] its unit centre and radii[t] the largest angle
-        from the centre to a member. O(G) memory."""
-        nodes = self.nodes
-        k = max(1, self.size // TILE_SIZE)
-        centres = nodes[np.random.default_rng(0).choice(self.size, k, replace=False)]
+        compact tiles of about TILE_SIZE nodes. The first K/2 tiles cover
+        the first G/2 nodes, from 8 rounds of spherical k-means with a
+        fixed seed; tile t + K/2 is the antipodal image of tile t.
+        members[t] are the node indices of tile t, centres[t] its unit
+        centre and radii[t] the largest angle from the centre to a
+        member. O(G) memory."""
+        half = self.size // 2
+        nodes = self.nodes[:half]
+        k = max(1, half // TILE_SIZE)
+        centres = nodes[np.random.default_rng(0).choice(half, k, replace=False)]
         for _ in range(8):
             label = np.argmax(centres @ nodes.T, axis=0)
             sums = np.zeros_like(centres)
@@ -117,21 +120,47 @@ class SphereGrid:
             2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(nodes[m] - c, axis=1).max()))
             for m, c in zip(members, centres)
         ])
-        return members, centres, radii
+        return (members + [self.antipode[m] for m in members],
+                np.vstack([centres, -centres]), np.concatenate([radii, radii]))
 
-    def neighbourhoods(self, cos_cut: float) -> list:
-        """[(members, cand)] per tile, where cand holds at least every node
-        u with <u, v> >= cos_cut for some member v: the nodes within the
-        tile's radius plus arccos(cos_cut) of its centre, or slice(None)
-        for all nodes when that reach covers the sphere."""
-        members, centres, radii = self.tiles
-        reach = radii + math.acos(min(1.0, max(-1.0, cos_cut))) + _REACH_PAD
-        near = centres @ self.nodes.T >= np.cos(np.minimum(reach, np.pi))[:, None]
-        near[reach >= np.pi] = True
-        counts = near.sum(axis=1)
-        cands = np.split(np.nonzero(near)[1], np.cumsum(counts)[:-1])
-        return [(m, slice(None) if k == self.size else c)
-                for m, k, c in zip(members, counts, cands)]
+    @cached_property
+    def _tile_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, keys): order[t] the node indices by decreasing cosine to
+        the centre of tile t (int32, K x G), and keys the flattened
+        3t - cosine of order[t], ascending over all rows since every
+        cosine lies in [-1, 1] and rounding is monotone. 12 bytes per
+        entry, about G^2/48 entries (1 MB at G=2048)."""
+        _, centres, _ = self.tiles
+        cos = centres @ self.nodes.T
+        order = np.argsort(-cos, axis=1).astype(np.int32)
+        keys = 3.0 * np.arange(len(centres))[:, None] - np.take_along_axis(cos, order, axis=1)
+        return order, keys.ravel()
+
+    def neighbourhoods(self, cos_cuts, half: bool = False) -> list:
+        """[(members, cand_1, ..., cand_c)] per tile, one cand per cut of
+        cos_cuts, where cand_k holds at least every node u with
+        <u, v> >= cos_cuts[k] for some member v: the nodes within the
+        tile's radius plus arccos(cos_cuts[k]) of its centre, or
+        slice(None) for all nodes when that reach covers the sphere.
+        With half=True only the tiles of the first G/2 nodes are listed.
+
+        Each cand is a prefix of the tile's cached node order by
+        decreasing cosine to its centre (_tile_order), so one searchsorted
+        over the row-offset cosines cuts every list of every tile, and the
+        list of a lower cut extends that of a higher one."""
+        members, _, radii = self.tiles
+        order, keys = self._tile_order
+        g = self.size
+        rows = np.arange(len(members) // 2 if half else len(members))
+        cuts = np.clip(np.asarray(cos_cuts, dtype=float), -1.0, 1.0)
+        reach = radii[None, rows] + np.arccos(cuts)[:, None] + _REACH_PAD
+        counts = np.searchsorted(keys, 3.0 * rows - np.cos(np.minimum(reach, np.pi)),
+                                 side="right") - rows * g
+        counts[reach >= np.pi] = g
+        return [
+            (members[t], *(slice(None) if k == g else order[t, :k] for k in counts[:, t]))
+            for t in rows
+        ]
 
     def refined(self, factor: int = 2) -> "SphereGrid":
         return build_grid(self.n, self.resolution * factor)

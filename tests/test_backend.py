@@ -21,11 +21,29 @@ def smooth_radii(grid, spread, seed):
     return 1.0 + spread * f / np.abs(f).max()
 
 
+def _pairs(grid, blocks):
+    """Node pairs that (own, cand) blocks on grid scan."""
+    return sum(m.size * (grid.size if isinstance(c, slice) else c.size) for m, c in blocks)
+
+
 def _kept_share(grid, cos_cut):
-    return sum(
-        m.size * (grid.size if isinstance(c, slice) else c.size)
-        for m, c in grid.neighbourhoods(cos_cut)
-    ) / grid.size**2
+    return _pairs(grid, grid.neighbourhoods([cos_cut])) / grid.size**2
+
+
+def _count_scanned_pairs(monkeypatch, grid):
+    """Make the two max-scan kernels append the pairs they scan on grid
+    to the returned list."""
+    pairs = []
+
+    def counting(kernel):
+        def run(*args, blocks):
+            pairs.append(_pairs(grid, blocks))
+            return kernel(*args, blocks=blocks)
+        return run
+
+    for name in ("support_max_dot", "hull_gaps"):
+        monkeypatch.setattr(backend, name, counting(getattr(backend, name)))
+    return pairs
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -111,6 +129,33 @@ def test_pruned_hull_depth_equals_dense(n, resolution):
             assert abs(hull_depth(grid, r) - dense_hull_depth(grid, r)) <= 1e-15
             dense_h = (cloud @ grid.nodes.T).max(axis=0)
             assert np.abs(from_radial(grid, r).support - dense_h).max() <= 1e-15
+            # exactly even radii scan one antipodal half, bit for bit
+            even = 0.5 * (r + r[grid.antipode])
+            cloud = even[:, None] * grid.nodes
+            assert hull_depth(grid, even) == dense_hull_depth(grid, even)
+            assert np.array_equal(from_radial(grid, even).support,
+                                  (cloud @ grid.nodes.T).max(axis=0))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_even_radii_scan_half_the_pairs(monkeypatch, n, grid3, grid4):
+    grid = grid3 if n == 3 else grid4
+    r = smooth_radii(grid, 0.02, 4)
+    r = 0.5 * (r + r[grid.antipode])
+    pairs = _count_scanned_pairs(monkeypatch, grid)
+    assert hull_depth(grid, r) == dense_hull_depth(grid, r)
+    half = pairs[:]
+
+    # one entry off by an ulp, away from rmin and rmax so that the
+    # cut-offs stay: every node is scanned, with the dense value
+    k = int(np.argsort(r)[grid.size // 2])
+    odd = r.copy()
+    odd[k] = np.nextafter(odd[k], 2.0)
+    pairs.clear()
+    assert hull_depth(grid, odd) == dense_hull_depth(grid, odd)
+    full = pairs[:]
+    assert [2 * p for p in half] == full
+    assert full[0] < full[1] < grid.size**2
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -213,6 +213,21 @@ def test_find_epsilon_decisions_match_dense_scan(monkeypatch):
     assert pruned["limiting_sample"] == dense["limiting_sample"]
 
 
+def test_find_epsilon_certifies_exactly_even_radii(monkeypatch, grid3):
+    # bisection and refined check both hand hull_depth radii that are
+    # even to the last bit, so that it scans one antipodal half
+    seen = []
+
+    def recording(grid, r):
+        seen.append((grid.size, np.array_equal(r, r[grid.antipode])))
+        return hull_depth(grid, r)
+
+    monkeypatch.setattr(fields, "hull_depth", recording)
+    find_epsilon(3, 4, seed=3, grid=grid3, steps=6)
+    assert {size for size, _ in seen} == {grid3.size, grid3.refined().size}
+    assert all(even for _, even in seen)
+
+
 def test_separation_delta_positive_for_nonballs(grid3):
     phi = sample_unit_F(3, 8, 3, seed=2, grid=grid3)
     bodies = [radial_body(grid3, p, 0.02) for p in phi]

@@ -1,6 +1,9 @@
 """Property tests over random term bodies (Minkowski terms plus a ball
-radius) at n = 2 and n = 3, and over random radial clouds at n = 3 and
-n = 4 for the pruned hull-depth certificate."""
+radius) at n = 2 and n = 3, including the metric laws of hausdorff and
+bm_distance and the idempotence of group averages over exact groups;
+over random radial clouds at n = 3 and n = 4 for the pruned hull-depth
+certificate, even or not; and over random polynomials for the GF(2)
+ring laws of mod2poly."""
 
 import json
 
@@ -8,9 +11,18 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from convexsphere.bodies import from_radial, from_terms, group_average, hull_depth, scaled_body
+from convexsphere.bodies import (
+    bm_distance,
+    from_radial,
+    from_terms,
+    group_average,
+    hausdorff,
+    hull_depth,
+    scaled_body,
+)
 from convexsphere.fields import rotate_body, thicken
-from convexsphere.groups import cyclic_rotation_group, random_rotations
+from convexsphere.groups import cyclic_rotation_group, random_rotations, sample_group
+from convexsphere.mod2poly import Mod2SymPoly
 from convexsphere.serialize import body_doc, body_from_doc
 from oracles import dense_hull_depth
 
@@ -79,3 +91,64 @@ def test_pruned_hull_depth_matches_full_scan(grid3, grid4, n, spread, waves, see
     assert abs(hull_depth(grid, r) - dense_hull_depth(grid, r)) <= 1e-15
     cloud = r[:, None] * grid.nodes
     assert np.abs(from_radial(grid, r).support - (cloud @ grid.nodes.T).max(axis=0)).max() <= 1e-15
+    # exactly even radii: one antipodal half is scanned, bit for bit
+    r = 0.5 * (r + r[grid.antipode])
+    assert hull_depth(grid, r) == dense_hull_depth(grid, r)
+    cloud = r[:, None] * grid.nodes
+    assert np.array_equal(from_radial(grid, r).support, (cloud @ grid.nodes.T).max(axis=0))
+
+
+@st.composite
+def origin_bodies(draw, n):
+    """Term bodies with the origin inside: centrally symmetric vertex
+    sets (so every term's support is >= 0) plus a ball radius > 0."""
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        v = draw(arrays(np.float64, (draw(st.integers(1, 3)), n), elements=coords))
+        terms.append((draw(st.floats(0.0, 2.0)), np.vstack([v, -v])))
+    return terms, draw(st.floats(0.05, 1.0))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data(), n=st.sampled_from([2, 3]), scale=st.floats(0.1, 10.0))
+def test_metric_laws_on_the_grid(grid2, grid3, data, n, scale):
+    grid = grid2 if n == 2 else grid3
+    a, b, c = (from_terms(grid, *data.draw(origin_bodies(n))) for _ in range(3))
+    size = 1.0 + max(float(np.abs(x.support).max()) for x in (a, b, c))
+    for dist, tol in ((hausdorff, 1e-12 * size), (bm_distance, 1e-12)):
+        assert abs(dist(a, b) - dist(b, a)) <= tol
+        assert dist(a, c) <= dist(a, b) + dist(b, c) + tol
+        assert dist(a, a) == 0.0
+    # the sandwich distance does not see scalings
+    assert abs(bm_distance(scaled_body(a, scale), b) - bm_distance(a, b)) <= 1e-12
+    assert abs(bm_distance(a, scaled_body(a, scale))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(spec=term_specs(), order=st.integers(2, 4))
+def test_group_average_is_idempotent_for_exact_groups(grid2, grid3, spec, order):
+    n, terms, rho, _ = spec
+    grid = grid2 if n == 2 else grid3
+    body = from_terms(grid, terms, rho)
+    scale = 1.0 + float(np.abs(body.support).max())
+    for group in (sample_group("pm", n), cyclic_rotation_group(n, (0, 1), order)):
+        avg = group_average(body, group)
+        again = group_average(avg, group)
+        assert np.abs(again.support - avg.support).max() <= 1e-12 * scale
+
+
+monomials = st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), max_size=6)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(nvars=st.integers(1, 4), p=monomials, q=monomials, r=monomials)
+def test_mod2_polynomials_form_a_ring(nvars, p, q, r):
+    p, q, r = (Mod2SymPoly.from_exponents(nvars, [m[:nvars] for m in x]) for x in (p, q, r))
+    zero, one = Mod2SymPoly.zero(nvars), Mod2SymPoly.one(nvars)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and p * zero == zero
+    assert (p + p).is_zero  # characteristic 2
+    assert (p + q) * (p + q) == p * p + q * q  # squaring is additive
