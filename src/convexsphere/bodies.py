@@ -35,6 +35,7 @@ from .errors import (
     OriginNotInterior,
 )
 from .groups import GroupSample
+from .polynomials import monomial_jet, stacked_monomial_form
 from .sphere import SphereGrid, check_samples, norms
 
 # Cap-volume constants of the C0-via-L2 comparison: a Euclidean cap of
@@ -60,6 +61,8 @@ class ConvexBody:
     minkowski_terms: list | None = field(default=None, repr=False)  # [(w, verts)]
     ball_radius: float = 0.0
     radial_profile: tuple | None = field(default=None, repr=False)  # (eps, poly)
+    # minkowski_terms stacked once by from_terms: (rows, offsets, weights)
+    _stack: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -70,7 +73,7 @@ class ConvexBody:
         available evaluator."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.minkowski_terms is not None:
-            return _terms_support(self.minkowski_terms, self.ball_radius, points)
+            return backend.minkowski_support(*self._stack, self.ball_radius, points)
         if self.n == 2:
             return _polygon_support_interp(self.grid, self.support, points)
         return backend.support_max_dot(self.cloud(), points)
@@ -82,13 +85,6 @@ class ConvexBody:
 
     def cloud(self) -> np.ndarray:
         return self.radial_samples()[:, None] * self.grid.nodes
-
-
-def _terms_support(terms, ball_radius: float, points: np.ndarray) -> np.ndarray:
-    rows = np.vstack([v for _, v in terms])
-    offsets = np.cumsum([0] + [v.shape[0] for _, v in terms])
-    weights = np.array([w for w, _ in terms], dtype=float)
-    return backend.minkowski_support(rows, offsets, weights, ball_radius, points)
 
 
 def from_terms(grid: SphereGrid, terms, ball_radius: float = 0.0) -> ConvexBody:
@@ -114,11 +110,17 @@ def from_terms(grid: SphereGrid, terms, ball_radius: float = 0.0) -> ConvexBody:
     rho = float(ball_radius)
     if not (math.isfinite(rho) and rho >= 0):
         raise InputError(f"ball radius {rho} is not finite and >= 0")
+    stack = (
+        np.vstack([v for _, v in checked]),
+        np.cumsum([0] + [v.shape[0] for _, v in checked]),
+        np.array([w for w, _ in checked], dtype=float),
+    )
     return ConvexBody(
         grid=grid,
-        support=_terms_support(checked, rho, grid.nodes),
+        support=backend.minkowski_support(*stack, rho, grid.nodes),
         minkowski_terms=checked,
         ball_radius=rho,
+        _stack=stack,
     )
 
 
@@ -200,13 +202,26 @@ def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
     return float(np.max(np.abs(a.support - b.support)))
 
 
-#: Chart-gradient tolerance of the gradient polish. Near a nondegenerate
+#: Chart-gradient tolerance of the Newton polish. Near a nondegenerate
 #: extreme the value error is about |gradient|^2 / curvature, far below
 #: float64 resolution of the value at this tolerance.
 POLISH_GTOL = 1e-9
 
+#: Iteration cap of the Newton polish; from a grid node it converges in
+#: a handful of steps.
+POLISH_MAXITER = 50
+
+#: Halvings of a Newton step that does not raise the value before its
+#: start is taken as converged to float resolution.
+_POLISH_HALVINGS = 40
+
+#: Longest chart step of the Newton polish (a 45 degree move).
+_POLISH_MAX_STEP = 1.0
+
 
 def _tangent_frame(u: np.ndarray) -> np.ndarray:
+    # The Nelder-Mead polish keeps this frame: its trajectory, and so each
+    # bm_distance value, depends on the frame bit for bit.
     n = u.size
     basis = np.eye(n)
     k = int(np.argmin(np.abs(u)))
@@ -215,45 +230,115 @@ def _tangent_frame(u: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
-def _polish_extreme(fun, u0: np.ndarray, maximize: bool, xtol: float = 1e-10, grad=None):
-    """Local refinement of an extreme of a function of a unit vector,
-    in the tangent chart x -> (u0 + F x) / |u0 + F x| around u0, F an
-    orthonormal frame of the tangent space at u0.
+def _tangent_frames(u: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames (P, n, n-1) at the unit rows of u: the
+    last n-1 columns of the Householder reflection I - w w^T / (1 + |u_0|),
+    w = u + sign(u_0) e_0, which maps e_0 to -sign(u_0) u."""
+    n = u.shape[1]
+    w = u.copy()
+    w[:, 0] += np.where(u[:, 0] >= 0, 1.0, -1.0)
+    scale = 1.0 / (1.0 + np.abs(u[:, 0]))
+    return np.eye(n)[:, 1:] - w[:, :, None] * (scale[:, None, None] * w[:, None, 1:])
 
-    fun maps (1, n) unit vectors to values. When grad, mapping (1, n)
-    unit vectors to ambient gradients (1, n), is given, the polish runs
-    BFGS on the exact chart gradient F^T (I - v v^T) grad(v) / |u0 + F x|
-    (a projected-gradient method on the sphere; Absil, Mahony &
-    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008). Without
-    one it runs Nelder-Mead to xtol, which also serves non-smooth
-    functions such as the ratio of polytope supports in bm_distance.
+
+def _short_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over a short axis (n <= 4 terms) as elementwise adds in index
+    order. numpy's reductions and stacked matmul round such sums in an
+    order that can change with the number of rows, and the Newton polish
+    must give a row the same bits in any batch."""
+    return sum(np.moveaxis(x, axis, 0))
+
+
+def _newton_ascent(exps: np.ndarray, coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Local maxima of q_p(v) = monomials(v) @ coef[p] over unit vectors v,
+    one from each start u[p], by one Riemannian Newton iteration over all
+    rows (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, ch. 6). Returns the values (P,).
+
+    At v, with F the tangent frame, the chart x -> (v + F x) / |v + F x|
+    has gradient g = F^T grad q and Hessian H = F^T (hess q) F -
+    (v . grad q) I. The step solves H x = -g with the eigenvalues of H
+    replaced by -max(|lambda|, 1e-8 max|lambda|), so that x is an ascent
+    direction, and is capped at _POLISH_MAX_STEP. A step is kept only if
+    it raises the value, else it is halved; a row whose step cannot be
+    made to raise the value stays where it is. The iteration stops when
+    every |g| is at most POLISH_GTOL or after POLISH_MAXITER steps, so no
+    value ends below its start. Each row follows its own trajectory,
+    whatever rows are polished with it.
+    """
+    u = np.array(u, dtype=float)
+    val, grad, hess = monomial_jet(exps, coef, u)
+    eye = np.eye(u.shape[1] - 1)
+    active = np.arange(u.shape[0])
+    for _ in range(POLISH_MAXITER):
+        frame = _tangent_frames(u[active])
+        g = _short_sum(frame * grad[active, :, None], 1)
+        moving = np.abs(g).max(axis=1) > POLISH_GTOL
+        active, frame, g = active[moving], frame[moving], g[moving]
+        if active.size == 0:
+            break
+        hf = _short_sum(hess[active][:, :, :, None] * frame[:, None, :, :], 2)
+        radial = _short_sum(u[active] * grad[active], 1)
+        h = _short_sum(frame[:, :, :, None] * hf[:, :, None, :], 1) - radial[:, None, None] * eye
+        lam, vec = np.linalg.eigh(h)
+        mag = np.abs(lam)
+        mag = np.maximum(mag, 1e-8 * mag.max(axis=1, keepdims=True))
+        step = _short_sum(vec * (_short_sum(vec * g[:, :, None], 1) / mag)[:, None, :], 2)
+        step *= np.minimum(1.0, _POLISH_MAX_STEP / np.sqrt(_short_sum(step * step, 1)))[:, None]
+        pending = np.ones(active.size, dtype=bool)
+        for _ in range(_POLISH_HALVINGS):
+            rows = active[pending]
+            v = u[rows] + _short_sum(frame[pending] * step[pending, None, :], 2)
+            v /= np.sqrt(_short_sum(v * v, 1))[:, None]
+            tv, tg, th = monomial_jet(exps, coef[rows], v)
+            up = tv > val[rows]
+            took = rows[up]
+            u[took], val[took], grad[took], hess[took] = v[up], tv[up], tg[up], th[up]
+            pending[pending] = ~up
+            if not pending.any():
+                break
+            step[pending] *= 0.5
+        active = active[~pending]
+    return val
+
+
+def _polish_profiles(bodies) -> tuple[np.ndarray, np.ndarray]:
+    """Off-grid (rmax, rmin) arrays of bodies with polynomial radial
+    profiles 1 + eps * phi, the phi sharing one (n, d) (InputError
+    otherwise): each body's three largest and three smallest grid
+    samples are polished in one _newton_ascent over all bodies."""
+    exps, coef = stacked_monomial_form([b.radial_profile[1] for b in bodies])
+    eps = np.array([b.radial_profile[0] for b in bodies], dtype=float)
+    starts = []
+    for body in bodies:
+        order = np.argsort(body.radial_samples())
+        starts.append(body.grid.nodes[np.concatenate([order[-3:], order[:3]])])
+    owner = np.repeat(np.arange(len(bodies)), 6)
+    sign = np.tile([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], len(bodies))
+    q = _newton_ascent(exps, (sign * eps[owner])[:, None] * coef[owner], np.vstack(starts))
+    r = (1.0 + sign * q).reshape(len(bodies), 2, 3)
+    return r[:, 0].max(axis=1), r[:, 1].min(axis=1)
+
+
+def _polish_extreme(fun, u0: np.ndarray, maximize: bool, xtol: float = 1e-10):
+    """Local refinement of an extreme of a function of a unit vector by
+    Nelder-Mead to xtol, in the tangent chart x -> (u0 + F x) / |u0 + F x|
+    around u0, F an orthonormal frame of the tangent space at u0. fun
+    maps (1, n) unit vectors to values and need not be smooth, such as
+    the ratio of polytope supports in bm_distance.
     """
     frame = _tangent_frame(u0)
     sgn = -1.0 if maximize else 1.0
 
-    def point(x):
-        v = u0 + frame @ x
-        nv = np.linalg.norm(v)
-        return v / nv, nv
-
     def obj(x):
-        v, _ = point(x)
+        v = u0 + frame @ x
+        v /= np.linalg.norm(v)
         return sgn * fun(v[None, :])[0]
 
-    x0 = np.zeros(u0.size - 1)
-    if grad is None:
-        res = minimize(
-            obj, x0, method="Nelder-Mead",
-            options={"xatol": xtol, "fatol": 1e-14, "maxiter": 600},
-        )
-    else:
-        def jac(x):
-            v, nv = point(x)
-            g = grad(v[None, :])[0]
-            return sgn * (frame.T @ (g - (g @ v) * v)) / nv
-
-        res = minimize(obj, x0, jac=jac, method="BFGS",
-                       options={"gtol": POLISH_GTOL, "maxiter": 200})
+    res = minimize(
+        obj, np.zeros(u0.size - 1), method="Nelder-Mead",
+        options={"xatol": xtol, "fatol": 1e-14, "maxiter": 600},
+    )
     return sgn * res.fun
 
 
@@ -295,34 +380,34 @@ def radial_from_support(body: ConvexBody, pos_tol: float = 1e-9) -> np.ndarray:
     return r
 
 
+def distances_to_ball(bodies) -> list[float]:
+    """distance_to_ball of each body. The bodies with a radial profile
+    are polished together, so their profiles must share one (n, d)."""
+    bodies = list(bodies)
+    extremes = np.empty((len(bodies), 2))
+    for i, body in enumerate(bodies):
+        r = body.radial_samples()
+        if np.min(r) <= 0:
+            raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
+        extremes[i] = r.max(), r.min()
+    profiled = [i for i, b in enumerate(bodies) if b.radial_profile is not None]
+    if profiled:
+        rmax, rmin = _polish_profiles([bodies[i] for i in profiled])
+        extremes[profiled, 0] = np.maximum(extremes[profiled, 0], rmax)
+        extremes[profiled, 1] = np.minimum(extremes[profiled, 1], rmin)
+    if np.any(extremes[:, 1] <= 0):
+        raise NonpositiveRadius("polished radial minimum is nonpositive")
+    return [math.log(rmax / rmin) for rmax, rmin in extremes.tolist()]
+
+
 def distance_to_ball(body: ConvexBody) -> float:
     """log(max r / min r) over radial samples; the sandwich distance to
     the best centered ball. Bodies built from a polynomial radial
     profile 1 + eps * phi get the three largest and three smallest grid
-    samples polished off-grid by the gradient polish, with the exact
-    gradient eps * phi.grad, so the value is invariant under rotation of
-    the profile."""
-    r = body.radial_samples()
-    if np.min(r) <= 0:
-        raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
-    rmax, rmin = float(r.max()), float(r.min())
-    if body.radial_profile is not None:
-        eps, poly = body.radial_profile
-
-        def rfun(pts):
-            return 1.0 + eps * poly.eval(pts)
-
-        def rgrad(pts):
-            return eps * poly.grad(pts)
-
-        nodes = body.grid.nodes
-        for i in np.argsort(r)[-3:]:
-            rmax = max(rmax, _polish_extreme(rfun, nodes[i], maximize=True, grad=rgrad))
-        for i in np.argsort(r)[:3]:
-            rmin = min(rmin, _polish_extreme(rfun, nodes[i], maximize=False, grad=rgrad))
-    if rmin <= 0:
-        raise NonpositiveRadius("polished radial minimum is nonpositive")
-    return math.log(rmax / rmin)
+    samples polished off-grid by a Riemannian Newton iteration on the
+    exact derivatives of phi (_newton_ascent), so the value is invariant
+    under rotation of the profile."""
+    return distances_to_ball([body])[0]
 
 
 def certify_convex_radial(body: ConvexBody, tol: float | None = None) -> bool:

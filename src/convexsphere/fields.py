@@ -22,7 +22,7 @@ import numpy as np
 
 from .bodies import (
     ConvexBody,
-    distance_to_ball,
+    distances_to_ball,
     from_radial,
     from_terms,
     from_vertices,
@@ -326,8 +326,9 @@ def find_epsilon(
 
 
 def separation_delta(bodies) -> float:
-    """Smallest distance-to-ball across a family of radial bodies."""
-    return min(distance_to_ball(b) for b in bodies)
+    """Smallest distance-to-ball across a family of radial bodies, their
+    radial profiles polished in one batch (distances_to_ball)."""
+    return min(distances_to_ball(bodies))
 
 
 # ---------------------------------------------------------------------------

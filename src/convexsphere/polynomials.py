@@ -29,7 +29,8 @@ the monomial form agrees with the harmonic family to 3e-14 on random
 points in each of these cases; a fit conditioned worse than
 MAX_FIT_CONDITION is refused. Monomials cost a few array products per
 call where the harmonic family costs dozens of special-function
-dispatches, and they give exact gradients (SphericalPoly.grad).
+dispatches, and they give exact gradients and Hessians
+(SphericalPoly.grad, SphericalPoly.hess).
 
 The monomials serve evaluation only. Gram-Schmidt over them was
 rejected for construction: the monomial Gram at d = 12 is too
@@ -166,6 +167,23 @@ def _monomial_partials(exponents: np.ndarray, pw: np.ndarray) -> np.ndarray:
             if j != k:
                 part *= pw[:, j, exponents[:, j]]
         out[:, k] = part
+    return out
+
+
+def _second_partials(exponents: np.ndarray) -> list:
+    """(k, j, c, e) for each k <= j, with d2/dx_k dx_j x^alpha = c x^e
+    for every monomial alpha: c = alpha_k (alpha_j - [j = k]) and e =
+    alpha - e_k - e_j (clipped at 0 where c = 0)."""
+    n = exponents.shape[1]
+    out = []
+    for k in range(n):
+        for j in range(k, n):
+            e = exponents.copy()
+            c = e[:, k].copy()
+            e[:, k] -= 1
+            c *= e[:, j]
+            e[:, j] -= 1
+            out.append((k, j, c, np.maximum(e, 0)))
     return out
 
 
@@ -329,6 +347,17 @@ class SphericalPoly:
         exps, mat = self.basis.monomial_form
         return _monomial_partials(exps, _powers(points, self.d)) @ (mat @ self.coeffs)
 
+    def hess(self, points: np.ndarray) -> np.ndarray:
+        """Exact ambient Hessian (P, n, n) of the monomial form of the
+        polynomial at the rows of points."""
+        exps, mat = self.basis.monomial_form
+        pw = _powers(points, self.d)
+        vec = mat @ self.coeffs
+        out = np.empty(pw.shape[:1] + (self.n, self.n))
+        for k, j, c, e in _second_partials(exps):
+            out[:, k, j] = out[:, j, k] = (c * _monomials(e, pw)) @ vec
+        return out
+
     @property
     def norm(self) -> float:
         """L2 norm (Parseval)."""
@@ -346,6 +375,37 @@ class SphericalPoly:
 
     def scaled(self, a: float) -> "SphericalPoly":
         return SphericalPoly(self.n, self.d, a * self.coeffs, self.basis)
+
+
+def stacked_monomial_form(polys) -> tuple[np.ndarray, np.ndarray]:
+    """(exponents, coef) of polynomials sharing one (n, d): the common
+    exponent table and one row of monomial coefficients per polynomial,
+    so that monomials(x) @ coef[i] is polys[i](x). A mixed or empty list
+    raises InputError."""
+    if not polys:
+        raise InputError("no polynomials to stack")
+    nd = {(p.n, p.d) for p in polys}
+    if len(nd) > 1:
+        raise InputError(f"polynomials of mixed (n, d) {sorted(nd)} do not share monomials")
+    exps = polys[0].basis.monomial_form[0]
+    return exps, np.stack([p.basis.monomial_form[1] @ p.coeffs for p in polys])
+
+
+def monomial_jet(exponents: np.ndarray, coef: np.ndarray, points: np.ndarray):
+    """Value (P,), ambient gradient (P, n) and Hessian (P, n, n) at
+    points[p] of the monomial form with coefficients coef[p] (P, m).
+    A row's result does not depend on the other rows: every sum runs
+    over C-ordered terms (_monomials may return either order), which
+    numpy adds in the same order for every row. The Hessian is summed one
+    entry at a time, which bounds the temporaries at (P, m)."""
+    pw = _powers(points, int(exponents.max()))
+    val = np.sum(np.multiply(_monomials(exponents, pw), coef, order="C"), axis=-1)
+    grad = np.sum(_monomial_partials(exponents, pw) * coef[:, None, :], axis=-1)
+    hess = np.empty(grad.shape + grad.shape[1:])
+    for k, j, c, e in _second_partials(exponents):
+        terms = np.multiply(c * _monomials(e, pw), coef, order="C")
+        hess[:, k, j] = hess[:, j, k] = np.sum(terms, axis=-1)
+    return val, grad, hess
 
 
 def project(grid: SphereGrid, f, d: int) -> SphericalPoly:

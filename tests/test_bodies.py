@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from convexsphere.bodies import (
+    _newton_ascent,
     _polish_extreme,
+    _polish_profiles,
+    _tangent_frames,
     ball,
     bm_distance,
     c0_l2_constant,
     certify_convex_radial,
     check_c0_l2_bound,
     distance_to_ball,
+    distances_to_ball,
     empirical_L2_uniform,
     from_radial,
     from_support_samples,
@@ -26,6 +30,7 @@ from convexsphere.bodies import (
 )
 from convexsphere.errors import GridMismatch, InputError
 from convexsphere.groups import sample_group
+from convexsphere.polynomials import monomial_jet, project, stacked_monomial_form
 from convexsphere.sphere import build_grid
 
 
@@ -82,27 +87,69 @@ def test_distance_to_ball(grid3):
 
 
 def test_gradient_polish_matches_nelder_mead(grid3):
-    # BFGS on the exact chart gradient and derivative-free Nelder-Mead
-    # reach the same extremes of 1 + eps*phi from the same grid nodes
-    from convexsphere.fields import sample_unit_F
+    # one Newton iteration over four bodies and derivative-free
+    # Nelder-Mead from each start reach the same extremes of 1 + eps*phi
+    from convexsphere.fields import radial_body, sample_unit_F
 
     eps = 0.0195
-    for phi in sample_unit_F(3, 8, 4, seed=1, grid=grid3):
+    bodies = [radial_body(grid3, phi, eps) for phi in sample_unit_F(3, 8, 4, seed=1, grid=grid3)]
+    rmax, rmin = _polish_profiles(bodies)
+    for body, hi, lo in zip(bodies, rmax, rmin):
+        phi = body.radial_profile[1]
+
         def rfun(pts):
             return 1.0 + eps * phi.eval(pts)
 
-        def rgrad(pts):
-            return eps * phi.grad(pts)
+        r = body.radial_samples()
+        order = np.argsort(r)
+        slow_hi = max(_polish_extreme(rfun, grid3.nodes[i], True) for i in order[-3:])
+        slow_lo = min(_polish_extreme(rfun, grid3.nodes[i], False) for i in order[:3])
+        assert hi == pytest.approx(slow_hi, rel=1e-9)
+        assert lo == pytest.approx(slow_lo, rel=1e-9)
+        # both improve on the grid value
+        assert hi >= r.max() and slow_hi >= r.max()
+        assert lo <= r.min() and slow_lo <= r.min()
 
-        order = np.argsort(phi.samples)
-        for i, maximize in ((order[-1], True), (order[0], False)):
-            u0 = grid3.nodes[i]
-            fast = _polish_extreme(rfun, u0, maximize, grad=rgrad)
-            slow = _polish_extreme(rfun, u0, maximize)
-            assert fast == pytest.approx(slow, rel=1e-9)
-            # both improve on the grid value
-            start = float(rfun(u0[None, :])[0])
-            assert (fast >= start) if maximize else (fast <= start)
+
+def test_newton_polish_leaves_indefinite_starts_uphill(grid3):
+    # near the saddle of x^2 - y^2 at e_z the tangent Hessian diag(2, -2)
+    # is indefinite; the regularised step still climbs, to the maximum 1
+    # at +-e_x, and the descent from there reaches the minimum -1
+    phi = project(grid3, grid3.nodes[:, 0] ** 2 - grid3.nodes[:, 1] ** 2, 2)
+    u0 = np.array([[0.05, 0.02, 1.0]])
+    u0 /= np.linalg.norm(u0)
+    frame = _tangent_frames(u0)[0]
+    lam = np.linalg.eigvalsh(
+        frame.T @ phi.hess(u0)[0] @ frame - float(u0[0] @ phi.grad(u0)[0]) * np.eye(2)
+    )
+    assert lam[0] < 0 < lam[1]
+    exps, coef = stacked_monomial_form([phi])
+    start = float(phi.eval(u0)[0])
+    top = _newton_ascent(exps, coef, u0)[0]
+    bottom = -_newton_ascent(exps, -coef, u0)[0]
+    assert top >= start and bottom <= start
+    assert top == pytest.approx(1.0, abs=1e-12)
+    assert bottom == pytest.approx(-1.0, abs=1e-12)
+
+    # from random starts on degree-8 profiles, many of them indefinite,
+    # a full Newton step can overshoot; the kept steps never end lower
+    from convexsphere.fields import sample_unit_F
+
+    exps, coef = stacked_monomial_form(sample_unit_F(3, 8, 8, seed=4, grid=grid3))
+    u = np.random.default_rng(0).normal(size=(400, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    signed = np.repeat(coef, 50, axis=0) * np.tile([1.0, -1.0], 200)[:, None]
+    assert np.all(_newton_ascent(exps, signed, u) >= monomial_jet(exps, signed, u)[0])
+
+
+def test_distances_to_ball_refuse_mixed_profiles(grid3):
+    from convexsphere.fields import radial_body, sample_unit_F
+
+    mixed = [radial_body(grid3, sample_unit_F(3, d, 1, seed=1, grid=grid3)[0], 0.01)
+             for d in (6, 8)]
+    assert distances_to_ball(mixed[:1]) == [distance_to_ball(mixed[0])]
+    with pytest.raises(InputError):
+        distances_to_ball(mixed)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

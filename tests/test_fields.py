@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convexsphere import fields
-from convexsphere.bodies import ball, distance_to_ball, hausdorff, hull_depth
+from convexsphere.bodies import ball, distance_to_ball, distances_to_ball, hausdorff, hull_depth
 from convexsphere.errors import InputError, NonpositiveRadius
 from convexsphere.fields import (
     DEPTH_TOL,
@@ -232,6 +232,10 @@ def test_separation_delta_positive_for_nonballs(grid3):
     phi = sample_unit_F(3, 8, 3, seed=2, grid=grid3)
     bodies = [radial_body(grid3, p, 0.02) for p in phi]
     assert separation_delta(bodies) > 0
+    # the batch polish gives each body what a batch of one gives it
+    assert separation_delta(bodies) == min(distance_to_ball(b) for b in bodies)
+    family = [radial_body(grid3, p, 0.0195) for p in sample_unit_F(3, 8, 100, seed=5, grid=grid3)]
+    assert distances_to_ball(family) == [distance_to_ball(b) for b in family]
 
 
 def test_random_frames_orthonormal():

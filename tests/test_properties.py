@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from convexsphere.backend import minkowski_support
 from convexsphere.bodies import (
     bm_distance,
     from_radial,
@@ -73,6 +74,18 @@ def test_term_bodies_round_trip_and_stay_exact(grid2, grid3, spec):
     assert thick.minkowski_terms is not None
     assert thick.ball_radius == body.ball_radius + 0.25
     assert np.abs(thick.support - (body.support + 0.25)).max() <= 1e-12 * scale
+
+    # the terms stacked once by from_terms are the terms: support_eval
+    # equals the kernel over a fresh stack bit for bit
+    dirs = grid.nodes @ rot
+    for b in (body, avg, scaled, thick):
+        fresh = (
+            np.vstack([v for _, v in b.minkowski_terms]),
+            np.cumsum([0] + [v.shape[0] for _, v in b.minkowski_terms]),
+            np.array([w for w, _ in b.minkowski_terms]),
+        )
+        assert np.array_equal(b.support_eval(dirs),
+                              minkowski_support(*fresh, b.ball_radius, dirs))
 
 
 @settings(max_examples=25, deadline=None, database=None)
