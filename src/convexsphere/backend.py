@@ -12,6 +12,9 @@ import numpy as np
 
 _BLOCK = 256  # rows per block; bounds temporary memory at G*BLOCK
 
+#: Smallest <query, dir> that radial_from_support counts as positive.
+_POS_TOL = 1e-9
+
 
 def _c(a):
     return np.ascontiguousarray(a, dtype=np.float64)
@@ -76,16 +79,16 @@ def hull_gaps(cloud, dirs, h, blocks=None):
     return out
 
 
-def radial_from_support(h, dirs, queries, pos_tol=1e-9):
-    """r[q] = min over dirs with <q, dir> > pos_tol of h/<q,dir>.
+def radial_from_support(h, dirs, queries):
+    """r[q] = min over dirs with <q, dir> > _POS_TOL of h/<q,dir>.
     -1 marks queries with no positive-dot direction (should not happen on
     antipodal grids)."""
-    h, dirs, queries, pos_tol = _c(h), _c(dirs), _c(queries), float(pos_tol)
+    h, dirs, queries = _c(h), _c(dirs), _c(queries)
     out = np.empty(queries.shape[0])
     for a in range(0, queries.shape[0], _BLOCK):
         b = min(a + _BLOCK, queries.shape[0])
         dot = queries[a:b] @ dirs.T
-        ratio = np.where(dot > pos_tol, h[None, :] / np.where(dot > pos_tol, dot, 1.0), np.inf)
+        ratio = np.where(dot > _POS_TOL, h[None, :] / np.where(dot > _POS_TOL, dot, 1.0), np.inf)
         m = ratio.min(axis=1)
         out[a:b] = np.where(np.isfinite(m), m, -1.0)
     return out

@@ -1,17 +1,21 @@
 """Convex bodies as sampled support functions on a sphere grid.
 
 A body carries its support samples and, when the geometry allows it, an
-exact off-grid support evaluator: a list of weighted vertex sets (a
-Minkowski combination of polytopes) plus a ball radius offset,
+exact off-grid support evaluator: weighted vertex sets (a Minkowski
+combination of polytopes) plus a ball radius offset,
 
     h(v) = sum_t w_t * max_{p in V_t} <p, v>  +  rho * |v|.
 
-These terms and rho are the one exact description of a body, and
-from_terms, which checks them, is the one constructor of such bodies.
-Polytopes (one term of weight 1), balls (the origin plus rho),
-thickenings and group averages of such all stay in this class, which
-is what makes exact-group invariance defects drop to floating-point
-level instead of the O(grid gap^2) floor of interpolated evaluation.
+The vertex sets are stored stacked, as the arrays terms = (rows,
+offsets, weights) with V_t = rows[offsets[t]:offsets[t+1]]; the
+support kernel reads them as they are. These arrays and rho are the one
+exact description of a body, and from_terms, which checks them, is the
+one constructor of such bodies. Polytopes (one term of weight 1), balls
+(the origin plus rho), thickenings, rotations, scalings and group
+averages of such all stay in this class, each one array operation on
+rows and weights, which is what makes exact-group invariance defects
+drop to floating-point level instead of the O(grid gap^2) floor of
+interpolated evaluation.
 Bodies that only have samples fall back to the inscribed radial cloud
 (n >= 3) or to the exact outer-polygon interpolation formula (n = 2).
 
@@ -58,11 +62,9 @@ class ConvexBody:
     grid: SphereGrid = field(repr=False)
     support: np.ndarray = field(repr=False)
     radial: np.ndarray | None = field(default=None, repr=False)
-    minkowski_terms: list | None = field(default=None, repr=False)  # [(w, verts)]
+    terms: tuple | None = field(default=None, repr=False)  # (rows, offsets, weights)
     ball_radius: float = 0.0
     radial_profile: tuple | None = field(default=None, repr=False)  # (eps, poly)
-    # minkowski_terms stacked once by from_terms: (rows, offsets, weights)
-    _stack: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -72,8 +74,8 @@ class ConvexBody:
         """Support values at arbitrary unit directions, via the best
         available evaluator."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.minkowski_terms is not None:
-            return backend.minkowski_support(*self._stack, self.ball_radius, points)
+        if self.terms is not None:
+            return backend.minkowski_support(*self.terms, self.ball_radius, points)
         if self.n == 2:
             return _polygon_support_interp(self.grid, self.support, points)
         return backend.support_max_dot(self.cloud(), points)
@@ -87,40 +89,41 @@ class ConvexBody:
         return self.radial_samples()[:, None] * self.grid.nodes
 
 
-def from_terms(grid: SphereGrid, terms, ball_radius: float = 0.0) -> ConvexBody:
+def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.0) -> ConvexBody:
     """Body with the exact support sum_t w_t max_{p in V_t} <p, v> + rho |v|
-    of the given [(w_t, V_t)] terms and ball radius rho. Weights and rho
-    must be finite and >= 0, and each V_t a non-empty finite array of
-    points in R^n."""
-    checked = []
-    for w, v in terms:
-        w = float(w)
-        v = np.asarray(v, dtype=float)
-        if not (math.isfinite(w) and w >= 0):
-            raise InputError(f"minkowski term weight {w} is not finite and >= 0")
-        if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] != grid.n:
-            raise InputError(
-                f"minkowski term vertices of shape {v.shape} are not points in R^{grid.n}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InputError("minkowski term vertices are not finite")
-        checked.append((w, v))
-    if not checked:
+    of the terms V_t = rows[offsets[t]:offsets[t+1]] with weights w_t and
+    ball radius rho. rows must be finite points in R^n, offsets integers
+    rising strictly from 0 to len(rows) (no term is empty), one weight
+    per term, and the weights and rho finite and >= 0."""
+    rows = np.array(rows, dtype=float)
+    offsets = np.asarray(offsets)
+    weights = np.array(weights, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != grid.n:
+        raise InputError(
+            f"minkowski term vertices of shape {rows.shape} are not points in R^{grid.n}"
+        )
+    if not np.all(np.isfinite(rows)):
+        raise InputError("minkowski term vertices are not finite")
+    if weights.ndim != 1 or weights.size == 0:
         raise InputError("need at least one minkowski term")
+    if (offsets.shape != (weights.size + 1,) or offsets.dtype.kind not in "iu"
+            or offsets[0] != 0 or offsets[-1] != rows.shape[0] or np.any(np.diff(offsets) <= 0)):
+        raise InputError(
+            f"offsets {offsets.tolist()} do not split {rows.shape[0]} rows "
+            f"into {weights.size} non-empty terms"
+        )
+    bad = weights[~(np.isfinite(weights) & (weights >= 0))]
+    if bad.size:
+        raise InputError(f"minkowski term weight {bad[0]} is not finite and >= 0")
     rho = float(ball_radius)
     if not (math.isfinite(rho) and rho >= 0):
         raise InputError(f"ball radius {rho} is not finite and >= 0")
-    stack = (
-        np.vstack([v for _, v in checked]),
-        np.cumsum([0] + [v.shape[0] for _, v in checked]),
-        np.array([w for w, _ in checked], dtype=float),
-    )
+    terms = (rows, offsets.astype(np.int64), weights)
     return ConvexBody(
         grid=grid,
-        support=backend.minkowski_support(*stack, rho, grid.nodes),
-        minkowski_terms=checked,
+        support=backend.minkowski_support(*terms, rho, grid.nodes),
+        terms=terms,
         ball_radius=rho,
-        _stack=stack,
     )
 
 
@@ -130,13 +133,14 @@ def from_support_samples(grid: SphereGrid, h) -> ConvexBody:
 
 
 def from_vertices(grid: SphereGrid, verts) -> ConvexBody:
-    return from_terms(grid, [(1.0, np.atleast_2d(np.asarray(verts, dtype=float)))])
+    verts = np.atleast_2d(np.asarray(verts, dtype=float))
+    return from_terms(grid, verts, [0, verts.shape[0]], [1.0])
 
 
 def ball(grid: SphereGrid, radius: float = 1.0) -> ConvexBody:
     if radius <= 0:
         raise NonpositiveRadius(f"ball radius {radius}")
-    body = from_terms(grid, [(1.0, np.zeros((1, grid.n)))], radius)
+    body = from_terms(grid, np.zeros((1, grid.n)), [0, 1], [1.0], radius)
     body.radial = np.full(grid.size, body.ball_radius)
     return body
 
@@ -217,17 +221,6 @@ _POLISH_HALVINGS = 40
 
 #: Longest chart step of the Newton polish (a 45 degree move).
 _POLISH_MAX_STEP = 1.0
-
-
-def _tangent_frame(u: np.ndarray) -> np.ndarray:
-    # The Nelder-Mead polish keeps this frame: its trajectory, and so each
-    # bm_distance value, depends on the frame bit for bit.
-    n = u.size
-    basis = np.eye(n)
-    k = int(np.argmin(np.abs(u)))
-    cols = [basis[i] for i in range(n) if i != k] + [basis[k]]
-    q, _ = np.linalg.qr(np.column_stack([u] + cols)[:, : n])
-    return q[:, 1:]
 
 
 def _tangent_frames(u: np.ndarray) -> np.ndarray:
@@ -320,14 +313,18 @@ def _polish_profiles(bodies) -> tuple[np.ndarray, np.ndarray]:
     return r[:, 0].max(axis=1), r[:, 1].min(axis=1)
 
 
-def _polish_extreme(fun, u0: np.ndarray, maximize: bool, xtol: float = 1e-10):
+#: Chart-coordinate tolerance of the Nelder-Mead polish.
+_POLISH_XTOL = 1e-10
+
+
+def _polish_extreme(fun, u0: np.ndarray, maximize: bool):
     """Local refinement of an extreme of a function of a unit vector by
-    Nelder-Mead to xtol, in the tangent chart x -> (u0 + F x) / |u0 + F x|
-    around u0, F an orthonormal frame of the tangent space at u0. fun
-    maps (1, n) unit vectors to values and need not be smooth, such as
-    the ratio of polytope supports in bm_distance.
+    Nelder-Mead to _POLISH_XTOL, in the tangent chart x -> (u0 + F x) /
+    |u0 + F x| around u0, F the tangent frame of _tangent_frames at u0.
+    fun maps (1, n) unit vectors to values and need not be smooth, such
+    as the ratio of polytope supports in bm_distance.
     """
-    frame = _tangent_frame(u0)
+    frame = _tangent_frames(u0[None])[0]
     sgn = -1.0 if maximize else 1.0
 
     def obj(x):
@@ -337,7 +334,7 @@ def _polish_extreme(fun, u0: np.ndarray, maximize: bool, xtol: float = 1e-10):
 
     res = minimize(
         obj, np.zeros(u0.size - 1), method="Nelder-Mead",
-        options={"xatol": xtol, "fatol": 1e-14, "maxiter": 600},
+        options={"xatol": _POLISH_XTOL, "fatol": 1e-14, "maxiter": 600},
     )
     return sgn * res.fun
 
@@ -354,7 +351,7 @@ def bm_distance(a: ConvexBody, b: ConvexBody, refine: bool = False) -> float:
     ratio = hb / ha
     t_star = float(ratio.max())
     s_star = float(ratio.min())
-    if refine and a.minkowski_terms is not None and b.minkowski_terms is not None:
+    if refine and a.terms is not None and b.terms is not None:
         def rfun(pts):
             return b.support_eval(pts) / a.support_eval(pts)
 
@@ -366,7 +363,7 @@ def bm_distance(a: ConvexBody, b: ConvexBody, refine: bool = False) -> float:
     return math.log(t_star / s_star)
 
 
-def radial_from_support(body: ConvexBody, pos_tol: float = 1e-9) -> np.ndarray:
+def radial_from_support(body: ConvexBody) -> np.ndarray:
     """Radial function of the outer body {x : <x,u_j> <= h_j} at the
     grid nodes."""
     h = body.support
@@ -374,7 +371,7 @@ def radial_from_support(body: ConvexBody, pos_tol: float = 1e-9) -> np.ndarray:
         raise OriginNotInterior(
             f"radial evaluation needs positive support, min={h.min():.3e}"
         )
-    r = backend.radial_from_support(h, body.grid.nodes, body.grid.nodes, pos_tol)
+    r = backend.radial_from_support(h, body.grid.nodes, body.grid.nodes)
     if np.any(r <= 0):
         raise OriginNotInterior("support cone does not surround the origin")
     return r
@@ -505,12 +502,14 @@ def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:
     if sample.n != body.n:
         raise InputError(f"group on R^{sample.n} vs body in R^{body.n}")
     grid = body.grid
-    if body.minkowski_terms is not None:
+    if body.terms is not None:
+        rows, offsets, weights = body.terms
+        shift = rows.shape[0] * np.arange(sample.size)
         return from_terms(
             grid,
-            [(wg * w, v @ g)
-             for g, wg in zip(sample.elements, sample.weights)
-             for w, v in body.minkowski_terms],
+            (rows @ sample.elements).reshape(-1, body.n),
+            np.append((offsets[:-1] + shift[:, None]).ravel(), sample.size * rows.shape[0]),
+            np.outer(sample.weights, weights).ravel(),
             body.ball_radius,
         )
     pts = np.einsum("kij,gj->kgi", sample.elements, grid.nodes).reshape(-1, body.n)
@@ -605,10 +604,9 @@ def scaled_body(body: ConvexBody, s: float) -> ConvexBody:
     if s <= 0:
         raise InputError("scale must be positive")
     radial = None if body.radial is None else s * body.radial
-    if body.minkowski_terms is not None:
-        out = from_terms(
-            body.grid, [(w, s * v) for w, v in body.minkowski_terms], s * body.ball_radius
-        )
+    if body.terms is not None:
+        rows, offsets, weights = body.terms
+        out = from_terms(body.grid, s * rows, offsets, weights, s * body.ball_radius)
         out.radial = radial
         return out
     return ConvexBody(grid=body.grid, support=s * body.support, radial=radial)

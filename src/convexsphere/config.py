@@ -23,8 +23,6 @@ class ExperimentConfig:
     d: int = 8
     d_max: int | None = None
     eps: float | None = None
-    rho: float | None = None
-    t: float | None = None
     seed: int = 0
     resolution: int | None = None
     samples: int = 500
@@ -37,7 +35,6 @@ class ExperimentConfig:
     body_a: str | None = None
     body_b: str | None = None
     body: str | None = None
-    field: str | None = None
     vertices: str | None = None
     chain: bool = False
     elementary: bool = False

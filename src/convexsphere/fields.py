@@ -154,8 +154,8 @@ def thicken(body: ConvexBody, rho: float) -> ConvexBody:
     rho added to its support samples."""
     if rho <= 0:
         raise InputError(f"thickening radius must be positive, got {rho}")
-    if body.minkowski_terms is not None:
-        return from_terms(body.grid, body.minkowski_terms, body.ball_radius + rho)
+    if body.terms is not None:
+        return from_terms(body.grid, *body.terms, body.ball_radius + rho)
     return ConvexBody(grid=body.grid, support=body.support + rho)
 
 
@@ -227,7 +227,6 @@ def find_epsilon(
     grid: SphereGrid | None = None,
     d: int = 8,
     steps: int = 18,
-    depth_tol: float = DEPTH_TOL,
     refined_check: bool = True,
     phis: list[SphericalPoly] | None = None,
 ) -> dict:
@@ -235,7 +234,7 @@ def find_epsilon(
     radial function 1 + eps*phi certifies convex, over Haar-rotated
     spanning samples of the unit sphere of F^d.
 
-    Certification accepts hull gaps down to -depth_tol * max(r), a
+    Certification accepts hull gaps down to -DEPTH_TOL * max(r), a
     fixed dimple depth relative to the body scale. Bisection runs on
     the working grid; the final eps is re-certified on the 2x-refined
     grid and the pass rate reported (running the refined check inside
@@ -269,7 +268,7 @@ def find_epsilon(
     hi0 = float(np.min(-1.0 / mins))
 
     def passes(g: SphereGrid, r: np.ndarray) -> bool:
-        return hull_depth(g, r) >= -depth_tol * float(r.max())
+        return hull_depth(g, r) >= -DEPTH_TOL * float(r.max())
 
     limiting = None  # the sample that failed the latest failed round
 
@@ -312,7 +311,7 @@ def find_epsilon(
         "history": history,
         "limiting_sample": limiting,
     }
-    result["depth_tol"] = depth_tol
+    result["depth_tol"] = DEPTH_TOL
     if refined_check and lo > 0:
         fine = grid.refined()
         # every sample shares one cached basis: evaluate it once at the
@@ -364,10 +363,9 @@ def rotate_body(body: ConvexBody, rot: np.ndarray) -> ConvexBody:
     """Image body under x -> R x (exact for evaluator-backed bodies)."""
     rot = np.asarray(rot, dtype=float)
     grid = body.grid
-    if body.minkowski_terms is not None:
-        return from_terms(
-            grid, [(w, v @ rot.T) for w, v in body.minkowski_terms], body.ball_radius
-        )
+    if body.terms is not None:
+        rows, offsets, weights = body.terms
+        return from_terms(grid, rows @ rot.T, offsets, weights, body.ball_radius)
     profile = None
     radial = None  # a sampled radial does not transport exactly
     if body.radial_profile is not None:
@@ -431,12 +429,10 @@ def _eval_ambient_poly(coeffs: dict, pts: np.ndarray) -> np.ndarray:
 def _restrict_quad(w: np.ndarray, amb: np.ndarray) -> QuadForm3:
     """Trace-projected, unit-normalized restriction of an ambient
     symmetric form to the frame's 3-plane."""
-    q = w @ amb @ w.T
-    q = 0.5 * (q + q.T)
-    q = q - (np.trace(q) / 3.0) * np.eye(3)
-    if np.linalg.norm(q) < 1e-12:
+    q = QuadForm3.from_matrix(w @ amb @ w.T)
+    if q.frobenius < 1e-12:
         raise InputError("ambient form restricts to zero on a frame")
-    return QuadForm3(q).normalized()
+    return q.normalized()
 
 
 def build_field(

@@ -29,8 +29,8 @@ the monomial form agrees with the harmonic family to 3e-14 on random
 points in each of these cases; a fit conditioned worse than
 MAX_FIT_CONDITION is refused. Monomials cost a few array products per
 call where the harmonic family costs dozens of special-function
-dispatches, and they give exact gradients and Hessians
-(SphericalPoly.grad, SphericalPoly.hess).
+dispatches, and they give exact gradients and Hessians (monomial_jet,
+over the coefficients of stacked_monomial_form).
 
 The monomials serve evaluation only. Gram-Schmidt over them was
 rejected for construction: the monomial Gram at d = 12 is too
@@ -340,23 +340,6 @@ class SphericalPoly:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.basis.eval(points) @ self.coeffs
-
-    def grad(self, points: np.ndarray) -> np.ndarray:
-        """Exact ambient gradient (P, n) of the monomial form of the
-        polynomial at the rows of points."""
-        exps, mat = self.basis.monomial_form
-        return _monomial_partials(exps, _powers(points, self.d)) @ (mat @ self.coeffs)
-
-    def hess(self, points: np.ndarray) -> np.ndarray:
-        """Exact ambient Hessian (P, n, n) of the monomial form of the
-        polynomial at the rows of points."""
-        exps, mat = self.basis.monomial_form
-        pw = _powers(points, self.d)
-        vec = mat @ self.coeffs
-        out = np.empty(pw.shape[:1] + (self.n, self.n))
-        for k, j, c, e in _second_partials(exps):
-            out[:, k, j] = out[:, j, k] = (c * _monomials(e, pw)) @ vec
-        return out
 
     @property
     def norm(self) -> float:

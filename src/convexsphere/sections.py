@@ -19,6 +19,7 @@ from scipy.spatial import ConvexHull
 
 from .bodies import ConvexBody, from_support_samples, from_vertices
 from .errors import InputError, OriginNotInterior
+from .fields import random_frames
 from .fourier2d import fourier_analyze, harmonic_energy
 from .sphere import SphereGrid, build_grid
 
@@ -140,14 +141,6 @@ def plane_section(family: SectionFamily, frame: np.ndarray) -> ConvexBody:
     return from_vertices(grid, poly)
 
 
-def _random_frames2(big_n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty((count, 2, big_n))
-    for i in range(count):
-        q, r = np.linalg.qr(rng.normal(size=(big_n, 2)))
-        out[i] = (q * np.sign(np.diag(r))[None, :]).T
-    return out
-
-
 def _coordinate_frames2(big_n: int) -> list:
     frames = []
     eye = np.eye(big_n)
@@ -179,13 +172,16 @@ def _chart(frame: np.ndarray):
     return at
 
 
+#: Best coarse frames that round_section_search descends from.
+_REFINE_TOP = 4
+
+
 def round_section_search(
     family: SectionFamily,
     d: int = 8,
     tol: float = 1e-8,
     coarse_count: int = 120,
     seed: int = 0,
-    refine_top: int = 4,
     maxiter: int = 400,
 ) -> dict:
     """Find a 2-frame whose section has circle-harmonic energy below
@@ -199,7 +195,7 @@ def round_section_search(
         return {"frame": frame, "energy": e, "radius": _radius(family, frame),
                 "converged": e < tol, "trace": [e]}
     rng = np.random.default_rng(seed)
-    frames = list(_random_frames2(big_n, coarse_count, rng)) + _coordinate_frames2(big_n)
+    frames = list(random_frames(2, big_n, coarse_count, rng)) + _coordinate_frames2(big_n)
 
     def score(fr):
         return harmonic_energy(fourier_analyze(plane_section(family, fr), d))
@@ -210,7 +206,7 @@ def round_section_search(
     best_e = float(energies[order[0]])
     trace = [best_e]
 
-    for idx in order[:refine_top]:
+    for idx in order[:_REFINE_TOP]:
         at = _chart(frames[idx])
         res = minimize(
             lambda xi: score(at(xi)),

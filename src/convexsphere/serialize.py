@@ -1,4 +1,4 @@
-"""JSON persistence for grids, polynomials, bodies, fields, sweeps.
+"""JSON persistence for grids, polynomials, bodies and fields.
 
 Every document carries a kind tag, the toolkit version, and a content
 hash over its canonical payload, so reports embedding a document can
@@ -8,12 +8,13 @@ Polynomial, body and field documents record the grid_key of their
 grid, and loaders refuse a document whose key differs from the grid it
 is loaded on (documents without a key still load). Loaders rebuild
 exact evaluators (Minkowski terms with a ball radius, radial profiles)
-rather than trusting stored samples; term bodies go through
-bodies.from_terms, which refuses negative or non-finite weights and
-radii and empty or non-finite vertex sets. Every invalid document is
-refused with an InputError naming its path. Nothing here writes
-timestamps; rerunning a command on the same input produces
-byte-identical files.
+rather than trusting stored samples. A term body's document lists its
+terms one by one, {"weight", "vertices"} each; loading stacks them into
+the body's (rows, offsets, weights) arrays through bodies.from_terms,
+which refuses negative or non-finite weights and radii and empty or
+non-finite vertex sets. Every invalid document is refused with an
+InputError naming its path. Nothing here writes timestamps; rerunning
+a command on the same input produces byte-identical files.
 """
 
 import json
@@ -159,9 +160,11 @@ def body_doc(body: ConvexBody) -> dict:
     if body.radial_profile is not None:
         eps, phi = body.radial_profile
         doc["radial_profile"] = {"eps": eps, "poly": poly_doc(phi)}
-    elif body.minkowski_terms is not None:
+    elif body.terms is not None:
+        rows, offsets, weights = body.terms
         doc["minkowski_terms"] = [
-            {"weight": w, "vertices": v.tolist()} for w, v in body.minkowski_terms
+            {"weight": w, "vertices": v.tolist()}
+            for w, v in zip(weights.tolist(), np.split(rows, offsets[1:-1]))
         ]
     elif body.radial is not None:
         doc["radial"] = body.radial.tolist()
@@ -182,8 +185,17 @@ def body_from_doc(doc: dict, grid: SphereGrid | None = None) -> ConvexBody:
         eps = float(prof["eps"])
         return from_radial(grid, 1.0 + eps * phi.samples, profile=(eps, phi))
     if "minkowski_terms" in doc:
-        terms = [(t["weight"], t["vertices"]) for t in doc["minkowski_terms"]]
-        return from_terms(grid, terms, doc.get("ball_radius", 0.0))
+        terms = doc["minkowski_terms"]
+        verts = [np.asarray(t["vertices"], dtype=float) for t in terms]
+        if any(v.ndim != 2 for v in verts):
+            raise InputError("minkowski term vertices are not lists of points")
+        return from_terms(
+            grid,
+            np.concatenate([np.empty((0, grid.n))] + verts),
+            np.cumsum([0] + [v.shape[0] for v in verts]),
+            [t["weight"] for t in terms],
+            doc.get("ball_radius", 0.0),
+        )
     if "radial" in doc:
         r = np.asarray(doc["radial"], dtype=float)
         if r.shape != (grid.size,):
@@ -233,40 +245,6 @@ def load_field(path: str) -> BodyField:
         return BodyField(frames, bodies, doc.get("descriptor", {}), grid, adjacency)
 
     return _load_checked(path, "body_field", build)
-
-
-# -- JSONL sweeps ------------------------------------------------------------
-
-
-def write_jsonl(path: str, header: dict, rows) -> None:
-    header = dict(header)
-    header.setdefault("kind", "sweep")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(_finalize(header), sort_keys=True, default=_np_default))
-        fh.write("\n")
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, default=_np_default))
-            fh.write("\n")
-
-
-def read_jsonl(path: str):
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
-    rows = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise InputError(
-                    f"malformed JSON in {path} at line {ln}: {exc.msg}"
-                ) from exc
-    if not rows:
-        raise InputError(f"{path} is empty")
-    return rows[0], rows[1:]
 
 
 def write_csv(path: str, columns: list, rows) -> None:

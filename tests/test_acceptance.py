@@ -71,7 +71,7 @@ def test_criterion_01_hausdorff_matches_set_oracle(capsys, grid2, grid3):
             a = random_polytope(grid, int(ka), rng)
             b = random_polytope(grid, int(kb), rng)
             got = hausdorff(a, b)
-            want = set_hausdorff(a.minkowski_terms[0][1], b.minkowski_terms[0][1])
+            want = set_hausdorff(a.terms[0], b.terms[0])
             worst[n] = max(worst[n], abs(got - want))
     # node sampling of sup|h_A - h_B| loses at most the Lipschitz
     # constant (<= 2 for bodies in the unit ball) times the mesh gap

@@ -8,6 +8,7 @@ from convexsphere.bodies import (
     _polish_extreme,
     _polish_profiles,
     _tangent_frames,
+    ConvexBody,
     ball,
     bm_distance,
     c0_l2_constant,
@@ -119,11 +120,10 @@ def test_newton_polish_leaves_indefinite_starts_uphill(grid3):
     u0 = np.array([[0.05, 0.02, 1.0]])
     u0 /= np.linalg.norm(u0)
     frame = _tangent_frames(u0)[0]
-    lam = np.linalg.eigvalsh(
-        frame.T @ phi.hess(u0)[0] @ frame - float(u0[0] @ phi.grad(u0)[0]) * np.eye(2)
-    )
-    assert lam[0] < 0 < lam[1]
     exps, coef = stacked_monomial_form([phi])
+    _, grad, hess = monomial_jet(exps, coef, u0)
+    lam = np.linalg.eigvalsh(frame.T @ hess[0] @ frame - float(u0[0] @ grad[0]) * np.eye(2))
+    assert lam[0] < 0 < lam[1]
     start = float(phi.eval(u0)[0])
     top = _newton_ascent(exps, coef, u0)[0]
     bottom = -_newton_ascent(exps, -coef, u0)[0]
@@ -219,8 +219,22 @@ def test_group_average_keeps_exact_evaluators(grid3):
     avg = group_average(body, g)
     # the 4-fold average of the cube is again an exact body; its defect
     # under the very group it was averaged over collapses to round-off
-    assert avg.minkowski_terms is not None
+    assert avg.terms is not None
     assert invariance_defect(avg, g) < 1e-12
+
+
+def test_support_eval_reads_the_terms(grid3):
+    # the stacked terms are the body's one exact description: a body built
+    # or replaced around them evaluates them, whatever its samples say
+    import dataclasses
+
+    cube = _cube(grid3)
+    rows, offsets, weights = cube.terms
+    dirs = grid3.nodes[:7] @ np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
+    bare = ConvexBody(grid=grid3, support=cube.support, terms=cube.terms)
+    assert np.array_equal(bare.support_eval(dirs), cube.support_eval(dirs))
+    doubled = dataclasses.replace(cube, terms=(rows, offsets, 2.0 * weights))
+    assert np.array_equal(doubled.support_eval(dirs), 2.0 * cube.support_eval(dirs))
 
 
 def test_c0_l2_constant_positive_and_monotone_inputs():
@@ -279,18 +293,22 @@ def test_from_vertices_needs_points(grid3):
 
 
 @pytest.mark.parametrize("terms, rho", [
-    ([], 0.0),
-    ([(math.inf, np.eye(3))], 0.0),
-    ([(-0.5, np.eye(3))], 0.0),
-    ([(1.0, np.eye(3)[:, :2])], 0.0),
-    ([(1.0, np.ones(3))], 0.0),
-    ([(1.0, np.full((2, 3), -np.inf))], 0.0),
-    ([(1.0, np.eye(3))], math.nan),
-    ([(1.0, np.eye(3))], -0.1),
+    ((np.empty((0, 3)), [0], []), 0.0),                  # no term
+    ((np.eye(3), [0, 3], [math.inf]), 0.0),
+    ((np.eye(3), [0, 3], [-0.5]), 0.0),
+    ((np.eye(3)[:, :2], [0, 3], [1.0]), 0.0),            # points in R^2
+    ((np.ones(3), [0, 3], [1.0]), 0.0),                  # not a list of points
+    ((np.full((2, 3), -np.inf), [0, 2], [1.0]), 0.0),
+    ((np.eye(3), [0, 3], [1.0]), math.nan),
+    ((np.eye(3), [0, 3], [1.0]), -0.1),
+    ((np.eye(3), [0, 0, 3], [1.0, 1.0]), 0.0),           # an empty term
+    ((np.eye(3), [0, 2], [1.0]), 0.0),                   # offsets stop short of the rows
+    ((np.eye(3), [0, 3], [1.0, 1.0]), 0.0),              # two weights, one term
 ])
 def test_from_terms_refuses_invalid_terms(grid3, terms, rho):
+    # terms: stacked (rows, offsets, weights)
     with pytest.raises(InputError):
-        from_terms(grid3, terms, rho)
+        from_terms(grid3, *terms, rho)
 
 
 def test_scaled_body_scales_support(grid3):

@@ -1,5 +1,5 @@
-"""Property tests over random term bodies (Minkowski terms plus a ball
-radius) at n = 2 and n = 3, including the metric laws of hausdorff and
+"""Property tests over random term bodies (stacked Minkowski terms plus a
+ball radius) at n = 2 and n = 3, including the metric laws of hausdorff and
 bm_distance and the idempotence of group averages over exact groups;
 over random radial clouds at n = 3 and n = 4 for the pruned hull-depth
 certificate, even or not; and over random polynomials for the GF(2)
@@ -11,7 +11,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from convexsphere.backend import minkowski_support
 from convexsphere.bodies import (
     bm_distance,
     from_radial,
@@ -32,12 +31,20 @@ coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def term_specs(draw):
+    """n, stacked terms (rows, offsets, weights) of 1-3 terms of 1-4
+    points each, a ball radius and a seed."""
     n = draw(st.sampled_from([2, 3]))
-    terms = [
-        (draw(st.floats(0.0, 2.0)), draw(arrays(np.float64, (draw(st.integers(1, 4)), n), elements=coords)))
-        for _ in range(draw(st.integers(1, 3)))
-    ]
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    terms = (
+        draw(arrays(np.float64, (sum(sizes), n), elements=coords)),
+        np.cumsum([0] + sizes),
+        draw(arrays(np.float64, len(sizes), elements=st.floats(0.0, 2.0))),
+    )
     return n, terms, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32 - 1))
+
+
+def reloaded(body, grid):
+    return body_from_doc(json.loads(json.dumps(body_doc(body))), grid)
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -45,47 +52,41 @@ def term_specs(draw):
 def test_term_bodies_round_trip_and_stay_exact(grid2, grid3, spec):
     n, terms, rho, seed = spec
     grid = grid2 if n == 2 else grid3
-    body = from_terms(grid, terms, rho)
+    body = from_terms(grid, *terms, rho)
 
-    back = body_from_doc(json.loads(json.dumps(body_doc(body))), grid)
+    back = reloaded(body, grid)
     assert np.array_equal(back.support, body.support)
     assert back.ball_radius == body.ball_radius
-    assert len(back.minkowski_terms) == len(body.minkowski_terms)
-    for (w, v), (w2, v2) in zip(body.minkowski_terms, back.minkowski_terms):
-        assert w2 == w and np.array_equal(v2, v)
+    for got, want in zip(back.terms, body.terms):
+        assert np.array_equal(got, want)
 
     scale = 1.0 + float(np.abs(body.support).max())
     rot = random_rotations(n, 1, np.random.default_rng(seed))[0]
     rotated = rotate_body(body, rot)
-    assert rotated.minkowski_terms is not None
+    assert rotated.terms is not None
     assert np.abs(rotated.support - body.support_eval(grid.nodes @ rot)).max() <= 1e-12 * scale
 
     group = cyclic_rotation_group(n, (0, 1), 3)
     avg = group_average(body, group)
-    assert avg.minkowski_terms is not None
+    assert avg.terms is not None
     want = sum(w * body.support_eval(grid.nodes @ g.T) for g, w in zip(group.elements, group.weights))
     assert np.abs(avg.support - want).max() <= 1e-12 * scale
 
     scaled = scaled_body(body, 2.5)
-    assert scaled.minkowski_terms is not None
+    assert scaled.terms is not None
     assert np.abs(scaled.support - 2.5 * body.support).max() <= 1e-12 * scale
 
     thick = thicken(body, 0.25)
-    assert thick.minkowski_terms is not None
+    assert thick.terms is not None
     assert thick.ball_radius == body.ball_radius + 0.25
     assert np.abs(thick.support - (body.support + 0.25)).max() <= 1e-12 * scale
 
-    # the terms stacked once by from_terms are the terms: support_eval
-    # equals the kernel over a fresh stack bit for bit
-    dirs = grid.nodes @ rot
-    for b in (body, avg, scaled, thick):
-        fresh = (
-            np.vstack([v for _, v in b.minkowski_terms]),
-            np.cumsum([0] + [v.shape[0] for _, v in b.minkowski_terms]),
-            np.array([w for w, _ in b.minkowski_terms]),
-        )
-        assert np.array_equal(b.support_eval(dirs),
-                              minkowski_support(*fresh, b.ball_radius, dirs))
+    # every image survives its document: reloaded, it has the same
+    # support off the grid, bit for bit
+    dirs = np.random.default_rng(seed).normal(size=(64, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for b in (body, rotated, avg, scaled, thick):
+        assert np.array_equal(reloaded(b, grid).support_eval(dirs), b.support_eval(dirs))
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -113,13 +114,17 @@ def test_pruned_hull_depth_matches_full_scan(grid3, grid4, n, spread, waves, see
 
 @st.composite
 def origin_bodies(draw, n):
-    """Term bodies with the origin inside: centrally symmetric vertex
-    sets (so every term's support is >= 0) plus a ball radius > 0."""
-    terms = []
-    for _ in range(draw(st.integers(1, 2))):
-        v = draw(arrays(np.float64, (draw(st.integers(1, 3)), n), elements=coords))
-        terms.append((draw(st.floats(0.0, 2.0)), np.vstack([v, -v])))
-    return terms, draw(st.floats(0.05, 1.0))
+    """Stacked terms (rows, offsets, weights) and a ball radius > 0 of term
+    bodies with the origin inside: centrally symmetric vertex sets (so
+    every term's support is >= 0)."""
+    halves = [draw(arrays(np.float64, (draw(st.integers(1, 3)), n), elements=coords))
+              for _ in range(draw(st.integers(1, 2)))]
+    return (
+        np.vstack([np.vstack([v, -v]) for v in halves]),
+        np.cumsum([0] + [2 * len(v) for v in halves]),
+        draw(arrays(np.float64, len(halves), elements=st.floats(0.0, 2.0))),
+        draw(st.floats(0.05, 1.0)),
+    )
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -142,7 +147,7 @@ def test_metric_laws_on_the_grid(grid2, grid3, data, n, scale):
 def test_group_average_is_idempotent_for_exact_groups(grid2, grid3, spec, order):
     n, terms, rho, _ = spec
     grid = grid2 if n == 2 else grid3
-    body = from_terms(grid, terms, rho)
+    body = from_terms(grid, *terms, rho)
     scale = 1.0 + float(np.abs(body.support).max())
     for group in (sample_group("pm", n), cyclic_rotation_group(n, (0, 1), order)):
         avg = group_average(body, group)

@@ -20,12 +20,10 @@ from convexsphere.serialize import (
     load_poly,
     poly_doc,
     poly_from_doc,
-    read_jsonl,
     save_body,
     save_field,
     save_poly,
     write_csv,
-    write_jsonl,
 )
 from convexsphere.util import content_hash
 
@@ -88,7 +86,7 @@ def test_body_roundtrip_vertex_form(tmp_path, grid3):
     back = load_body(str(path))
     assert np.abs(back.support - body.support).max() < 1e-14
     # exact evaluator survives the roundtrip
-    assert back.minkowski_terms is not None
+    assert back.terms is not None
 
 
 def test_body_roundtrip_minkowski_form(tmp_path, grid3):
@@ -138,24 +136,6 @@ def test_field_roundtrip(tmp_path, grid3):
     assert np.abs(back.frames - fld.frames).max() < 1e-15
     for a, b in zip(back.bodies, fld.bodies):
         assert np.abs(a.support - b.support).max() < 1e-12
-
-
-def test_jsonl_roundtrip(tmp_path):
-    path = tmp_path / "rows.jsonl"
-    header = {"kind": "sweep"}
-    rows = [{"i": 0, "v": 1.5}, {"i": 1, "v": -2.0}]
-    write_jsonl(str(path), header, rows)
-    h, back = read_jsonl(str(path))
-    assert h["kind"] == "sweep"
-    assert back == rows
-
-
-def test_jsonl_error_reports_line(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"kind": "h"}\n{"ok": 1}\nnot json\n')
-    with pytest.raises(InputError) as info:
-        read_jsonl(str(path))
-    assert "line 3" in str(info.value)
 
 
 def test_write_csv(tmp_path):
@@ -341,10 +321,15 @@ def _set_radius(d):
     d["ball_radius"] = -3.0
 
 
+def _empty_term(d):
+    d["minkowski_terms"][0]["vertices"] = []
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set_weight, "weight"),
     (_set_nan_vertex, "not finite"),
     (_set_radius, "ball radius"),
+    (_empty_term, "not lists of points"),
 ])
 def test_load_body_refuses_invalid_terms(tmp_path, grid3, edit, message):
     # restamped so the hash check passes; the term check must refuse it
