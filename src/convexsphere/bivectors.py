@@ -18,6 +18,10 @@ from .errors import InputError, NotARotation, NotDecomposable, ZeroBivector
 from .util import principal_angles
 
 BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_ROTATION_TOL = 1e-10  # largest entry of R^T R - I of a rotation
+_DECOMPOSABLE_TOL = 1e-8  # largest |w(sigma)| / ||sigma||^2 of a decomposable sigma
+_ANGLE_TOL = 1e-8  # largest principal angle accepted by invariant_plane_check
+_PREIMAGE_TOL = 1e-6  # largest residual of a converged rho_preimage
 
 _STAR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 STAR = np.fliplr(np.diag(_STAR_SIGNS))
@@ -94,11 +98,11 @@ def lambda2_matrix(rot: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_rotation(rot: np.ndarray, dim: int, tol: float = 1e-10) -> None:
+def _check_rotation(rot: np.ndarray, dim: int) -> None:
     rot = np.asarray(rot, dtype=float)
     if rot.shape != (dim, dim):
         raise NotARotation(f"expected a {dim}x{dim} matrix, got {rot.shape}")
-    if np.max(np.abs(rot.T @ rot - np.eye(dim))) > tol:
+    if np.max(np.abs(rot.T @ rot - np.eye(dim))) > _ROTATION_TOL:
         raise NotARotation("matrix is not orthogonal")
     if np.linalg.det(rot) < 0:
         raise NotARotation("matrix has determinant -1")
@@ -116,24 +120,24 @@ def rho_pm(rot: np.ndarray, sign: int = +1) -> np.ndarray:
     return out
 
 
-def is_decomposable(sigma, tol: float = 1e-8) -> bool:
+def is_decomposable(sigma) -> bool:
     sigma = np.asarray(sigma, dtype=float)
     nrm2 = float(sigma @ sigma)
     if nrm2 == 0.0:
         return True
-    return abs(w(sigma)) <= tol * nrm2
+    return abs(w(sigma)) <= _DECOMPOSABLE_TOL * nrm2
 
 
-def plane_from_bivector(sigma, tol: float = 1e-8) -> np.ndarray:
+def plane_from_bivector(sigma) -> np.ndarray:
     """Oriented orthonormal frame (2 rows) of the plane of a
     decomposable bivector u^v."""
     sigma = np.asarray(sigma, dtype=float)
     nrm = np.linalg.norm(sigma)
     if nrm < 1e-12:
         raise ZeroBivector("cannot extract a plane from the zero bivector")
-    if not is_decomposable(sigma, tol):
+    if not is_decomposable(sigma):
         raise NotDecomposable(
-            f"sigma^sigma = {w(sigma):.3e} Omega exceeds {tol} * ||sigma||^2"
+            f"sigma^sigma = {w(sigma):.3e} Omega exceeds {_DECOMPOSABLE_TOL} * ||sigma||^2"
         )
     u_svd, s, _ = np.linalg.svd(to_matrix(sigma))
     frame = u_svd[:, :2].T
@@ -156,7 +160,7 @@ def rotation_planes(rot: np.ndarray) -> list:
     return [q[:, :2].T, q[:, 2:].T]
 
 
-def invariant_plane_check(rot: np.ndarray, omega, tol: float = 1e-8) -> dict:
+def invariant_plane_check(rot: np.ndarray, omega) -> dict:
     """For a rotation whose induced bivector map fixes omega (required
     within 1e-8), verify that the rotation's invariant planes are also
     invariant planes of omega's skew matrix, by principal angles."""
@@ -179,7 +183,7 @@ def invariant_plane_check(rot: np.ndarray, omega, tol: float = 1e-8) -> dict:
             "omega_angles": angles.tolist(),
             "rotation_angles": rot_angles.tolist(),
         }
-        ok = ok and np.max(angles) <= tol and np.max(rot_angles) <= tol
+        ok = ok and np.max(angles) <= _ANGLE_TOL and np.max(rot_angles) <= _ANGLE_TOL
         report["planes"].append(entry)
     report["ok"] = bool(ok)
     return report
@@ -207,7 +211,7 @@ def axis_rotation3(axis_index: int, angle: float) -> np.ndarray:
     return out
 
 
-def rho_preimage(target: np.ndarray, sign: int = +1, tol: float = 1e-6) -> dict:
+def rho_preimage(target: np.ndarray, sign: int = +1) -> dict:
     """Search for a rotation of R^4 mapping to the target under
     rho_pm, by Nelder-Mead over the Lie algebra. Double rotations in
     the coordinate planes seed the search; for targets about the
@@ -241,13 +245,13 @@ def rho_preimage(target: np.ndarray, sign: int = +1, tol: float = 1e-6) -> dict:
         )
         if best is None or res.fun < best.fun:
             best = res
-        if best.fun < (tol * 1e-2) ** 2:
+        if best.fun < (_PREIMAGE_TOL * 1e-2) ** 2:
             break
     rot = expm(to_matrix(best.x))
     residual = float(np.linalg.norm(rho_pm(rot, sign) - target))
     return {
         "rotation": rot,
         "residual": residual,
-        "converged": residual <= tol,
+        "converged": residual <= _PREIMAGE_TOL,
         "objective_calls": int(best.nfev),
     }

@@ -1,23 +1,25 @@
-"""Convex bodies as sampled support functions on a sphere grid.
+"""Convex bodies on a sphere grid, each fixed by one description.
 
-A body carries its support samples and, when the geometry allows it, an
-exact off-grid support evaluator: weighted vertex sets (a Minkowski
-combination of polytopes) plus a ball radius offset,
+A body is its grid plus exactly one of: weighted vertex sets with a ball
+radius (a Minkowski combination of polytopes plus a ball), with the
+exact support
 
-    h(v) = sum_t w_t * max_{p in V_t} <p, v>  +  rho * |v|.
+    h(v) = sum_t w_t * max_{p in V_t} <p, v>  +  rho * |v|;
 
-The vertex sets are stored stacked, as the arrays terms = (rows,
-offsets, weights) with V_t = rows[offsets[t]:offsets[t+1]]; the
-support kernel reads them as they are. These arrays and rho are the one
-exact description of a body, and from_terms, which checks them, is the
-one constructor of such bodies. Polytopes (one term of weight 1), balls
-(the origin plus rho), thickenings, rotations, scalings and group
-averages of such all stay in this class, each one array operation on
+a radial profile 1 + eps * phi of an even polynomial phi; radial
+samples (the hull of the cloud {r_i u_i} on the grid nodes u_i); or
+support samples (the outer body {x : <x,u_j> <= h_j}). The grid samples
+support and radial are derived from the description at first use, so a
+frozen body, or a dataclasses.replace of one, never carries samples of
+another. The vertex sets are stored stacked, as terms = (rows, offsets,
+weights) with V_t = rows[offsets[t]:offsets[t+1]], and from_terms checks
+them. Polytopes, balls, thickenings, rotations, scalings and group
+averages of term bodies stay term bodies, each one array operation on
 rows and weights, which is what makes exact-group invariance defects
 drop to floating-point level instead of the O(grid gap^2) floor of
-interpolated evaluation.
-Bodies that only have samples fall back to the inscribed radial cloud
-(n >= 3) or to the exact outer-polygon interpolation formula (n = 2).
+interpolated evaluation. Other bodies evaluate support off the grid
+through the inscribed radial cloud (n >= 3) or the exact outer-polygon
+interpolation formula (n = 2).
 
 The sandwich distance between origin-interior bodies is
 log(max_u hB/hA / min_u hB/hA); it vanishes exactly for scalings,
@@ -26,6 +28,7 @@ is symmetric, and obeys the triangle inequality on the grid.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -39,8 +42,8 @@ from .errors import (
     OriginNotInterior,
 )
 from .groups import GroupSample
-from .polynomials import monomial_jet, stacked_monomial_form
-from .sphere import SphereGrid, check_samples, norms
+from .polynomials import get_basis, monomial_jet, stacked_monomial_form
+from .sphere import SphereGrid, build_grid, check_samples, integrate, norms
 
 # Cap-volume constants of the C0-via-L2 comparison: a Euclidean cap of
 # radius rho <= 1/2 on S^{n-1} has measure >= C1 * rho^{n-1}
@@ -57,18 +60,49 @@ def c0_l2_constant(n: int) -> float:
     return (4.0 / _C1[n]) ** (1.0 / (n + 1))
 
 
-@dataclass
+_DESCRIPTIONS = ("terms", "radial_profile", "sampled_radial", "sampled_support")
+
+
+@dataclass(frozen=True)
 class ConvexBody:
     grid: SphereGrid = field(repr=False)
-    support: np.ndarray = field(repr=False)
-    radial: np.ndarray | None = field(default=None, repr=False)
     terms: tuple | None = field(default=None, repr=False)  # (rows, offsets, weights)
     ball_radius: float = 0.0
-    radial_profile: tuple | None = field(default=None, repr=False)  # (eps, poly)
+    radial_profile: tuple | None = field(default=None, repr=False)  # (eps, phi)
+    sampled_radial: np.ndarray | None = field(default=None, repr=False)
+    sampled_support: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        given = [k for k in _DESCRIPTIONS if getattr(self, k) is not None]
+        if len(given) != 1:
+            raise InputError(f"a body needs exactly one of {_DESCRIPTIONS}, got {given}")
+        if self.ball_radius and self.terms is None:
+            raise InputError("a ball radius belongs to a body with terms")
 
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Support samples at the grid nodes: the given ones, else those
+        of the terms or of the radial cloud."""
+        if self.sampled_support is not None:
+            return self.sampled_support
+        if self.terms is not None:
+            return _frozen(backend.minkowski_support(*self.terms, self.ball_radius, self.grid.nodes))
+        return _frozen(_radial_support(self.grid, self.radial)[1])
+
+    @cached_property
+    def radial(self) -> np.ndarray:
+        """Radial samples at the grid nodes: the given ones, else those of
+        the profile or of the outer body of the support samples."""
+        if self.sampled_radial is not None:
+            return self.sampled_radial
+        if self.radial_profile is not None:
+            eps, phi = self.radial_profile
+            return _frozen(1.0 + eps * phi.samples)
+        return _frozen(radial_from_support(self))
 
     def support_eval(self, points: np.ndarray) -> np.ndarray:
         """Support values at arbitrary unit directions, via the best
@@ -78,15 +112,12 @@ class ConvexBody:
             return backend.minkowski_support(*self.terms, self.ball_radius, points)
         if self.n == 2:
             return _polygon_support_interp(self.grid, self.support, points)
-        return backend.support_max_dot(self.cloud(), points)
+        return backend.support_max_dot(self.radial[:, None] * self.grid.nodes, points)
 
-    def radial_samples(self) -> np.ndarray:
-        if self.radial is not None:
-            return self.radial
-        return radial_from_support(self)
 
-    def cloud(self) -> np.ndarray:
-        return self.radial_samples()[:, None] * self.grid.nodes
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # no caller edits a body's samples in place
+    return a
 
 
 def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.0) -> ConvexBody:
@@ -118,18 +149,14 @@ def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.
     rho = float(ball_radius)
     if not (math.isfinite(rho) and rho >= 0):
         raise InputError(f"ball radius {rho} is not finite and >= 0")
-    terms = (rows, offsets.astype(np.int64), weights)
-    return ConvexBody(
-        grid=grid,
-        support=backend.minkowski_support(*terms, rho, grid.nodes),
-        terms=terms,
-        ball_radius=rho,
-    )
+    return ConvexBody(grid=grid, terms=(rows, offsets.astype(np.int64), weights), ball_radius=rho)
 
 
 def from_support_samples(grid: SphereGrid, h) -> ConvexBody:
+    """Outer body {x : <x,u_j> <= h_j} of support samples h_j at the grid
+    nodes u_j."""
     h = check_samples(grid, np.asarray(h, dtype=float))
-    return ConvexBody(grid=grid, support=h.copy())
+    return ConvexBody(grid=grid, sampled_support=_frozen(h.copy()))
 
 
 def from_vertices(grid: SphereGrid, verts) -> ConvexBody:
@@ -140,19 +167,18 @@ def from_vertices(grid: SphereGrid, verts) -> ConvexBody:
 def ball(grid: SphereGrid, radius: float = 1.0) -> ConvexBody:
     if radius <= 0:
         raise NonpositiveRadius(f"ball radius {radius}")
-    body = from_terms(grid, np.zeros((1, grid.n)), [0, 1], [1.0], radius)
-    body.radial = np.full(grid.size, body.ball_radius)
-    return body
+    return from_terms(grid, np.zeros((1, grid.n)), [0, 1], [1.0], radius)
 
 
-def from_radial(grid: SphereGrid, r, profile=None) -> ConvexBody:
-    """Body of a positive radial sample set: the hull of the sampled
-    cloud. Support samples are those of the inscribed cloud."""
+def from_radial(grid: SphereGrid, r) -> ConvexBody:
+    """Body of positive radial samples r_i at the grid nodes u_i: the hull
+    of the cloud {r_i u_i}. Its support samples are those of the cloud,
+    and its radial samples are r as given. A body with a polynomial
+    radial profile is built by fields.radial_body instead."""
     r = check_samples(grid, np.asarray(r, dtype=float))
     if np.min(r) <= 0:
         raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
-    _, h, _, _ = _radial_support(grid, r)
-    return ConvexBody(grid=grid, support=h, radial=r.copy(), radial_profile=profile)
+    return ConvexBody(grid=grid, sampled_radial=_frozen(r.copy()))
 
 
 def _polygon_support_interp(grid: SphereGrid, h, points) -> np.ndarray:
@@ -172,7 +198,10 @@ def _polygon_support_interp(grid: SphereGrid, h, points) -> np.ndarray:
     return (h[j] * np.sin(t1 - ang) + h[j1] * np.sin(ang - t0)) / np.sin(d)
 
 
-def validate_body(body: ConvexBody, in_unit_ball: bool = False, tol: float = 1e-9) -> dict:
+_VALIDATE_TOL = 1e-9  # slack of validate_body's unit-ball and Lipschitz checks
+
+
+def validate_body(body: ConvexBody, in_unit_ball: bool = False) -> dict:
     """Check the sampled-support invariants; raises InputError on hard
     failures, returns a diagnostics dict."""
     h = check_samples(body.grid, body.support)
@@ -180,7 +209,7 @@ def validate_body(body: ConvexBody, in_unit_ball: bool = False, tol: float = 1e-
         raise InputError("non-finite support samples")
     report = {"min_support": float(h.min()), "max_support": float(h.max())}
     if in_unit_ball:
-        if h.max() > 1.0 + tol:
+        if h.max() > 1.0 + _VALIDATE_TOL:
             raise InputError(f"support exceeds the unit ball: {h.max():.6f}")
         # 1-Lipschitz compatibility in the Euclidean metric of directions
         nodes = body.grid.nodes
@@ -193,7 +222,7 @@ def validate_body(body: ConvexBody, in_unit_ball: bool = False, tol: float = 1e-
             dev = np.abs(h[a:b, None] - h[None, :]) - dist
             worst = max(worst, float(dev.max()))
         report["lipschitz_excess"] = worst
-        if worst > tol:
+        if worst > _VALIDATE_TOL:
             raise InputError(f"support violates 1-Lipschitz compatibility by {worst:.3e}")
     return report
 
@@ -304,7 +333,7 @@ def _polish_profiles(bodies) -> tuple[np.ndarray, np.ndarray]:
     eps = np.array([b.radial_profile[0] for b in bodies], dtype=float)
     starts = []
     for body in bodies:
-        order = np.argsort(body.radial_samples())
+        order = np.argsort(body.radial)
         starts.append(body.grid.nodes[np.concatenate([order[-3:], order[:3]])])
     owner = np.repeat(np.arange(len(bodies)), 6)
     sign = np.tile([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], len(bodies))
@@ -381,19 +410,14 @@ def distances_to_ball(bodies) -> list[float]:
     """distance_to_ball of each body. The bodies with a radial profile
     are polished together, so their profiles must share one (n, d)."""
     bodies = list(bodies)
-    extremes = np.empty((len(bodies), 2))
-    for i, body in enumerate(bodies):
-        r = body.radial_samples()
-        if np.min(r) <= 0:
-            raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
-        extremes[i] = r.max(), r.min()
+    extremes = np.array([(b.radial.max(), b.radial.min()) for b in bodies]).reshape(-1, 2)
     profiled = [i for i, b in enumerate(bodies) if b.radial_profile is not None]
     if profiled:
         rmax, rmin = _polish_profiles([bodies[i] for i in profiled])
         extremes[profiled, 0] = np.maximum(extremes[profiled, 0], rmax)
         extremes[profiled, 1] = np.minimum(extremes[profiled, 1], rmin)
     if np.any(extremes[:, 1] <= 0):
-        raise NonpositiveRadius("polished radial minimum is nonpositive")
+        raise NonpositiveRadius("radial minimum is nonpositive")
     return [math.log(rmax / rmin) for rmax, rmin in extremes.tolist()]
 
 
@@ -415,7 +439,7 @@ def certify_convex_radial(body: ConvexBody, tol: float | None = None) -> bool:
     n >= 3: hull_depth of the radial cloud against its own sampled
     support, with tolerance scaled by the squared grid gap.
     """
-    r = body.radial_samples()
+    r = body.radial
     grid = body.grid
     if grid.n == 2:
         if np.min(r) <= 0:
@@ -514,7 +538,7 @@ def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:
         )
     pts = np.einsum("kij,gj->kgi", sample.elements, grid.nodes).reshape(-1, body.n)
     vals = body.support_eval(pts).reshape(sample.size, grid.size)
-    return ConvexBody(grid=grid, support=sample.weights @ vals)
+    return from_support_samples(grid, sample.weights @ vals)
 
 
 def invariance_defect(body: ConvexBody, sample: GroupSample) -> float:
@@ -570,10 +594,6 @@ def empirical_L2_uniform(
     with max-over-trials L2 residual ||h - pi_d h|| <= eps, if one
     exists below d_cap. The residual curve uses the nestedness of the
     basis (prefix coefficients)."""
-    from .polynomials import get_basis
-
-    from .sphere import build_grid, integrate
-
     if grid is None:
         grid = build_grid(n)
     basis = get_basis(n, d_cap, grid)
@@ -601,12 +621,13 @@ def empirical_L2_uniform(
 
 
 def scaled_body(body: ConvexBody, s: float) -> ConvexBody:
+    """Image body under x -> s x, of the scaled terms, support samples or
+    radial samples."""
     if s <= 0:
         raise InputError("scale must be positive")
-    radial = None if body.radial is None else s * body.radial
     if body.terms is not None:
         rows, offsets, weights = body.terms
-        out = from_terms(body.grid, s * rows, offsets, weights, s * body.ball_radius)
-        out.radial = radial
-        return out
-    return ConvexBody(grid=body.grid, support=s * body.support, radial=radial)
+        return from_terms(body.grid, s * rows, offsets, weights, s * body.ball_radius)
+    if body.sampled_support is not None:
+        return from_support_samples(body.grid, s * body.support)
+    return from_radial(body.grid, s * body.radial)

@@ -110,7 +110,10 @@ def cmd_metrics(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _octahedron_field_sweep(grid, seed: int, frames_count: int = 21) -> dict:
+_SWEEP_FRAMES = 21  # frames along the path of the octahedron field sweep
+
+
+def _octahedron_field_sweep(grid, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     amb = []
     for _ in range(2):
@@ -121,7 +124,7 @@ def _octahedron_field_sweep(grid, seed: int, frames_count: int = 21) -> dict:
     skew = rng.normal(size=(5, 5))
     skew = skew - skew.T
     frames = np.stack(
-        [w0 @ expm(s * skew) for s in np.linspace(0.0, 0.4, frames_count)]
+        [w0 @ expm(s * skew) for s in np.linspace(0.0, 0.4, _SWEEP_FRAMES)]
     )
     fld = build_field(
         grid,
@@ -130,7 +133,7 @@ def _octahedron_field_sweep(grid, seed: int, frames_count: int = 21) -> dict:
     )
     rep = fld.continuity_report()
     return {
-        "frames": frames_count,
+        "frames": _SWEEP_FRAMES,
         "max_adjacent_d_h": rep["max_d_h"],
         "pairs": rep["pairs"],
     }
@@ -287,29 +290,14 @@ def cmd_swclass(cfg: ExperimentConfig) -> int:
             d_max = cfg.d_max if cfg.d_max is not None else cfg.d
             chain = sw_product_chain(cfg.n, d_max)
             poly = chain["poly"]
-            payload.update(
-                {
-                    "mode": "chain",
-                    "d_max": d_max,
-                    "stages": chain["stages"],
-                    "all_ones": chain["all_ones"],
-                    "monomials": poly.monomial_count,
-                    "degree": poly.degree(),
-                }
-            )
+            payload.update(mode="chain", d_max=d_max, stages=chain["stages"],
+                           all_ones=chain["all_ones"])
         else:
             top = stiefel_whitney_top(cfg.n, cfg.d, allow_even=cfg.allow_even)
             poly = top.poly
-            payload.update(
-                {
-                    "mode": "single",
-                    "d": cfg.d,
-                    "factor_count": top.factor_count,
-                    "all_ones": top.all_ones,
-                    "monomials": poly.monomial_count,
-                    "degree": poly.degree(),
-                }
-            )
+            payload.update(mode="single", d=cfg.d, factor_count=top.factor_count,
+                           all_ones=top.all_ones)
+        payload.update(monomials=poly.monomial_count, degree=poly.degree())
     except BudgetExceeded as exc:
         partial = exc.details.get("partial")
         payload.update(

@@ -23,7 +23,7 @@ import numpy as np
 from .bodies import (
     ConvexBody,
     distances_to_ball,
-    from_radial,
+    from_support_samples,
     from_terms,
     from_vertices,
     hausdorff,
@@ -40,7 +40,7 @@ from .polynomials import (
     rotate_poly,
     to_F_space,
 )
-from .sphere import SphereGrid, build_grid
+from .sphere import SphereGrid, build_grid, check_samples
 
 # ||x -> <x,Qx>||_{L2(S^2)}^2 = (8 pi / 15) ||Q||_F^2 for traceless
 # symmetric Q (fourth-moment identity); unit L2 norm in the space of
@@ -156,7 +156,7 @@ def thicken(body: ConvexBody, rho: float) -> ConvexBody:
         raise InputError(f"thickening radius must be positive, got {rho}")
     if body.terms is not None:
         return from_terms(body.grid, *body.terms, body.ball_radius + rho)
-    return ConvexBody(grid=body.grid, support=body.support + rho)
+    return from_support_samples(body.grid, body.support + rho)
 
 
 def psi_product(fp: SphericalPoly, fm: SphericalPoly, d_out: int = 8) -> SphericalPoly:
@@ -174,17 +174,19 @@ def psi_product(fp: SphericalPoly, fm: SphericalPoly, d_out: int = 8) -> Spheric
 
 
 def radial_body(grid: SphereGrid, phi: SphericalPoly, eps: float) -> ConvexBody:
-    """Body with radial function 1 + eps*phi (phi even, unit norm)."""
+    """The body of radial profile 1 + eps*phi (phi even, unit norm), whose
+    grid samples and polished radial extremes all derive from phi."""
     if eps < 0:
         raise InputError(f"eps must be nonnegative, got {eps}")
     if phi.odd_part_norm() > 1e-8:
         raise InputError("radial profile must be even")
-    r = 1.0 + eps * phi.samples
+    body = ConvexBody(grid=grid, radial_profile=(eps, phi))
+    r = check_samples(grid, body.radial)
     if np.min(r) <= 0:
         raise NonpositiveRadius(
             f"1 + eps*min(phi) = {np.min(r):.3e} is not positive at eps={eps}"
         )
-    return from_radial(grid, r, profile=(eps, phi))
+    return body
 
 
 def sample_unit_F(
@@ -360,25 +362,19 @@ def frame_align(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
 
 
 def rotate_body(body: ConvexBody, rot: np.ndarray) -> ConvexBody:
-    """Image body under x -> R x (exact for evaluator-backed bodies)."""
+    """Image body under x -> R x. Term bodies rotate their vertices and a
+    radial-profile body its profile, phi -> phi(R^T .), so both stay
+    exact; a sample-only body gets the support samples of its off-grid
+    evaluator at the rotated nodes."""
     rot = np.asarray(rot, dtype=float)
     grid = body.grid
     if body.terms is not None:
         rows, offsets, weights = body.terms
         return from_terms(grid, rows @ rot.T, offsets, weights, body.ball_radius)
-    profile = None
-    radial = None  # a sampled radial does not transport exactly
     if body.radial_profile is not None:
         eps, phi = body.radial_profile
-        rphi = rotate_poly(phi, rot.T)
-        profile = (eps, rphi)
-        radial = 1.0 + eps * rphi.samples
-    return ConvexBody(
-        grid=grid,
-        support=body.support_eval(grid.nodes @ rot),
-        radial=radial,
-        radial_profile=profile,
-    )
+        return radial_body(grid, rotate_poly(phi, rot.T), eps)
+    return from_support_samples(grid, body.support_eval(grid.nodes @ rot))
 
 
 @dataclass

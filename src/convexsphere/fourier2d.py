@@ -89,11 +89,13 @@ def harmonic_energy(fs: FourierSupport, qmin: int = 1, qmax: int | None = None) 
     return float(np.sum(fs.a[sl] ** 2) + np.sum(fs.b[sl] ** 2))
 
 
-def sturm_hurwitz_count(values: np.ndarray, level: float = 0.0,
-                        drop_tol: float = 1e-9) -> int:
+_DROP_TOL = 1e-9  # relative band around the level that sturm_hurwitz_count drops
+
+
+def sturm_hurwitz_count(values: np.ndarray, level: float = 0.0) -> int:
     """Number of cyclic sign changes of values - level.
 
-    Samples within drop_tol * scale of the level are discarded before
+    Samples within _DROP_TOL * scale of the level are discarded before
     counting so that tangencies and quadrature noise do not register
     as crossings; if everything is discarded the count is meaningless
     and Degenerate is raised. For a function whose lowest nonzero
@@ -103,7 +105,7 @@ def sturm_hurwitz_count(values: np.ndarray, level: float = 0.0,
     scale = np.max(np.abs(f)) if f.size else 0.0
     if scale == 0.0:
         raise Degenerate("samples are identically at the level")
-    keep = f[np.abs(f) > drop_tol * scale]
+    keep = f[np.abs(f) > _DROP_TOL * scale]
     if keep.size == 0:
         raise Degenerate("all samples within the degenerate band around the level")
     s = np.sign(keep)

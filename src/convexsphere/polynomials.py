@@ -48,7 +48,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import eval_gegenbauer, sph_harm_y
 
 from .errors import ConstantPolynomial, InputError
-from .sphere import SphereGrid, check_samples
+from .sphere import SphereGrid, check_samples, sphere_area
 
 MAX_DEGREE = 12
 
@@ -235,15 +235,6 @@ class Basis:
         return (self.degrees % 2 == 0) & (self.degrees > 0)
 
     @cached_property
-    def key(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(f"basis:{self.n}:{self.d}:{self.grid.key}:".encode())
-        h.update(self.transform.tobytes())
-        return h.hexdigest()[:16]
-
-    @cached_property
     def monomial_form(self) -> tuple[np.ndarray, np.ndarray]:
         """(exponents, matrix): monomials(points) @ matrix are the basis
         values; fitted on the grid at first use."""
@@ -349,8 +340,6 @@ class SphericalPoly:
     @property
     def mean(self) -> float:
         """Average value over the sphere."""
-        from .sphere import sphere_area
-
         return float(self.coeffs[0]) / np.sqrt(sphere_area(self.n))
 
     def odd_part_norm(self) -> float:
@@ -398,23 +387,27 @@ def project(grid: SphereGrid, f, d: int) -> SphericalPoly:
     return SphericalPoly(grid.n, d, basis.project_samples(f), basis)
 
 
-def to_F_space(p: SphericalPoly, tol: float = 1e-12) -> SphericalPoly:
+_F_SPACE_TOL = 1e-12  # relative norm below which nothing survives to_F_space
+_NONCONSTANT_TOL = 1e-8  # variance above which is_nonconstant holds
+
+
+def to_F_space(p: SphericalPoly) -> SphericalPoly:
     """Project onto the even zero-average subspace and rescale to unit
     L2 norm. Raises ConstantPolynomial when nothing survives."""
     c = np.where(p.basis.f_mask, p.coeffs, 0.0)
     nrm = np.linalg.norm(c)
-    if nrm <= tol * max(1.0, np.linalg.norm(p.coeffs)):
+    if nrm <= _F_SPACE_TOL * max(1.0, np.linalg.norm(p.coeffs)):
         raise ConstantPolynomial(
             "projection onto the even zero-average subspace vanishes"
         )
     return SphericalPoly(p.n, p.d, c / nrm, p.basis)
 
 
-def is_nonconstant(p: SphericalPoly, tol: float = 1e-8) -> bool:
+def is_nonconstant(p: SphericalPoly) -> bool:
     """True when the L2 variance (squared norm of the deviation from the
-    mean) exceeds tol."""
+    mean) exceeds _NONCONSTANT_TOL."""
     variance = float(np.sum(p.coeffs[1:] ** 2))
-    return variance > tol
+    return variance > _NONCONSTANT_TOL
 
 
 @dataclass

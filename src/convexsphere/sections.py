@@ -88,13 +88,13 @@ def ellipsoid_family(axes, grid: SphereGrid | None = None) -> SectionFamily:
     return SectionFamily(axes.size, "ellipsoid", grid, quad=np.diag(axes**-2))
 
 
-def cube_family(big_n: int, half_width: float = 1.0,
-                grid: SphereGrid | None = None) -> SectionFamily:
+def cube_family(big_n: int, grid: SphereGrid | None = None) -> SectionFamily:
+    """Sections of the cube [-1, 1]^N."""
     if grid is None:
         grid = build_grid(2)
     eye = np.eye(big_n)
     normals = np.vstack([eye, -eye])
-    offsets = np.full(2 * big_n, float(half_width))
+    offsets = np.ones(2 * big_n)
     return SectionFamily(big_n, "polytope", grid, normals=normals, offsets=offsets)
 
 

@@ -6,14 +6,13 @@ state exactly what they were computed from. Loaders recompute that
 hash and refuse a document whose payload no longer matches it.
 Polynomial, body and field documents record the grid_key of their
 grid, and loaders refuse a document whose key differs from the grid it
-is loaded on (documents without a key still load). Loaders rebuild
-exact evaluators (Minkowski terms with a ball radius, radial profiles)
-rather than trusting stored samples. A term body's document lists its
-terms one by one, {"weight", "vertices"} each; loading stacks them into
-the body's (rows, offsets, weights) arrays through bodies.from_terms,
-which refuses negative or non-finite weights and radii and empty or
-non-finite vertex sets. Every invalid document is refused with an
-InputError naming its path. Nothing here writes timestamps; rerunning
+is loaded on (documents without a key still load). A body document
+holds the body's one description and loads through the constructor of
+its kind. Terms are listed one by one, {"weight", "vertices"} each, and
+bodies.from_terms refuses negative or non-finite weights and radii and
+empty or non-finite vertex sets; fields.radial_body refuses a profile
+that is not even or not positive. Every invalid document is refused
+with an InputError naming its path. Nothing here writes timestamps; rerunning
 a command on the same input produces byte-identical files.
 """
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .bodies import ConvexBody, from_radial, from_support_samples, from_terms
 from .errors import ConvexSphereError, InputError
-from .fields import BodyField
+from .fields import BodyField, radial_body
 from .polynomials import SphericalPoly, get_basis
 from .sphere import SphereGrid, build_grid
 from .util import content_hash
@@ -157,19 +156,19 @@ def body_doc(body: ConvexBody) -> dict:
         **grid_meta(body.grid),
         "ball_radius": body.ball_radius,
     }
-    if body.radial_profile is not None:
-        eps, phi = body.radial_profile
-        doc["radial_profile"] = {"eps": eps, "poly": poly_doc(phi)}
-    elif body.terms is not None:
+    if body.terms is not None:
         rows, offsets, weights = body.terms
         doc["minkowski_terms"] = [
             {"weight": w, "vertices": v.tolist()}
             for w, v in zip(weights.tolist(), np.split(rows, offsets[1:-1]))
         ]
-    elif body.radial is not None:
-        doc["radial"] = body.radial.tolist()
+    elif body.radial_profile is not None:
+        eps, phi = body.radial_profile
+        doc["radial_profile"] = {"eps": eps, "poly": poly_doc(phi)}
+    elif body.sampled_radial is not None:
+        doc["radial"] = body.sampled_radial.tolist()
     else:
-        doc["support"] = body.support.tolist()
+        doc["support"] = body.sampled_support.tolist()
     return _finalize(doc)
 
 
@@ -181,9 +180,7 @@ def body_from_doc(doc: dict, grid: SphereGrid | None = None) -> ConvexBody:
     grid = grid_from_meta(doc, grid)
     if "radial_profile" in doc:
         prof = doc["radial_profile"]
-        phi = poly_from_doc(prof["poly"], grid)
-        eps = float(prof["eps"])
-        return from_radial(grid, 1.0 + eps * phi.samples, profile=(eps, phi))
+        return radial_body(grid, poly_from_doc(prof["poly"], grid), float(prof["eps"]))
     if "minkowski_terms" in doc:
         terms = doc["minkowski_terms"]
         verts = [np.asarray(t["vertices"], dtype=float) for t in terms]
@@ -196,20 +193,14 @@ def body_from_doc(doc: dict, grid: SphereGrid | None = None) -> ConvexBody:
             [t["weight"] for t in terms],
             doc.get("ball_radius", 0.0),
         )
-    if "radial" in doc:
-        r = np.asarray(doc["radial"], dtype=float)
-        if r.shape != (grid.size,):
-            raise InputError(
-                f"radial sample count {r.shape} does not match grid size {grid.size}"
-            )
-        return from_radial(grid, r)
-    if "support" in doc:
-        h = np.asarray(doc["support"], dtype=float)
-        if h.shape != (grid.size,):
-            raise InputError(
-                f"support sample count {h.shape} does not match grid size {grid.size}"
-            )
-        return from_support_samples(grid, h)
+    for key, build in (("radial", from_radial), ("support", from_support_samples)):
+        if key in doc:
+            samples = np.asarray(doc[key], dtype=float)
+            if samples.shape != (grid.size,):
+                raise InputError(
+                    f"{key} sample count {samples.shape} does not match grid size {grid.size}"
+                )
+            return build(grid, samples)
     raise InputError("body document has no geometry")
 
 

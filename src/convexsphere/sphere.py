@@ -162,8 +162,9 @@ class SphereGrid:
             for t in rows
         ]
 
-    def refined(self, factor: int = 2) -> "SphereGrid":
-        return build_grid(self.n, self.resolution * factor)
+    def refined(self) -> "SphereGrid":
+        """The grid of twice the resolution."""
+        return build_grid(self.n, 2 * self.resolution)
 
     def __eq__(self, other):
         return isinstance(other, SphereGrid) and self.key == other.key

@@ -219,7 +219,7 @@ def test_criterion_04_octahedron(capsys, grid3):
 
 def test_criterion_05_certified_epsilon(capsys, grid3, tmp_path):
     t0 = time.perf_counter()
-    fine = grid3.refined(2)
+    fine = grid3.refined()
     runs = {
         "seed1": find_epsilon(3, 200, seed=1, grid=grid3),
         "seed2": find_epsilon(3, 200, seed=2, grid=grid3),

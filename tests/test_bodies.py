@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_gradient_polish_matches_nelder_mead(grid3):
         def rfun(pts):
             return 1.0 + eps * phi.eval(pts)
 
-        r = body.radial_samples()
+        r = body.radial
         order = np.argsort(r)
         slow_hi = max(_polish_extreme(rfun, grid3.nodes[i], True) for i in order[-3:])
         slow_lo = min(_polish_extreme(rfun, grid3.nodes[i], False) for i in order[:3])
@@ -177,10 +178,9 @@ def test_certify_rejects_deep_dimple(grid2, grid3):
 
 
 def test_certify_rejects_nonpositive_radial(grid3):
-    body = from_support_samples(grid3, np.ones(grid3.size))
-    body.radial = np.ones(grid3.size)
-    body.radial[0] = -0.2
-    assert not certify_convex_radial(body)
+    r = np.ones(grid3.size)
+    r[0] = -0.2
+    assert not certify_convex_radial(ConvexBody(grid=grid3, sampled_radial=r))
 
 
 def test_radial_of_ball_is_exact(grid3):
@@ -225,16 +225,61 @@ def test_group_average_keeps_exact_evaluators(grid3):
 
 def test_support_eval_reads_the_terms(grid3):
     # the stacked terms are the body's one exact description: a body built
-    # or replaced around them evaluates them, whatever its samples say
-    import dataclasses
-
+    # or replaced around them evaluates them
     cube = _cube(grid3)
     rows, offsets, weights = cube.terms
     dirs = grid3.nodes[:7] @ np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
-    bare = ConvexBody(grid=grid3, support=cube.support, terms=cube.terms)
+    bare = ConvexBody(grid=grid3, terms=cube.terms)
     assert np.array_equal(bare.support_eval(dirs), cube.support_eval(dirs))
     doubled = dataclasses.replace(cube, terms=(rows, offsets, 2.0 * weights))
     assert np.array_equal(doubled.support_eval(dirs), 2.0 * cube.support_eval(dirs))
+
+
+def test_replaced_terms_move_the_samples(grid3):
+    # the grid samples are derived from the terms, so a replaced
+    # description carries its own support to every grid-based measure
+    cube = _cube(grid3)
+    rows, offsets, weights = cube.terms
+    doubled = dataclasses.replace(cube, terms=(rows, offsets, 2.0 * weights))
+    assert np.array_equal(doubled.support, 2.0 * cube.support)
+    assert hausdorff(doubled, scaled_body(cube, 2.0)) <= 1e-14
+    assert bm_distance(doubled, cube, refine=True) <= 1e-12
+
+
+def test_replaced_ball_radius_moves_both_samples(grid3):
+    big = dataclasses.replace(ball(grid3, 1.0), ball_radius=2.0)
+    assert np.abs(big.support / 2.0 - 1.0).max() <= 1e-15
+    assert np.abs(big.radial / 2.0 - 1.0).max() <= 1e-15
+
+
+def test_body_is_frozen_with_one_description(grid3):
+    cube = _cube(grid3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cube.terms = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cube.ball_radius = 1.0
+    with pytest.raises(InputError):
+        ConvexBody(grid=grid3)
+    with pytest.raises(InputError):
+        ConvexBody(grid=grid3, terms=cube.terms, sampled_support=cube.support)
+
+
+def test_support_only_body_scans_its_radial_once(grid3, monkeypatch):
+    # the radial cloud behind support_eval is derived once per body, not
+    # once per evaluation
+    from convexsphere import backend
+
+    calls = []
+    scan = backend.radial_from_support
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "radial_from_support", counted)
+    body = from_support_samples(grid3, _cube(grid3).support)
+    invariance_defect(body, sample_group("so", 3, 16, seed=1))
+    assert len(calls) == 1
 
 
 def test_c0_l2_constant_positive_and_monotone_inputs():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_radial_body_guards(grid3):
     cap = 1.0 / np.abs(phi.samples.min())
     body = radial_body(grid3, phi, 0.5 * cap)
     assert body.radial_profile is not None
-    assert np.min(body.radial_samples()) > 0
+    assert np.min(body.radial) > 0
     with pytest.raises(NonpositiveRadius):
         radial_body(grid3, phi, 1.5 * cap)
     odd = project(grid3, grid3.nodes[:, 0], 1)
@@ -293,6 +294,26 @@ def test_rotate_body_rotates_support(grid3):
     a = rotate_body(from_vertices(grid3, verts), r)
     b = from_vertices(grid3, verts @ r.T)
     assert np.abs(a.support - b.support).max() < 1e-12
+
+
+def test_rotated_profile_body_is_the_rotated_profile(grid3):
+    # a profile body rotates its profile: radial and support samples are
+    # those of the rotated profile's own body, bit for bit
+    from convexsphere.polynomials import rotate_poly
+
+    phi = sample_unit_F(3, 8, 1, seed=2, grid=grid3)[0]
+    r = random_rotations(3, 1, np.random.default_rng(4))[0]
+    got = rotate_body(radial_body(grid3, phi, 0.0195), r)
+    want = radial_body(grid3, rotate_poly(phi, r.T), 0.0195)
+    assert np.array_equal(got.radial, want.radial)
+    assert np.array_equal(got.support, want.support)
+
+
+def test_replaced_profile_moves_the_radial(grid3):
+    eps = 0.01
+    phi = sample_unit_F(3, 8, 1, seed=3, grid=grid3)[0]
+    body = dataclasses.replace(radial_body(grid3, phi, eps), radial_profile=(2 * eps, phi))
+    assert np.array_equal(body.radial, 1.0 + 2 * eps * phi.samples)
 
 
 def test_distance_to_ball_is_rotation_invariant(grid3):

@@ -107,7 +107,7 @@ def test_body_roundtrip_radial_profile(tmp_path, grid3):
     assert back.radial_profile is not None
     eps, poly = back.radial_profile
     assert eps == pytest.approx(0.02)
-    assert np.abs(back.radial_samples() - body.radial_samples()).max() < 1e-12
+    assert np.abs(back.radial - body.radial).max() < 1e-12
 
 
 def test_body_roundtrip_plain_radial(tmp_path, grid2):
@@ -116,7 +116,7 @@ def test_body_roundtrip_plain_radial(tmp_path, grid2):
     path = tmp_path / "rad.json"
     save_body(body, str(path))
     back = load_body(str(path))
-    assert np.abs(back.radial_samples() - body.radial_samples()).max() < 1e-15
+    assert np.abs(back.radial - body.radial).max() < 1e-15
     assert np.abs(back.support - body.support).max() < 1e-15
 
 
@@ -250,7 +250,7 @@ def test_documents_without_grid_key_still_load(tmp_path, grid3):
     path = str(tmp_path / "old.json")
     dump_json(_restamp(doc), path)
     back = load_body(path)
-    assert np.abs(back.radial_samples() - body.radial_samples()).max() < 1e-12
+    assert np.abs(back.radial - body.radial).max() < 1e-12
 
 def test_field_rejects_mis_sized_ambient_matrix(grid3):
     with pytest.raises(InputError):
@@ -286,6 +286,22 @@ def test_load_body_wraps_structural_faults(tmp_path, grid3):
     path = _save_edited(body_doc(from_radial(grid3, np.ones(grid3.size))),
                         str(tmp_path / "radial.json"), negative_sample)
     with pytest.raises(InputError, match="radial sample") as info:
+        load_body(path)
+    assert path in str(info.value)
+
+
+def test_load_body_refuses_a_profile_that_is_not_even(tmp_path, grid3):
+    # a profile document loads through radial_body, which refuses a
+    # polynomial with an odd part
+    phi = sample_unit_F(3, 8, 1, seed=1, grid=grid3)[0]
+    assert phi.basis.degrees[1] == 1
+
+    def odd_part(d):
+        d["radial_profile"]["poly"]["coeffs"][1] = 0.5
+
+    path = _save_edited(body_doc(radial_body(grid3, phi, 0.02)), str(tmp_path / "odd.json"),
+                        odd_part)
+    with pytest.raises(InputError, match="must be even") as info:
         load_body(path)
     assert path in str(info.value)
 

@@ -81,7 +81,7 @@ def test_quadrature_kills_odd_monomials(grid3):
 
 
 def test_refined_grid_doubles_resolution(grid3):
-    fine = grid3.refined(2)
+    fine = grid3.refined()
     assert fine.resolution == 2 * grid3.resolution
     assert fine.max_exact_degree > grid3.max_exact_degree
     assert np.array_equal(fine.nodes[fine.antipode], -fine.nodes)
