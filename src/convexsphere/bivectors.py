@@ -8,11 +8,17 @@ eigenspaces E+ and E- carry the fixed orthonormal bases
 induced maps rho_pm: SO(4) -> SO(3) are the two projections whose
 kernels are the opposite isoclinic rotations. sigma wedge sigma =
 w(sigma) Omega with Omega = e1^e2^e3^e4 detects decomposability.
+
+A bivector sigma = E+- c of one eigenspace has a skew matrix A with
+A^2 = -(|c|^2 / 2) I, so its exponential is the isoclinic rotation
+cos t I + (sin t / t) A with t = |c| / sqrt2, and rho_pm maps it to
+the rotation of R^3 by rotation vector -+sqrt2 c. rho_preimage
+inverts this in closed form.
 """
 
 import numpy as np
-from scipy.linalg import expm, schur
-from scipy.optimize import minimize
+from scipy.linalg import schur
+from scipy.spatial.transform import Rotation
 
 from .errors import InputError, NotARotation, NotDecomposable, ZeroBivector
 from .util import principal_angles
@@ -212,46 +218,15 @@ def axis_rotation3(axis_index: int, angle: float) -> np.ndarray:
 
 
 def rho_preimage(target: np.ndarray, sign: int = +1) -> dict:
-    """Search for a rotation of R^4 mapping to the target under
-    rho_pm, by Nelder-Mead over the Lie algebra. Double rotations in
-    the coordinate planes seed the search; for targets about the
-    coordinate axes of E+- these are already near-exact."""
+    """A rotation of R^4 mapping to the target under rho_pm: the
+    isoclinic exponential of E+- c with c = -sign * v / sqrt2, where v is
+    the target's rotation vector (see the module docstring)."""
     target = np.asarray(target, dtype=float)
     _check_rotation(target, 3)
     basis = E_PLUS if sign > 0 else E_MINUS
-
-    def objective(k):
-        r = expm(to_matrix(k))
-        return float(np.sum((basis.T @ lambda2_matrix(r) @ basis - target) ** 2))
-
-    angle = np.arccos(np.clip((np.trace(target) - 1.0) / 2.0, -1.0, 1.0))
-    starts = [np.zeros(6)]
-    for i, j in ((0, 5), (1, 4), (2, 3)):
-        for sa, sb in ((1, -1), (1, 1), (-1, 1), (-1, -1)):
-            k = np.zeros(6)
-            k[i] = sa * angle
-            k[j] = sb * angle
-            starts.append(k)
-    rng = np.random.default_rng(0)
-    starts += [rng.normal(scale=1.0, size=6) for _ in range(4)]
-
-    best = None
-    for k0 in starts:
-        res = minimize(
-            objective,
-            k0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 4000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun < (_PREIMAGE_TOL * 1e-2) ** 2:
-            break
-    rot = expm(to_matrix(best.x))
+    c = -sign * _SQ2 * Rotation.from_matrix(target).as_rotvec()
+    t = _SQ2 * np.linalg.norm(c)
+    # sin(t) / t is np.sinc(t / pi), which is 1 at t = 0
+    rot = np.cos(t) * np.eye(4) + np.sinc(t / np.pi) * to_matrix(basis @ c)
     residual = float(np.linalg.norm(rho_pm(rot, sign) - target))
-    return {
-        "rotation": rot,
-        "residual": residual,
-        "converged": residual <= _PREIMAGE_TOL,
-        "objective_calls": int(best.nfev),
-    }
+    return {"rotation": rot, "residual": residual, "converged": residual <= _PREIMAGE_TOL}

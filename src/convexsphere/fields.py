@@ -30,7 +30,7 @@ from .bodies import (
     hull_depth,
 )
 from .errors import DegenerateToPoint, InputError, NonpositiveRadius
-from .groups import random_rotations
+from .groups import random_frames, random_rotations
 from .polynomials import (
     SphericalPoly,
     get_basis,
@@ -337,19 +337,6 @@ def separation_delta(bodies) -> float:
 # ---------------------------------------------------------------------------
 
 
-def random_frames(n: int, big_n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal n-frames in R^N (rows), uniform on the Stiefel
-    manifold via QR of Gaussian matrices."""
-    if big_n < n:
-        raise InputError(f"ambient dimension N={big_n} below n={n}")
-    out = np.empty((count, n, big_n))
-    for i in range(count):
-        q, r = np.linalg.qr(rng.normal(size=(big_n, n)))
-        q = q * np.sign(np.diag(r))[None, :]
-        out[i] = q.T
-    return out
-
-
 def frame_align(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Rotation R in SO(n) minimizing ||wa - R wb||_F (orthogonal
     Procrustes with determinant correction); used to compare bodies of
@@ -411,17 +398,6 @@ class BodyField:
         return {"max_d_h": worst, "pairs": pairs}
 
 
-def _eval_ambient_poly(coeffs: dict, pts: np.ndarray) -> np.ndarray:
-    out = np.zeros(pts.shape[0])
-    for expo, c in coeffs.items():
-        term = np.ones(pts.shape[0]) * float(c)
-        for k, e in enumerate(expo):
-            if e:
-                term = term * pts[:, k] ** int(e)
-        out += term
-    return out
-
-
 def _restrict_quad(w: np.ndarray, amb: np.ndarray) -> QuadForm3:
     """Trace-projected, unit-normalized restriction of an ambient
     symmetric form to the frame's 3-plane."""
@@ -441,14 +417,10 @@ def build_field(
     """Assemble a BodyField from a section descriptor.
 
     type "constant"      one body, N = n, the identity frame.
-    type "ambient_poly"  restrict an even ambient polynomial (exponent
-                         dict) to each frame, project, normalize into F,
-                         radial body 1 + eps*phi.
-    type "ambient_quad"  same with P(x) = <x, A x>.
+    type "ambient_quad"  restrict P(x) = <x, A x> to each frame, project,
+                         normalize into F, radial body 1 + eps*phi.
     type "quad_pair"     restrict two ambient forms, normalize, paired
                          octahedron hull at weight t, optional thickening.
-    type "user_polys"    explicit per-frame polynomials (validated even
-                         and unit-norm).
     """
     n = grid.n
     kind = descriptor.get("type")
@@ -469,23 +441,19 @@ def build_field(
 
     bodies = []
     bad = []
-    if kind in ("ambient_poly", "ambient_quad"):
+    if kind == "ambient_quad":
         eps = float(descriptor.get("eps", 0.05))
-        d = int(descriptor.get("degree", 2 if kind == "ambient_quad" else 4))
-        if kind == "ambient_quad":
-            amb = np.asarray(descriptor["matrix"], dtype=float)
-            big = frames.shape[2]
-            if amb.shape != (big, big):
-                raise InputError(
-                    f"ambient matrix shape {amb.shape} does not match "
-                    f"ambient dimension N={big}"
-                )
+        d = int(descriptor.get("degree", 2))
+        amb = np.asarray(descriptor["matrix"], dtype=float)
+        big = frames.shape[2]
+        if amb.shape != (big, big):
+            raise InputError(
+                f"ambient matrix shape {amb.shape} does not match "
+                f"ambient dimension N={big}"
+            )
         for idx, w in enumerate(frames):
             pts = grid.nodes @ w  # rows are ambient coordinates of sphere points
-            if kind == "ambient_quad":
-                f = np.einsum("gi,ij,gj->g", pts, amb, pts)
-            else:
-                f = _eval_ambient_poly(descriptor["coeffs"], pts)
+            f = np.einsum("gi,ij,gj->g", pts, amb, pts)
             try:
                 phi = to_F_space(project(grid, f, d))
             except Exception:
@@ -508,17 +476,10 @@ def build_field(
             if rho:
                 body = thicken(body, float(rho))
             bodies.append(body)
-    elif kind == "user_polys":
-        eps = float(descriptor.get("eps", 0.05))
-        for idx, (w, phi) in enumerate(zip(frames, descriptor["polys"])):
-            if phi.odd_part_norm() > 1e-8 or abs(phi.norm - 1.0) > 1e-8:
-                bad.append(idx)
-                continue
-            bodies.append(radial_body(grid, phi, eps))
     else:
         raise InputError(f"unknown section descriptor type {kind!r}")
 
     if bad:
         raise InputError(f"section data invalid on frames {bad}")
-    desc_echo = {k: v for k, v in descriptor.items() if k not in ("polys", "body")}
+    desc_echo = {k: v for k, v in descriptor.items() if k != "body"}
     return BodyField(frames, bodies, desc_echo, grid)

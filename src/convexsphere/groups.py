@@ -46,17 +46,24 @@ class GroupSample:
             raise InputError("weights must be positive and sum to 1")
 
 
-def _haar_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))[None, :]
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+def random_frames(n: int, big_n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal n-frames in R^N (rows), uniform on the Stiefel
+    manifold: the sign-fixed Q of the QR of a Gaussian matrix."""
+    if big_n < n:
+        raise InputError(f"ambient dimension N={big_n} below n={n}")
+    out = np.empty((count, n, big_n))
+    for i in range(count):
+        q, r = np.linalg.qr(rng.normal(size=(big_n, n)))
+        out[i] = (q * np.sign(np.diag(r))[None, :]).T
+    return out
 
 
 def random_rotations(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    return np.stack([_haar_rotation(n, rng) for _ in range(count)])
+    """Haar-random SO(n): random frames of R^n as columns, column 0
+    negated where the determinant is -1."""
+    q = np.ascontiguousarray(random_frames(n, n, count, rng).transpose(0, 2, 1))
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
 
 
 def _coprime_generator(k: int) -> int:

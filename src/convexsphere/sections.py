@@ -1,9 +1,13 @@
 """Planar sections of bodies in R^N and the round-section search.
 
 A section family maps an orthonormal 2-frame to the planar convex
-body cut out by the frame's plane. Ellipsoid sections are exact
-quadratic-form slices; cube and V-polytope sections clip the plane
-against the halfspace description and hull the resulting polygon.
+body cut out by the frame's plane. A family holds exactly one
+description of its body: the quadratic form of an ellipsoid, whose
+sections are exact quadratic-form slices, or the facets
+{x: <normals_i, x> <= offsets_i} of a polytope with the origin inside.
+A polytope section is {y: <p_i, y> <= 1} with p_i the projected
+normals over their offsets, the polar of the planar hull of the p_i,
+so its vertices are the polars of that hull's edges.
 The search scores frames by circle-harmonic energy of the section's
 support function and descends the best coarse frames through
 exponential-map charts of the Grassmannian, keeping a monotone
@@ -15,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import ConvexBody, from_support_samples, from_vertices
 from .errors import InputError, OriginNotInterior
-from .fields import random_frames
 from .fourier2d import fourier_analyze, harmonic_energy
+from .groups import random_frames
 from .sphere import SphereGrid, build_grid
 
 __all__ = [
@@ -30,86 +34,51 @@ __all__ = [
     "polytope_family",
     "plane_section",
     "round_section_search",
-    "clip_polygon",
 ]
 
 
-def _halfplane_polygon(normals: np.ndarray, offsets: np.ndarray,
-                       span: float) -> np.ndarray:
-    """Vertices of {y: <normals_i, y> <= offsets_i}, clipped from a
-    generous bounding square (Sutherland-Hodgman)."""
-    poly = span * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    for nrm, off in zip(normals, offsets):
-        poly = clip_polygon(poly, nrm, off)
-        if poly.shape[0] == 0:
-            return poly
-    return poly
-
-
-def clip_polygon(poly: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Keep the part of a convex polygon with <normal, y> <= offset."""
-    if poly.shape[0] == 0:
-        return poly
-    vals = poly @ normal - offset
-    out = []
-    m = poly.shape[0]
-    for i in range(m):
-        j = (i + 1) % m
-        vi, vj = vals[i], vals[j]
-        if vi <= 0:
-            out.append(poly[i])
-        if (vi < 0 < vj) or (vj < 0 < vi):
-            t = vi / (vi - vj)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(out).reshape(-1, 2)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SectionFamily:
-    """Planar central sections of one body in R^N, indexed by 2-frames."""
+    """Planar central sections of one body in R^N, indexed by 2-frames:
+    the ellipsoid {x: <x, quad x> <= 1}, or the polytope
+    {x: <normals_i, x> <= offsets_i} with every offset positive."""
 
-    ambient_dim: int
-    kind: str
     grid: SphereGrid = field(repr=False)
-    quad: np.ndarray | None = field(default=None, repr=False)  # x' Q x <= 1
+    quad: np.ndarray | None = field(default=None, repr=False)
     normals: np.ndarray | None = field(default=None, repr=False)
     offsets: np.ndarray | None = field(default=None, repr=False)
 
-    def section(self, frame: np.ndarray) -> ConvexBody:
-        return plane_section(self, frame)
+    def __post_init__(self):
+        given = [self.quad is not None, self.normals is not None, self.offsets is not None]
+        if given not in ([True, False, False], [False, True, True]):
+            raise InputError("a section family needs exactly one of quad or normals with offsets")
+        if self.offsets is not None and np.any(self.offsets <= 0):
+            raise OriginNotInterior("origin is not interior to the polytope")
+
+    @property
+    def ambient_dim(self) -> int:
+        return (self.quad if self.quad is not None else self.normals).shape[1]
 
 
 def ellipsoid_family(axes, grid: SphereGrid | None = None) -> SectionFamily:
     axes = np.asarray(axes, dtype=float)
     if np.any(axes <= 0):
         raise InputError("ellipsoid semiaxes must be positive")
-    if grid is None:
-        grid = build_grid(2)
-    return SectionFamily(axes.size, "ellipsoid", grid, quad=np.diag(axes**-2))
+    return SectionFamily(grid or build_grid(2), quad=np.diag(axes**-2))
 
 
 def cube_family(big_n: int, grid: SphereGrid | None = None) -> SectionFamily:
     """Sections of the cube [-1, 1]^N."""
-    if grid is None:
-        grid = build_grid(2)
     eye = np.eye(big_n)
-    normals = np.vstack([eye, -eye])
-    offsets = np.ones(2 * big_n)
-    return SectionFamily(big_n, "polytope", grid, normals=normals, offsets=offsets)
+    return SectionFamily(grid or build_grid(2), normals=np.vstack([eye, -eye]),
+                         offsets=np.ones(2 * big_n))
 
 
 def polytope_family(vertices: np.ndarray, grid: SphereGrid | None = None) -> SectionFamily:
     """Sections of the hull of a vertex set (origin must be interior)."""
-    vertices = np.asarray(vertices, dtype=float)
-    if grid is None:
-        grid = build_grid(2)
-    hull = ConvexHull(vertices)
-    normals = hull.equations[:, :-1]
-    offsets = -hull.equations[:, -1]
-    if np.any(offsets <= 0):
-        raise OriginNotInterior("origin is not interior to the polytope")
-    return SectionFamily(vertices.shape[1], "polytope", grid,
-                         normals=normals, offsets=offsets)
+    hull = ConvexHull(np.asarray(vertices, dtype=float))
+    return SectionFamily(grid or build_grid(2), normals=hull.equations[:, :-1],
+                         offsets=-hull.equations[:, -1])
 
 
 def _check_frame(frame: np.ndarray, big_n: int) -> np.ndarray:
@@ -125,20 +94,19 @@ def plane_section(family: SectionFamily, frame: np.ndarray) -> ConvexBody:
     """The 2-D body {y: y1*frame[0] + y2*frame[1] in K} on the circle grid."""
     frame = _check_frame(frame, family.ambient_dim)
     grid = family.grid
-    if family.kind == "ellipsoid":
+    if family.quad is not None:
         q2 = frame @ family.quad @ frame.T
         # support of {y: <y, Q2 y> <= 1} is sqrt(<v, Q2^-1 v>)
         qinv = np.linalg.inv(q2)
         h = np.sqrt(np.einsum("gi,ij,gj->g", grid.nodes, qinv, grid.nodes))
         return from_support_samples(grid, h)
-    normals2 = family.normals @ frame.T
-    span = float(np.max(family.offsets)) / max(
-        1e-12, float(np.min(np.linalg.norm(family.normals, axis=1)))
-    )
-    poly = _halfplane_polygon(normals2, family.offsets, 4.0 * span)
-    if poly.shape[0] < 3:
-        raise InputError("section is empty or degenerate")
-    return from_vertices(grid, poly)
+    polar = (family.normals @ frame.T) / family.offsets[:, None]
+    try:
+        # hull edges <a, p> + b = 0 with b < 0; edge (a, b) is the polar of vertex -a / b
+        edges = ConvexHull(polar).equations
+    except QhullError:
+        raise InputError("section is empty or degenerate") from None
+    return from_vertices(grid, -edges[:, :2] / edges[:, 2:])
 
 
 def _coordinate_frames2(big_n: int) -> list:

@@ -7,6 +7,7 @@ constrained quadratic program for set distances, the exact hull of a
 point cloud from qhull, and a dictionary-based GF(2) polynomial ring.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -133,6 +134,23 @@ def exact_hull_gaps(cloud: np.ndarray) -> np.ndarray:
     The hull is qhull's (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996)."""
     eq = ConvexHull(np.asarray(cloud, dtype=float)).equations
     return (cloud @ eq[:, :-1].T + eq[:, -1]).max(axis=1)
+
+
+def halfplane_polygon_vertices(normals2: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Vertices of the planar polygon {y: <normals2_i, y> <= offsets_i}:
+    the meeting point of every pair of boundary lines, kept when it
+    satisfies every inequality within 1e-12. No hull and no clipping."""
+    normals2 = np.asarray(normals2, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    pts = []
+    for pair in itertools.combinations(range(offsets.size), 2):
+        a = normals2[list(pair)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue  # parallel boundary lines
+        y = np.linalg.solve(a, offsets[list(pair)])
+        if np.all(normals2 @ y - offsets <= 1e-12):
+            pts.append(y)
+    return np.array(pts)
 
 
 # ---------------------------------------------------------------------------

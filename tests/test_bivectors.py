@@ -196,9 +196,14 @@ def test_axis_rotation3():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_rho_preimage_recovers_targets(sign):
-    target = axis_rotation3(0, math.pi / 3)
-    out = rho_preimage(target, sign)
-    assert out["residual"] < 1e-6
-    r4 = out["rotation"]
-    assert np.abs(r4.T @ r4 - np.eye(4)).max() < 1e-10
-    assert np.abs(rho_pm(r4, sign) - target).max() < 1e-5
+    # random targets plus the angles 0, pi/3 and pi about each axis; pi
+    # is where the rotation vector of the target flips sign
+    targets = list(random_rotations(3, 200, np.random.default_rng(5)))
+    targets += [axis_rotation3(k, a) for k in range(3) for a in (0.0, math.pi / 3, math.pi)]
+    for target in targets:
+        out = rho_preimage(target, sign)
+        assert out["residual"] <= 1e-13
+        assert out["converged"]
+        r4 = out["rotation"]
+        assert np.abs(r4.T @ r4 - np.eye(4)).max() <= 1e-13
+        assert abs(np.linalg.det(r4) - 1.0) <= 1e-13

@@ -213,6 +213,31 @@ def test_round2d_ellipsoid(tmp_path, capsys):
     assert frame.shape == (2, 3)
 
 
+def _check_best_frame(doc, big_n):
+    assert doc["converged"] is False
+    assert np.isfinite(doc["radius"])
+    frame = np.asarray(doc["frame"])
+    assert frame.shape == (2, big_n)
+    assert np.abs(frame @ frame.T - np.eye(2)).max() < 1e-10
+
+
+def test_round2d_cube(tmp_path, capsys):
+    rc = cli.main(["round2d", "family=cube", "ambient_n=4", "seed=0", f"out={tmp_path}"])
+    assert rc == 0
+    assert "no round section" in capsys.readouterr().out
+    _check_best_frame(load_json(str(tmp_path / "round2d.json")), 4)
+
+
+def test_round2d_polytope(tmp_path, capsys):
+    verts = np.random.default_rng(2).normal(size=(10, 3))
+    path = tmp_path / "verts.json"
+    path.write_text(json.dumps({"vertices": (verts - verts.mean(axis=0)).tolist()}))
+    rc = cli.main(["round2d", "family=polytope", f"vertices={path}", "seed=0", f"out={tmp_path}"])
+    assert rc == 0
+    assert "no round section" in capsys.readouterr().out
+    _check_best_frame(load_json(str(tmp_path / "round2d.json")), 3)
+
+
 def test_round2d_needs_family(capsys):
     assert cli.main(["round2d", "seed=1"]) == 2
     capsys.readouterr()

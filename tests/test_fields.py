@@ -19,13 +19,12 @@ from convexsphere.fields import (
     pair_hull,
     psi_product,
     radial_body,
-    random_frames,
     rotate_body,
     sample_unit_F,
     separation_delta,
     thicken,
 )
-from convexsphere.groups import random_rotations
+from convexsphere.groups import random_frames, random_rotations
 from convexsphere.polynomials import project, to_F_space
 from convexsphere.sphere import integrate
 from oracles import dense_hull_depth

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,14 +13,16 @@ from convexsphere.fourier2d import (
     reconstruct,
     sturm_hurwitz_count,
 )
+from convexsphere.groups import random_frames
 from convexsphere.sections import (
-    clip_polygon,
+    SectionFamily,
     cube_family,
     ellipsoid_family,
     plane_section,
     polytope_family,
     round_section_search,
 )
+from oracles import halfplane_polygon_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +155,34 @@ def test_polytope_family_section_of_octahedron(grid2):
     assert np.abs(sec.support - want).max() < 1e-10
 
 
-def test_clip_polygon():
-    sq = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], float)
-    clipped = clip_polygon(sq, np.array([1.0, 0.0]), 0.0)
-    assert clipped.shape[0] == 4
-    assert clipped[:, 0].max() <= 1e-12
-    gone = clip_polygon(sq, np.array([1.0, 0.0]), -2.0)
-    assert gone.shape[0] == 0
+def test_polytope_sections_match_halfplane_oracle(grid2):
+    rng = np.random.default_rng(3)
+    verts = rng.normal(size=(12, 4))
+    families = [cube_family(5, grid=grid2), polytope_family(verts - verts.mean(axis=0), grid=grid2)]
+    for fam in families:
+        for frame in random_frames(2, fam.ambient_dim, 8, rng):
+            sec = plane_section(fam, frame)
+            corners = halfplane_polygon_vertices(fam.normals @ frame.T, fam.offsets)
+            want = np.max(grid2.nodes @ corners.T, axis=1)
+            assert np.abs(sec.support - want).max() < 1e-12
+
+
+def test_section_family_holds_exactly_one_description(grid2):
+    quad = np.eye(3)
+    normals = np.vstack([np.eye(3), -np.eye(3)])
+    with pytest.raises(InputError):
+        SectionFamily(grid2)
+    with pytest.raises(InputError):
+        SectionFamily(grid2, quad=quad, normals=normals, offsets=np.ones(6))
+    with pytest.raises(InputError):
+        SectionFamily(grid2, normals=normals)
+    with pytest.raises(OriginNotInterior):
+        SectionFamily(grid2, normals=normals, offsets=np.array([1.0, 1, 1, 1, 1, 0]))
+    fam = SectionFamily(grid2, normals=normals, offsets=np.ones(6))
+    assert fam.ambient_dim == 3
+    assert SectionFamily(grid2, quad=np.eye(4)).ambient_dim == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.offsets = 2.0 * np.ones(6)
 
 
 def test_round_section_search_finds_ellipsoid_circle(grid2):

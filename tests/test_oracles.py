@@ -9,6 +9,7 @@ from oracles import (
     Gf2Poly,
     compositions_of,
     exact_hull_gaps,
+    halfplane_polygon_vertices,
     point_to_hull_distance,
     set_hausdorff,
     sphere_monomial_integral,
@@ -38,6 +39,14 @@ def test_exact_hull_gaps_closed_forms():
     gaps = exact_hull_gaps(np.vstack([cube, [[0.75, 0.1, -0.2]]]))
     assert np.abs(gaps[:8]).max() < 1e-12
     assert abs(gaps[8] + 0.25) < 1e-12
+
+
+def test_halfplane_polygon_vertices_closed_forms():
+    # |y1| <= 1, |y2| <= 2 plus the redundant y1 + y2 <= 5: a rectangle
+    normals = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1], [1, 1]])
+    corners = halfplane_polygon_vertices(normals, np.array([1.0, 1, 2, 2, 5]))
+    got = sorted(map(tuple, np.round(corners, 12)))
+    assert got == [(-1.0, -2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 2.0)]
 
 
 def test_point_to_hull_distance_closed_forms():
