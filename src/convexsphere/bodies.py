@@ -23,7 +23,14 @@ interpolation formula (n = 2).
 
 The sandwich distance between origin-interior bodies is
 log(max_u hB/hA / min_u hB/hA); it vanishes exactly for scalings,
-is symmetric, and obeys the triangle inequality on the grid.
+is symmetric, and obeys the triangle inequality on the grid. Off the
+grid (bm_distance(refine=True)) each extreme ratio of term bodies is the
+maximum of a convex support over a polar body, attained at a vertex of
+the polar: a facet normal of a polytope side, or for a ball side a
+vertex direction of a one-term other side. So the distance of
+polytopes and balls is exact. The other extremes, those of every pair
+with a thickened polytope or a multi-term body, are polished by
+Nelder-Mead from the grid.
 """
 
 import math
@@ -32,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import ConvexHull, QhullError
 
 from . import backend
 from .errors import (
@@ -350,8 +358,10 @@ def _polish_extreme(fun, u0: np.ndarray, maximize: bool):
     """Local refinement of an extreme of a function of a unit vector by
     Nelder-Mead to _POLISH_XTOL, in the tangent chart x -> (u0 + F x) /
     |u0 + F x| around u0, F the tangent frame of _tangent_frames at u0.
-    fun maps (1, n) unit vectors to values and need not be smooth, such
-    as the ratio of polytope supports in bm_distance.
+    fun maps (1, n) unit vectors to values and need not be smooth. It is
+    the fallback of bm_distance(refine=True) for an extreme ratio of
+    supports without a closed form; a local search, it can stall on a
+    ridge of that ratio below the true extreme.
     """
     frame = _tangent_frames(u0[None])[0]
     sgn = -1.0 if maximize else 1.0
@@ -368,10 +378,53 @@ def _polish_extreme(fun, u0: np.ndarray, maximize: bool):
     return sgn * res.fun
 
 
+def _facet_normals(rows: np.ndarray) -> np.ndarray:
+    """Unit outer facet normals of conv(rows), which must hold the origin
+    in its interior (OriginNotInterior otherwise)."""
+    try:
+        eq = ConvexHull(rows).equations
+    except QhullError:
+        raise OriginNotInterior("polytope is flat, so the origin is not interior") from None
+    if np.any(eq[:, -1] >= 0):
+        raise OriginNotInterior("the origin lies on or outside a facet of the polytope")
+    return eq[:, :-1]
+
+
+def _ratio_max_directions(a: ConvexBody, b: ConvexBody) -> np.ndarray | None:
+    """Unit directions among which max_u hB/hA is attained, for term
+    bodies a and b, or None when there is no closed form.
+
+    The maximum is that of the convex hB over the polar of a, so it sits
+    at a vertex of the polar (Schneider, Convex Bodies: The
+    Brunn-Minkowski Theory, 2nd ed., 2014): a facet normal when a is a
+    polytope (one term, no ball radius). When a is a ball (every row
+    zero) it is the maximum of hB on the unit sphere, and for b of one
+    term that is at a direction of one of b's rows."""
+    rows, offsets, _ = a.terms
+    if offsets.size == 2 and a.ball_radius == 0:
+        return _facet_normals(rows)
+    if not rows.any() and b.terms[1].size == 2:
+        v = b.terms[0]
+        norm = np.linalg.norm(v, axis=1)
+        return v[norm > 0] / norm[norm > 0, None]
+    return None
+
+
 def bm_distance(a: ConvexBody, b: ConvexBody, refine: bool = False) -> float:
-    """Sandwich distance log(t*/s*), with s* and t* the extreme ratios
-    hB/hA over the grid. With refine=True and exact evaluators on both
-    bodies, the extreme ratios are polished off-grid."""
+    """Sandwich distance log(t*/s*), with t* and s* the extreme ratios
+    hB/hA over the grid.
+
+    With refine=True and term bodies on both sides, each extreme is taken
+    off the grid as well. t* is exact when a is a polytope, or a is a ball
+    and b has one term: the ratio at the directions of
+    _ratio_max_directions joins the grid nodes. s* = 1 / max hA/hB is
+    exact under the same rule with a and b swapped. So both extremes are
+    exact for every pair of polytopes and balls. Any other extreme falls
+    back to _polish_extreme from the three most extreme grid nodes, a
+    local search that can stop short of it. Every pair with a thickened
+    polytope or a multi-term body (a Minkowski sum, a group average) has
+    at least one such extreme. A polytope side without the origin in its
+    interior raises OriginNotInterior."""
     if a.grid != b.grid:
         raise GridMismatch("bodies live on different grids")
     ha, hb = a.support, b.support
@@ -385,10 +438,18 @@ def bm_distance(a: ConvexBody, b: ConvexBody, refine: bool = False) -> float:
             return b.support_eval(pts) / a.support_eval(pts)
 
         nodes = a.grid.nodes
-        for i in np.argsort(ratio)[-3:]:
-            t_star = max(t_star, _polish_extreme(rfun, nodes[i], maximize=True))
-        for i in np.argsort(ratio)[:3]:
-            s_star = min(s_star, _polish_extreme(rfun, nodes[i], maximize=False))
+        dirs = _ratio_max_directions(a, b)
+        if dirs is None:
+            for i in np.argsort(ratio)[-3:]:
+                t_star = max(t_star, _polish_extreme(rfun, nodes[i], maximize=True))
+        elif dirs.size:
+            t_star = max(t_star, float(rfun(dirs).max()))
+        dirs = _ratio_max_directions(b, a)
+        if dirs is None:
+            for i in np.argsort(ratio)[:3]:
+                s_star = min(s_star, _polish_extreme(rfun, nodes[i], maximize=False))
+        elif dirs.size:
+            s_star = min(s_star, float(rfun(dirs).min()))
     return math.log(t_star / s_star)
 
 

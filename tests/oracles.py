@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles with
 different algorithms and different numeric machinery than the library
 under test: exact rational arithmetic for sphere integrals, a
-constrained quadratic program for set distances, the exact hull of a
+constrained quadratic program for set distances, linear programs and
+brute-force vertex enumeration for sandwich ratios, the exact hull of a
 point cloud from qhull, and a dictionary-based GF(2) polynomial ring.
 """
 
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.spatial import ConvexHull
 
 
@@ -149,6 +150,53 @@ def halfplane_polygon_vertices(normals2: np.ndarray, offsets: np.ndarray) -> np.
             continue  # parallel boundary lines
         y = np.linalg.solve(a, offsets[list(pair)])
         if np.all(normals2 @ y - offsets <= 1e-12):
+            pts.append(y)
+    return np.array(pts)
+
+
+# ---------------------------------------------------------------------------
+# sandwich ratios of polytopes, by linear programs and vertex enumeration
+# ---------------------------------------------------------------------------
+
+
+def _lp_gauge(verts: np.ndarray, x: np.ndarray) -> float:
+    """Gauge of conv(verts) at x, min {sum lam : verts^T lam = x, lam >= 0},
+    by the dual simplex method (a basic, hence exact, solution)."""
+    res = linprog(np.ones(verts.shape[0]), A_eq=verts.T, b_eq=x,
+                  bounds=(0, None), method="highs-ds")
+    if res.status != 0:
+        raise ValueError(f"gauge LP failed: {res.message}")
+    return float(res.fun)
+
+
+def polytope_sandwich_lp(verts_a: np.ndarray, verts_b: np.ndarray) -> tuple[float, float]:
+    """(t*, s*) = (max_u hB/hA, min_u hB/hA) of the origin-interior
+    polytopes A = conv(verts_a), B = conv(verts_b). t* is the least t with
+    B inside tA, the maximum of the convex gauge of A over B, attained at a
+    vertex of B; s* = 1 / (the same with A and B swapped). One LP per
+    vertex; no hull and no polar."""
+    verts_a = np.asarray(verts_a, dtype=float)
+    verts_b = np.asarray(verts_b, dtype=float)
+    t_star = max(_lp_gauge(verts_a, x) for x in verts_b)
+    s_star = 1.0 / max(_lp_gauge(verts_b, x) for x in verts_a)
+    return t_star, s_star
+
+
+def polar_vertices(verts: np.ndarray) -> np.ndarray:
+    """Vertices of the polar {y : <v, y> <= 1 for every row v of verts}
+    of an origin-interior polytope: the solution of every n rows' system
+    <v, y> = 1, kept when it satisfies every inequality within 1e-12, so
+    a vertex where more than n facets meet comes back more than once.
+    No hull."""
+    verts = np.asarray(verts, dtype=float)
+    n = verts.shape[1]
+    pts = []
+    for rows in itertools.combinations(range(verts.shape[0]), n):
+        a = verts[list(rows)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        y = np.linalg.solve(a, np.ones(n))
+        if np.all(verts @ y <= 1.0 + 1e-12):
             pts.append(y)
     return np.array(pts)
 

@@ -1,6 +1,7 @@
 """Sanity checks for the reference oracles themselves, against closed
 forms that need no library code at all."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from oracles import (
     exact_hull_gaps,
     halfplane_polygon_vertices,
     point_to_hull_distance,
+    polar_vertices,
+    polytope_sandwich_lp,
     set_hausdorff,
     sphere_monomial_integral,
     sw_top_oracle,
@@ -47,6 +50,31 @@ def test_halfplane_polygon_vertices_closed_forms():
     corners = halfplane_polygon_vertices(normals, np.array([1.0, 1, 2, 2, 5]))
     got = sorted(map(tuple, np.round(corners, 12)))
     assert got == [(-1.0, -2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 2.0)]
+
+
+def test_polytope_sandwich_lp_closed_forms():
+    # the cross-polytope lies in the cube [-1, 1]^n and holds its 1/n
+    # multiple, both tightly; a cube against its own multiple is a scaling
+    for n in (2, 3):
+        cube = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        cross = np.vstack([np.eye(n), -np.eye(n)])
+        t_star, s_star = polytope_sandwich_lp(cube, cross)
+        assert abs(t_star - 1.0) < 1e-12 and abs(s_star - 1.0 / n) < 1e-12
+        t_star, s_star = polytope_sandwich_lp(cube, 2.5 * cube)
+        assert abs(t_star - 2.5) < 1e-12 and abs(s_star - 2.5) < 1e-12
+
+
+def test_polar_vertices_closed_forms():
+    # the polar of the cube [-1, 1]^3 is the cross-polytope (each of its
+    # vertices solves four of the systems), and the polar of a triangle
+    # is a triangle
+    def corners(verts):
+        return set(map(tuple, (np.round(polar_vertices(verts), 12) + 0.0).tolist()))
+
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    assert corners(cube) == set(map(tuple, (np.vstack([np.eye(3), -np.eye(3)]) + 0.0).tolist()))
+    tri = np.array([[1.0, 0.0], [-0.5, 1.0], [-0.5, -1.0]])
+    assert corners(tri) == {(-2.0, 0.0), (1.0, -1.5), (1.0, 1.5)}
 
 
 def test_point_to_hull_distance_closed_forms():

@@ -1,6 +1,7 @@
 """Property tests over random term bodies (stacked Minkowski terms plus a
 ball radius) at n = 2 and n = 3, including the metric laws of hausdorff and
-bm_distance and the idempotence of group averages over exact groups;
+bm_distance (on the grid, and off it for polytopes and balls) and the
+idempotence of group averages over exact groups;
 over random radial clouds at n = 3 and n = 4 for the pruned hull-depth
 certificate, even or not; and over random polynomials for the GF(2)
 ring laws of mod2poly."""
@@ -12,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from convexsphere.bodies import (
+    ball,
     bm_distance,
     from_radial,
     from_terms,
+    from_vertices,
     group_average,
     hausdorff,
     hull_depth,
@@ -140,6 +143,36 @@ def test_metric_laws_on_the_grid(grid2, grid3, data, n, scale):
     # the sandwich distance does not see scalings
     assert abs(bm_distance(scaled_body(a, scale), b) - bm_distance(a, b)) <= 1e-12
     assert abs(bm_distance(a, scaled_body(a, scale))) <= 1e-12
+
+
+@st.composite
+def polytopes_and_balls(draw, grid):
+    """A ball of radius in [0.05, 2], or the hull of 1-6 points with the
+    cross-polytope of radius c in [0.05, 1] (so the origin is interior)."""
+    if draw(st.booleans()):
+        return ball(grid, draw(st.floats(0.05, 2.0)))
+    n = grid.n
+    pts = draw(arrays(np.float64, (draw(st.integers(1, 6)), n), elements=coords))
+    c = draw(st.floats(0.05, 1.0))
+    return from_vertices(grid, np.vstack([pts, c * np.eye(n), -c * np.eye(n)]))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data(), n=st.sampled_from([2, 3]), scale=st.floats(0.1, 10.0))
+def test_metric_laws_off_the_grid(grid2, grid3, data, n, scale):
+    # polytopes and balls take both refined extremes in closed form
+    grid = grid2 if n == 2 else grid3
+    a, b, c = (data.draw(polytopes_and_balls(grid)) for _ in range(3))
+
+    def dist(x, y):
+        return bm_distance(x, y, refine=True)
+
+    assert abs(dist(a, b) - dist(b, a)) <= 1e-12
+    assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12
+    assert abs(dist(scaled_body(a, scale), b) - dist(a, b)) <= 1e-12
+    assert abs(dist(a, scaled_body(a, scale))) <= 1e-12
+    for x, y in ((a, b), (b, c), (a, c)):
+        assert dist(x, y) >= bm_distance(x, y)
 
 
 @settings(max_examples=30, deadline=None, database=None)
