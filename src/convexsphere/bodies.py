@@ -43,7 +43,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import backend
 from .errors import (
-    CertificateFailure,
     GridMismatch,
     InputError,
     NonpositiveRadius,
@@ -683,9 +682,14 @@ def empirical_L2_uniform(
 
 def scaled_body(body: ConvexBody, s: float) -> ConvexBody:
     """Image body under x -> s x, of the scaled terms, support samples or
-    radial samples."""
+    radial samples. A radial-profile body is refused: s (1 + eps phi) is
+    not of the form 1 + eps' phi', so its image could only be radial
+    samples, which lose the off-grid Newton polish of distance_to_ball
+    and read its scale-invariant value low."""
     if s <= 0:
         raise InputError("scale must be positive")
+    if body.radial_profile is not None:
+        raise InputError("a radial-profile body has no exact scaled image")
     if body.terms is not None:
         rows, offsets, weights = body.terms
         return from_terms(body.grid, s * rows, offsets, weights, s * body.ball_radius)

@@ -30,10 +30,9 @@ from .bodies import (
     hausdorff,
     invariance_defect,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _parse_pairs
 from .errors import (
     BudgetExceeded,
-    CertificateFailure,
     ConvexSphereError,
     GridMismatch,
     InputError,
@@ -402,21 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = ExperimentConfig.from_json_file(args.config)
-            overrides = ExperimentConfig.from_pairs(args.settings).to_dict()
-            merged = cfg.to_dict()
-            for pair in args.settings:
-                key = pair.partition("=")[0].strip()
-                merged[key] = overrides[key]
-            cfg = ExperimentConfig.from_dict(merged)
-        else:
-            cfg = ExperimentConfig.from_pairs(args.settings)
+        base = ExperimentConfig.from_json_file(args.config).to_dict() if args.config else {}
+        cfg = ExperimentConfig.from_dict({**base, **_parse_pairs(args.settings)})
         cfg.experiment = args.command
         return _COMMANDS[args.command](cfg)
-    except (CertificateFailure, BudgetExceeded) as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
     except ConvexSphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,19 +69,7 @@ class ExperimentConfig:
     def from_pairs(cls, pairs) -> "ExperimentConfig":
         """Parse ["n=3", "eps=0.05", ...] with types taken from the
         field declarations."""
-        valid = {f.name: f for f in dataclasses.fields(cls)}
-        data = {}
-        for pair in pairs:
-            if "=" not in pair:
-                raise ConfigError(f"expected key=value, got {pair!r}")
-            key, _, raw = pair.partition("=")
-            key = key.strip()
-            if key not in valid:
-                raise ConfigError(
-                    f"unknown config key {key!r}; valid keys: {sorted(valid)}"
-                )
-            data[key] = _coerce(key, raw.strip())
-        return cls.from_dict(data)
+        return cls.from_dict(_parse_pairs(pairs))
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -97,6 +85,24 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
+
+
+def _parse_pairs(pairs) -> dict:
+    """{key: value} of ["n=3", "eps=0.05", ...], each value coerced to
+    its field's declared type."""
+    valid = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    data = {}
+    for pair in pairs:
+        if "=" not in pair:
+            raise ConfigError(f"expected key=value, got {pair!r}")
+        key, _, raw = pair.partition("=")
+        key = key.strip()
+        if key not in valid:
+            raise ConfigError(
+                f"unknown config key {key!r}; valid keys: {sorted(valid)}"
+            )
+        data[key] = _coerce(key, raw.strip())
+    return data
 
 
 def _coerce(key: str, raw: str):

@@ -52,14 +52,6 @@ class Degenerate(ConvexSphereError):
     the reference level at grid scale)."""
 
 
-class CertificateFailure(ConvexSphereError):
-    """A requested certification did not hold; carries diagnostics."""
-
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details or {}
-
-
 class BudgetExceeded(ConvexSphereError):
     """Monomial budget overflow in GF(2) expansion; carries the partial
     product in `details`."""

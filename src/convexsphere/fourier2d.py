@@ -15,15 +15,6 @@ import numpy as np
 from .bodies import ConvexBody
 from .errors import Degenerate, InputError
 
-__all__ = [
-    "FourierSupport",
-    "fourier_analyze",
-    "fourier_coeffs",
-    "harmonic_energy",
-    "reconstruct",
-    "sturm_hurwitz_count",
-]
-
 
 @dataclass(frozen=True)
 class FourierSupport:

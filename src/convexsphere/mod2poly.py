@@ -26,16 +26,6 @@ MAX_VARS = 4
 _SHIFT = 16
 _FIELD = (1 << _SHIFT) - 1
 
-__all__ = [
-    "Mod2SymPoly",
-    "elementary_symmetric",
-    "euler_factorial_residue",
-    "express_elementary",
-    "stiefel_whitney_top",
-    "sw_product_chain",
-    "SWTopClass",
-]
-
 
 def _pack(expos: np.ndarray) -> np.ndarray:
     expos = np.asarray(expos, dtype=np.uint64)

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import eval_gegenbauer, sph_harm_y
 
 from .errors import ConstantPolynomial, InputError
@@ -221,7 +220,6 @@ class Basis:
     d: int
     grid: SphereGrid = field(repr=False)
     samples: np.ndarray = field(repr=False)   # (G, m), b_i at grid nodes
-    transform: np.ndarray = field(repr=False)  # family @ transform = basis
     degrees: np.ndarray = field(repr=False)
     _proj: np.ndarray = field(repr=False)      # (m, G), c = _proj @ f
 
@@ -284,17 +282,14 @@ def get_basis(n: int, d: int, grid: SphereGrid) -> Basis:
     sign = np.sign(np.diag(r))
     sign[sign == 0] = 1.0
     q = q * sign[None, :]
-    r = sign[:, None] * r
     dr = np.abs(np.diag(r))
     if dr.min() < 1e-8 * dr.max():
         raise InputError("start family is rank deficient on this grid")
-    transform = solve_triangular(r, np.eye(m))
     basis = Basis(
         n=n,
         d=d,
         grid=grid,
         samples=q / sw[:, None],
-        transform=transform,
         degrees=degs,
         _proj=(q * sw[:, None]).T,
     )

@@ -27,15 +27,6 @@ from .fourier2d import fourier_analyze, harmonic_energy
 from .groups import random_frames
 from .sphere import SphereGrid, build_grid
 
-__all__ = [
-    "SectionFamily",
-    "ellipsoid_family",
-    "cube_family",
-    "polytope_family",
-    "plane_section",
-    "round_section_search",
-]
-
 
 @dataclass(frozen=True)
 class SectionFamily:

@@ -470,3 +470,17 @@ def test_from_terms_refuses_invalid_terms(grid3, terms, rho):
 def test_scaled_body_scales_support(grid3):
     body = _cube(grid3)
     assert np.abs(scaled_body(body, 2.0).support - 2.0 * body.support).max() < 1e-14
+    samples = from_radial(grid3, body.radial)
+    assert np.abs(scaled_body(samples, 2.0).radial - 2.0 * body.radial).max() < 1e-14
+    outer = from_support_samples(grid3, body.support)
+    assert np.abs(scaled_body(outer, 2.0).support - 2.0 * body.support).max() < 1e-14
+
+
+def test_scaled_body_refuses_radial_profile(grid3):
+    # s (1 + eps phi) has no radial profile; as radial samples it would lose
+    # the off-grid polish and distance_to_ball would read low
+    from convexsphere.fields import radial_body, sample_unit_F
+
+    phi = sample_unit_F(3, 8, 1, seed=1, grid=grid3)[0]
+    with pytest.raises(InputError, match="radial-profile"):
+        scaled_body(radial_body(grid3, phi, 0.0195), 2.0)

@@ -56,12 +56,15 @@ def test_basis_is_orthonormal(n, d, grid2, grid3, grid4):
 
 @pytest.mark.parametrize("n,d", CASES)
 def test_basis_eval_matches_harmonic_family(n, d, grid2, grid3, grid4):
-    # the monomial form reproduces the harmonic construction off the grid
-    basis = get_basis(n, d, {2: grid2, 3: grid3, 4: grid4}[n])
+    # the monomial form reproduces the harmonic construction off the grid:
+    # the basis is family @ inv(R), R the family's coefficients in the basis
+    grid = {2: grid2, 3: grid3, 4: grid4}[n]
+    basis = get_basis(n, d, grid)
     assert basis.monomial_form[0].shape == (basis.dim, n)
+    r = basis.samples.T @ (grid.weights[:, None] * _family(n, d, grid.nodes)[0])
     pts = _unit_vectors(n, 2000, seed=n * 100 + d)
     fam, _ = _family(n, d, pts)
-    assert np.abs(basis.eval(pts) - fam @ basis.transform).max() <= 1e-11
+    assert np.abs(basis.eval(pts) - fam @ np.linalg.inv(r)).max() <= 1e-11
 
 
 def test_monomial_fit_refuses_ill_conditioning(grid3):
