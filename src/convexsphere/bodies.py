@@ -50,7 +50,7 @@ from .errors import (
 )
 from .groups import GroupSample
 from .polynomials import get_basis, monomial_jet, stacked_monomial_form
-from .sphere import SphereGrid, build_grid, check_samples, integrate, norms
+from .sphere import SphereGrid, build_grid, check_samples, integrate, norms, read_only
 
 # Cap-volume constants of the C0-via-L2 comparison: a Euclidean cap of
 # radius rho <= 1/2 on S^{n-1} has measure >= C1 * rho^{n-1}
@@ -97,8 +97,8 @@ class ConvexBody:
         if self.sampled_support is not None:
             return self.sampled_support
         if self.terms is not None:
-            return _frozen(backend.minkowski_support(*self.terms, self.ball_radius, self.grid.nodes))
-        return _frozen(_radial_support(self.grid, self.radial)[1])
+            return read_only(backend.minkowski_support(*self.terms, self.ball_radius, self.grid.nodes))
+        return read_only(_radial_support(self.grid, self.radial)[1])
 
     @cached_property
     def radial(self) -> np.ndarray:
@@ -108,8 +108,8 @@ class ConvexBody:
             return self.sampled_radial
         if self.radial_profile is not None:
             eps, phi = self.radial_profile
-            return _frozen(1.0 + eps * phi.samples)
-        return _frozen(radial_from_support(self))
+            return read_only(1.0 + eps * phi.samples)
+        return read_only(radial_from_support(self))
 
     def support_eval(self, points: np.ndarray) -> np.ndarray:
         """Support values at arbitrary unit directions, via the best
@@ -120,11 +120,6 @@ class ConvexBody:
         if self.n == 2:
             return _polygon_support_interp(self.grid, self.support, points)
         return backend.support_max_dot(self.radial[:, None] * self.grid.nodes, points)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # no caller edits a body's samples in place
-    return a
 
 
 def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.0) -> ConvexBody:
@@ -163,7 +158,7 @@ def from_support_samples(grid: SphereGrid, h) -> ConvexBody:
     """Outer body {x : <x,u_j> <= h_j} of support samples h_j at the grid
     nodes u_j."""
     h = check_samples(grid, np.asarray(h, dtype=float))
-    return ConvexBody(grid=grid, sampled_support=_frozen(h.copy()))
+    return ConvexBody(grid=grid, sampled_support=read_only(h.copy()))
 
 
 def from_vertices(grid: SphereGrid, verts) -> ConvexBody:
@@ -185,7 +180,7 @@ def from_radial(grid: SphereGrid, r) -> ConvexBody:
     r = check_samples(grid, np.asarray(r, dtype=float))
     if np.min(r) <= 0:
         raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
-    return ConvexBody(grid=grid, sampled_radial=_frozen(r.copy()))
+    return ConvexBody(grid=grid, sampled_radial=read_only(r.copy()))
 
 
 def _polygon_support_interp(grid: SphereGrid, h, points) -> np.ndarray:

@@ -31,10 +31,6 @@ class NonpositiveRadius(ConvexSphereError):
     """A radial sample is zero or negative where positivity is required."""
 
 
-class DegenerateToPoint(ConvexSphereError):
-    """A constructed body collapsed to the origin."""
-
-
 class NotARotation(ConvexSphereError):
     """Matrix expected in SO(n) failed the orthogonality/determinant check."""
 

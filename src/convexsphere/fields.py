@@ -29,7 +29,7 @@ from .bodies import (
     hausdorff,
     hull_depth,
 )
-from .errors import DegenerateToPoint, InputError, NonpositiveRadius
+from .errors import ConstantPolynomial, InputError, NonpositiveRadius
 from .groups import random_frames, random_rotations
 from .polynomials import (
     SphericalPoly,
@@ -40,7 +40,7 @@ from .polynomials import (
     rotate_poly,
     to_F_space,
 )
-from .sphere import SphereGrid, build_grid, check_samples
+from .sphere import SphereGrid, build_grid, check_samples, derived_field, read_only
 
 # ||x -> <x,Qx>||_{L2(S^2)}^2 = (8 pi / 15) ||Q||_F^2 for traceless
 # symmetric Q (fourth-moment identity); unit L2 norm in the space of
@@ -48,15 +48,15 @@ from .sphere import SphereGrid, build_grid, check_samples
 QUADFORM_UNIT_FROBENIUS = math.sqrt(15.0 / (8.0 * math.pi))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuadForm3:
-    """Traceless symmetric 3x3 form with cached spectral labels."""
+    """Traceless symmetric 3x3 form with its spectral labels."""
 
     matrix: np.ndarray
-    lam: float = field(init=False)
-    mu: float = field(init=False)
-    nu: float = field(init=False)
-    evecs: np.ndarray = field(init=False, repr=False)  # columns e1, e2, e3
+    lam: float = derived_field()
+    mu: float = derived_field()
+    nu: float = derived_field()
+    evecs: np.ndarray = derived_field()  # columns e1, e2, e3
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -66,17 +66,16 @@ class QuadForm3:
             raise InputError("matrix is not symmetric")
         if abs(np.trace(m)) > 1e-12 * max(1.0, np.abs(m).max()):
             raise InputError(f"matrix has trace {np.trace(m):.3e}, expected 0")
-        self.matrix = 0.5 * (m + m.T)
-        w, v = np.linalg.eigh(self.matrix)
+        m = read_only(0.5 * (m + m.T))
+        w, v = np.linalg.eigh(m)
         # ascending w[0] <= w[1] <= w[2]; tracelessness puts w[0] <= 0 <= w[2].
         # The same-sign pair is (w[1], w[2]) when w[1] >= 0, else (w[0], w[1]);
         # the leftover eigenvalue has the largest magnitude and is nu.
-        if w[1] >= 0.0:
-            self.lam, self.mu, self.nu = float(w[2]), float(w[1]), float(w[0])
-            self.evecs = v[:, [2, 1, 0]]
-        else:
-            self.lam, self.mu, self.nu = float(w[1]), float(w[0]), float(w[2])
-            self.evecs = v[:, [1, 0, 2]]
+        order = [2, 1, 0] if w[1] >= 0.0 else [1, 0, 2]
+        for name, value in zip(("lam", "mu", "nu"), w[order]):
+            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "evecs", read_only(v[:, order]))
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_matrix(cls, m, project: bool = True) -> "QuadForm3":
@@ -109,9 +108,6 @@ class QuadForm3:
     def scaled(self, a: float) -> "QuadForm3":
         return QuadForm3(a * self.matrix)
 
-    def samples(self, grid: SphereGrid) -> np.ndarray:
-        return np.einsum("gi,ij,gj->g", grid.nodes, self.matrix, grid.nodes)
-
 
 def _octahedron_vertices(q: QuadForm3) -> np.ndarray:
     """The six vertices +-(l_i / 2) e_i of the octahedron of Q, with
@@ -131,7 +127,9 @@ def octahedron(grid: SphereGrid, q: QuadForm3) -> ConvexBody:
 def pair_hull(grid: SphereGrid, t: float, qa: QuadForm3, qb: QuadForm3) -> ConvexBody:
     """Hull of the octahedra of the scaled forms t*Qa and (1-t)*Qb
     (at most 12 vertices). Unit-norm inputs required; the output can
-    flatten but must not collapse to the origin."""
+    flatten, but never to the origin: max(t, 1-t) >= 1/2, and nu^2 >=
+    F0^2/3 for a form of Frobenius norm F0 = QUADFORM_UNIT_FROBENIUS, so
+    the longest vertex has norm >= F0^2/24 (about 0.025)."""
     if not 0.0 <= t <= 1.0:
         raise InputError(f"join weight t={t} outside [0, 1]")
     for q in (qa, qb):
@@ -143,8 +141,6 @@ def pair_hull(grid: SphereGrid, t: float, qa: QuadForm3, qb: QuadForm3) -> Conve
         _octahedron_vertices(qa.scaled(t)),
         _octahedron_vertices(qb.scaled(1.0 - t)),
     ])
-    if np.max(np.linalg.norm(verts, axis=1)) < 1e-14:
-        raise DegenerateToPoint("paired octahedra collapsed to the origin")
     return from_vertices(grid, verts)
 
 
@@ -207,7 +203,7 @@ def sample_unit_F(
     for i in range(count):
         c = np.zeros(basis.dim)
         c[f_idx[i % f_idx.size]] = 1.0
-        base = SphericalPoly(n, d, c, basis)
+        base = SphericalPoly(c, basis)
         out.append(rotate_poly(base, rots[i]))
     return out
 
@@ -456,7 +452,7 @@ def build_field(
             f = np.einsum("gi,ij,gj->g", pts, amb, pts)
             try:
                 phi = to_F_space(project(grid, f, d))
-            except Exception:
+            except ConstantPolynomial:
                 bad.append(idx)
                 continue
             bodies.append(radial_body(grid, phi, eps))

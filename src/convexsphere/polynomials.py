@@ -18,6 +18,12 @@ L2 inner products agree. Basis elements are homogeneous of a single
 harmonic degree, hence parity-pure, and the basis is nested by degree
 (element i lies in the span of the family up to its own degree).
 
+Each value is its description, frozen, with every array derived from it
+read-only: Basis(d, grid) runs the QR when it is made (equal and hashed
+by (d, grid); get_basis keeps recent ones), and SphericalPoly(coeffs,
+basis) holds a copy of its coefficients and takes n and d from its
+basis, so its grid samples can never drift from them.
+
 Off the grid, a basis is evaluated through its monomial form: on the
 sphere, the homogeneous monomials of degrees d and d-1 span P^d, and
 their count equals dim P^d. The matrix from those monomials to the
@@ -47,7 +53,7 @@ import numpy as np
 from scipy.special import eval_gegenbauer, sph_harm_y
 
 from .errors import ConstantPolynomial, InputError
-from .sphere import SphereGrid, check_samples, sphere_area
+from .sphere import SphereGrid, check_samples, derived_field, read_only, sphere_area
 
 MAX_DEGREE = 12
 
@@ -212,16 +218,44 @@ def _fit_monomials(exponents: np.ndarray, nodes: np.ndarray, weights: np.ndarray
     return np.linalg.inv(coef)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Basis:
-    """Orthonormal basis of P^d attached to a grid."""
+    """Orthonormal basis of P^d on a grid: the weighted QR of the
+    harmonic family on the grid nodes. Equal and hashed by (d, grid)."""
 
-    n: int
     d: int
     grid: SphereGrid = field(repr=False)
-    samples: np.ndarray = field(repr=False)   # (G, m), b_i at grid nodes
-    degrees: np.ndarray = field(repr=False)
-    _proj: np.ndarray = field(repr=False)      # (m, G), c = _proj @ f
+    samples: np.ndarray = derived_field()   # (G, m), b_i at grid nodes
+    degrees: np.ndarray = derived_field()
+    _proj: np.ndarray = derived_field()     # (m, G), c = _proj @ f
+
+    def __post_init__(self):
+        grid, d = self.grid, self.d
+        if d < 0 or d > MAX_DEGREE:
+            raise InputError(f"degree d={d} outside 0..{MAX_DEGREE}")
+        if 2 * d > grid.max_exact_degree:
+            raise InputError(
+                f"grid exact to degree {grid.max_exact_degree} cannot hold a "
+                f"degree-{d} basis (needs {2 * d})"
+            )
+        fam, degs = _family(grid.n, d, grid.nodes)
+        if fam.shape[1] != space_dimension(grid.n, d):
+            raise InputError("family size mismatch")  # pragma: no cover
+        sw = np.sqrt(grid.weights)
+        q, r = np.linalg.qr(sw[:, None] * fam)
+        sign = np.sign(np.diag(r))
+        sign[sign == 0] = 1.0
+        q = q * sign[None, :]
+        dr = np.abs(np.diag(r))
+        if dr.min() < 1e-8 * dr.max():
+            raise InputError("start family is rank deficient on this grid")
+        object.__setattr__(self, "samples", read_only(q / sw[:, None]))
+        object.__setattr__(self, "degrees", read_only(degs))
+        object.__setattr__(self, "_proj", read_only((q * sw[:, None]).T))
+
+    @property
+    def n(self) -> int:
+        return self.grid.n
 
     @property
     def dim(self) -> int:
@@ -230,14 +264,15 @@ class Basis:
     @cached_property
     def f_mask(self) -> np.ndarray:
         """Selector of the even, zero-average subspace F^d."""
-        return (self.degrees % 2 == 0) & (self.degrees > 0)
+        return read_only((self.degrees % 2 == 0) & (self.degrees > 0))
 
     @cached_property
     def monomial_form(self) -> tuple[np.ndarray, np.ndarray]:
         """(exponents, matrix): monomials(points) @ matrix are the basis
         values; fitted on the grid at first use."""
         exps = _monomial_exponents(self.n, self.d)
-        return exps, _fit_monomials(exps, self.grid.nodes, self.grid.weights, self.samples)
+        mat = _fit_monomials(exps, self.grid.nodes, self.grid.weights, self.samples)
+        return read_only(exps), read_only(mat)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Basis values at arbitrary unit vectors, shape (P, dim), through
@@ -258,71 +293,52 @@ _BASIS_CACHE_SIZE = 8
 
 
 def get_basis(n: int, d: int, grid: SphereGrid) -> Basis:
-    if d < 0 or d > MAX_DEGREE:
-        raise InputError(f"degree d={d} outside 0..{MAX_DEGREE}")
+    """Basis(d, grid) for a grid on S^{n-1}, kept in _BASIS_CACHE."""
     if grid.n != n:
         raise InputError(f"grid dimension {grid.n} != n={n}")
-    if 2 * d > grid.max_exact_degree:
-        raise InputError(
-            f"grid exact to degree {grid.max_exact_degree} cannot hold a "
-            f"degree-{d} basis (needs {2 * d})"
-        )
-    key = (n, d, grid.key)
+    key = (d, grid)
     hit = _BASIS_CACHE.pop(key, None)
     if hit is not None:
         _BASIS_CACHE[key] = hit
         return hit
-
-    fam, degs = _family(n, d, grid.nodes)
-    m = fam.shape[1]
-    if m != space_dimension(n, d):
-        raise InputError("family size mismatch")  # pragma: no cover
-    sw = np.sqrt(grid.weights)
-    q, r = np.linalg.qr(sw[:, None] * fam)
-    sign = np.sign(np.diag(r))
-    sign[sign == 0] = 1.0
-    q = q * sign[None, :]
-    dr = np.abs(np.diag(r))
-    if dr.min() < 1e-8 * dr.max():
-        raise InputError("start family is rank deficient on this grid")
-    basis = Basis(
-        n=n,
-        d=d,
-        grid=grid,
-        samples=q / sw[:, None],
-        degrees=degs,
-        _proj=(q * sw[:, None]).T,
-    )
+    basis = Basis(d, grid)
     if len(_BASIS_CACHE) >= _BASIS_CACHE_SIZE:
         del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
     _BASIS_CACHE[key] = basis
     return basis
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SphericalPoly:
-    """Element of P^d as coefficients in the canonical basis."""
+    """Element of P^d: a copy of its coefficients in a basis."""
 
-    n: int
-    d: int
     coeffs: np.ndarray
     basis: Basis = field(repr=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.basis.dim,):
+        coeffs = np.array(self.coeffs, dtype=float)
+        if coeffs.shape != (self.basis.dim,):
             raise InputError(
-                f"coefficient vector of length {self.coeffs.size} does not "
+                f"coefficient vector of length {coeffs.size} does not "
                 f"match basis dimension {self.basis.dim}"
             )
+        object.__setattr__(self, "coeffs", read_only(coeffs))
 
-    @cached_property
-    def samples(self) -> np.ndarray:
-        return self.basis.samples @ self.coeffs
+    @property
+    def n(self) -> int:
+        return self.basis.n
+
+    @property
+    def d(self) -> int:
+        return self.basis.d
 
     @property
     def grid(self) -> SphereGrid:
         return self.basis.grid
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return read_only(self.basis.samples @ self.coeffs)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.basis.eval(points) @ self.coeffs
@@ -341,7 +357,7 @@ class SphericalPoly:
         return float(np.linalg.norm(self.coeffs[self.basis.degrees % 2 == 1]))
 
     def scaled(self, a: float) -> "SphericalPoly":
-        return SphericalPoly(self.n, self.d, a * self.coeffs, self.basis)
+        return SphericalPoly(a * self.coeffs, self.basis)
 
 
 def stacked_monomial_form(polys) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +395,7 @@ def project(grid: SphereGrid, f, d: int) -> SphericalPoly:
     """Quadrature L2 projection of grid samples onto P^d."""
     f = check_samples(grid, f)
     basis = get_basis(grid.n, d, grid)
-    return SphericalPoly(grid.n, d, basis.project_samples(f), basis)
+    return SphericalPoly(basis.project_samples(f), basis)
 
 
 _F_SPACE_TOL = 1e-12  # relative norm below which nothing survives to_F_space
@@ -395,7 +411,7 @@ def to_F_space(p: SphericalPoly) -> SphericalPoly:
         raise ConstantPolynomial(
             "projection onto the even zero-average subspace vanishes"
         )
-    return SphericalPoly(p.n, p.d, c / nrm, p.basis)
+    return SphericalPoly(c / nrm, p.basis)
 
 
 def is_nonconstant(p: SphericalPoly) -> bool:

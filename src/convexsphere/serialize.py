@@ -134,13 +134,7 @@ def save_poly(poly: SphericalPoly, path: str) -> None:
 def poly_from_doc(doc: dict, grid: SphereGrid | None = None) -> SphericalPoly:
     n, d = int(doc["n"]), int(doc["d"])
     grid = grid_from_meta(doc, grid)
-    basis = get_basis(n, d, grid)
-    coeffs = np.asarray(doc["coeffs"], dtype=float)
-    if coeffs.shape != (basis.dim,):
-        raise InputError(
-            f"coefficient count {coeffs.shape} does not match basis dim {basis.dim}"
-        )
-    return SphericalPoly(n, d, coeffs, basis)
+    return SphericalPoly(doc["coeffs"], get_basis(n, d, grid))
 
 
 def load_poly(path: str, grid: SphereGrid | None = None) -> SphericalPoly:

@@ -6,6 +6,12 @@ is constructed, the second half is its literal negation, and the index
 map u -> -u is stored. Measures are unnormalized (lengths 2*pi, 4*pi,
 2*pi^2).
 
+A grid is its description: SphereGrid(n, resolution) is frozen, builds
+its nodes, weights, antipode map and (n=2) angles from the two numbers
+when it is made, and marks those arrays read-only. Grids are equal and
+hashed by (n, resolution); the key hashes the nodes as well, so a
+document's stored grid key checks the grid it is rebuilt on.
+
 Construction per dimension, with `resolution` R:
 
   n=2   R nodes at angles 2*pi*j/R (R even), weight 2*pi/R. Exact for
@@ -27,6 +33,7 @@ x1^2 -> 4*pi/3, x1^4 -> 4*pi/5.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,6 +49,18 @@ TILE_SIZE = 48
 #: Angle added to every tile's reach in SphereGrid.neighbourhoods, far
 #: above the round-off of the angles and dot products it compares.
 _REACH_PAD = 1e-9
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: a derived array is never edited in place."""
+    a.flags.writeable = False
+    return a
+
+
+def derived_field():
+    """A dataclass field computed in __post_init__ from the description:
+    not an init argument, not compared, not shown."""
+    return field(init=False, repr=False, compare=False)
 
 
 def monomial_sphere_integral(n: int, alpha) -> float:
@@ -65,13 +84,31 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class SphereGrid:
+    """The product quadrature grid on S^{n-1} of a resolution; see the
+    module docstring. Equal and hashed by (n, resolution)."""
+
     n: int
     resolution: int
-    nodes: np.ndarray          # (G, n), unit rows, nodes[G/2:] == -nodes[:G/2]
-    weights: np.ndarray        # (G,), positive
-    antipode: np.ndarray       # index map, nodes[antipode[i]] == -nodes[i]
-    max_exact_degree: int
-    angles: np.ndarray | None = field(default=None, repr=False)  # n=2 only
+    nodes: np.ndarray = derived_field()     # (G, n), unit rows, nodes[G/2:] == -nodes[:G/2]
+    weights: np.ndarray = derived_field()   # (G,), positive
+    antipode: np.ndarray = derived_field()  # index map, nodes[antipode[i]] == -nodes[i]
+    max_exact_degree: int = derived_field()
+    angles: np.ndarray | None = derived_field()  # n=2 only
+
+    def __post_init__(self):
+        n, r = self.n, self.resolution
+        if n not in (2, 3, 4):
+            raise InputError(f"sphere dimension n={n} not supported (need 2, 3 or 4)")
+        if not isinstance(r, numbers.Integral) or r < 8 or r % 2:
+            raise InputError(f"resolution must be even and >= 8, got {r}")
+        half, wh, deg = _half_rule(n, r)
+        g = 2 * wh.size
+        angles = read_only(2.0 * np.pi * np.arange(r) / r) if n == 2 else None
+        object.__setattr__(self, "nodes", read_only(np.vstack([half, -half])))
+        object.__setattr__(self, "weights", read_only(np.concatenate([wh, wh])))
+        object.__setattr__(self, "antipode", read_only((np.arange(g) + g // 2) % g))
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "max_exact_degree", deg)
 
     @property
     def size(self) -> int:
@@ -166,86 +203,41 @@ class SphereGrid:
         """The grid of twice the resolution."""
         return build_grid(self.n, 2 * self.resolution)
 
-    def __eq__(self, other):
-        return isinstance(other, SphereGrid) and self.key == other.key
 
-    def __hash__(self):
-        return hash(self.key)
-
-
-def _circle_half(m: int):
-    ang = 2.0 * np.pi * np.arange(m // 2) / m
-    return np.column_stack([np.cos(ang), np.sin(ang)])
+def _half_rule(n: int, r: int):
+    """(nodes, weights, max_exact_degree) of the first half of the grid of
+    dimension n and resolution r; the second half is its negation."""
+    if n == 2:
+        ang = 2.0 * np.pi * np.arange(r // 2) / r
+        return np.column_stack([np.cos(ang), np.sin(ang)]), np.full(r // 2, 2.0 * np.pi / r), r - 1
+    if n == 3:
+        t, wt = np.polynomial.legendre.leggauss(r)
+        tp, wp = t[t > 0], wt[t > 0]
+        az = 2.0 * np.pi * np.arange(2 * r) / (2 * r)
+        s = np.sqrt(1.0 - tp**2)
+        half = np.column_stack([(s[:, None] * np.cos(az)).ravel(),
+                                (s[:, None] * np.sin(az)).ravel(), np.repeat(tp, 2 * r)])
+        return half, np.repeat(wp, 2 * r) * (2.0 * np.pi / (2 * r)), 2 * r - 1
+    k = np.arange(1, r + 1)
+    tc = np.cos(k * np.pi / (r + 1))
+    wc = (np.pi / (r + 1)) * np.sin(k * np.pi / (r + 1)) ** 2
+    tp, wp = tc[tc > 0], wc[tc > 0]
+    inner = SphereGrid(3, r)
+    s = np.sqrt(1.0 - tp**2)
+    gi = inner.size
+    half = np.empty((tp.size * gi, 4))
+    half[:, 0] = np.repeat(tp, gi)
+    half[:, 1:] = (s[:, None, None] * inner.nodes[None, :, :]).reshape(-1, 3)
+    wh = (wp[:, None] * inner.weights[None, :]).ravel()
+    return half, wh, min(2 * r - 1, inner.max_exact_degree)
 
 
 def build_grid(n: int, resolution: int | None = None) -> SphereGrid:
-    """Product quadrature grid on S^{n-1}; see the module docstring."""
-    if n not in (2, 3, 4):
-        raise InputError(f"sphere dimension n={n} not supported (need 2, 3 or 4)")
+    """The grid SphereGrid(n, resolution), at DEFAULT_RESOLUTION[n] when
+    no resolution is given."""
     if resolution is None:
-        resolution = DEFAULT_RESOLUTION[n]
-    resolution = int(resolution)
-    if resolution < 8 or resolution % 2:
-        raise InputError(f"resolution must be even and >= 8, got {resolution}")
-
-    if n == 2:
-        m = resolution
-        half = _circle_half(m)
-        nodes = np.vstack([half, -half])
-        weights = np.full(m, 2.0 * np.pi / m)
-        angles = 2.0 * np.pi * np.arange(m) / m
-        deg = m - 1
-    elif n == 3:
-        r = resolution
-        t, wt = np.polynomial.legendre.leggauss(r)
-        pos = t > 0
-        tp, wp = t[pos], wt[pos]
-        m_az = 2 * r
-        az = 2.0 * np.pi * np.arange(m_az) / m_az
-        ca, sa = np.cos(az), np.sin(az)
-        s = np.sqrt(1.0 - tp**2)
-        half = np.column_stack(
-            [
-                (s[:, None] * ca[None, :]).ravel(),
-                (s[:, None] * sa[None, :]).ravel(),
-                np.repeat(tp, m_az),
-            ]
-        )
-        wh = np.repeat(wp, m_az) * (2.0 * np.pi / m_az)
-        nodes = np.vstack([half, -half])
-        weights = np.concatenate([wh, wh])
-        angles = None
-        deg = 2 * r - 1
-    else:
-        r = resolution
-        k = np.arange(1, r + 1)
-        tc = np.cos(k * np.pi / (r + 1))
-        wc = (np.pi / (r + 1)) * np.sin(k * np.pi / (r + 1)) ** 2
-        pos = tc > 0
-        tp, wp = tc[pos], wc[pos]
-        inner = build_grid(3, r)
-        s = np.sqrt(1.0 - tp**2)
-        gi = inner.size
-        half = np.empty((tp.size * gi, 4))
-        half[:, 0] = np.repeat(tp, gi)
-        half[:, 1:] = (s[:, None, None] * inner.nodes[None, :, :]).reshape(-1, 3)
-        wh = (wp[:, None] * inner.weights[None, :]).ravel()
-        nodes = np.vstack([half, -half])
-        weights = np.concatenate([wh, wh])
-        angles = None
-        deg = min(2 * r - 1, inner.max_exact_degree)
-
-    g = nodes.shape[0]
-    antipode = (np.arange(g) + g // 2) % g
-    return SphereGrid(
-        n=n,
-        resolution=resolution,
-        nodes=np.ascontiguousarray(nodes),
-        weights=weights,
-        antipode=antipode,
-        max_exact_degree=deg,
-        angles=angles,
-    )
+        resolution = DEFAULT_RESOLUTION.get(n, 0)
+    return SphereGrid(n, int(resolution))
 
 
 def check_samples(grid: SphereGrid, f) -> np.ndarray:

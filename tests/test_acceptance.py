@@ -11,11 +11,9 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from convexsphere.bivectors import invariant_plane_check, rho_pm, unit_pm, wedge_coeff
 from convexsphere.bodies import (
-    ball,
     certify_convex_radial,
     check_c0_l2_bound,
     from_vertices,

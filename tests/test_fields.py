@@ -10,7 +10,6 @@ from convexsphere.errors import InputError, NonpositiveRadius
 from convexsphere.fields import (
     DEPTH_TOL,
     QUADFORM_UNIT_FROBENIUS,
-    BodyField,
     QuadForm3,
     build_field,
     find_epsilon,
@@ -25,7 +24,7 @@ from convexsphere.fields import (
     thicken,
 )
 from convexsphere.groups import random_frames, random_rotations
-from convexsphere.polynomials import project, to_F_space
+from convexsphere.polynomials import project
 from convexsphere.sphere import integrate
 from oracles import dense_hull_depth
 
@@ -41,6 +40,27 @@ def test_quadform_eigen_order_and_reconstruction():
         assert q.lam + q.mu + q.nu == pytest.approx(0.0, abs=1e-12)
         rebuilt = q.evecs @ np.diag([q.lam, q.mu, q.nu]) @ q.evecs.T
         assert np.abs(rebuilt - m).max() < 1e-12
+
+
+def test_quadform_is_its_matrix():
+    m = np.diag([2.0, 1.0, -3.0])
+    q = QuadForm3(m)
+    m[0, 0] = 5.0
+    assert q.matrix[0, 0] == 2.0 and (q.lam, q.mu, q.nu) == (2.0, 1.0, -3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.matrix = np.diag([1.0, 1.0, -2.0])
+    assert not q.matrix.flags.writeable and not q.evecs.flags.writeable
+
+
+def test_paired_octahedra_keep_a_long_vertex():
+    # max(t, 1-t) >= 1/2 and nu^2 >= F0^2/3 bound the longest vertex of
+    # pair_hull below by F0^2/24
+    rng = np.random.default_rng(3)
+    for t in rng.uniform(size=200):
+        qa, qb = QuadForm3.random_unit(rng), QuadForm3.random_unit(rng)
+        verts = np.vstack([fields._octahedron_vertices(qa.scaled(t)),
+                           fields._octahedron_vertices(qb.scaled(1.0 - t))])
+        assert np.linalg.norm(verts, axis=1).max() >= QUADFORM_UNIT_FROBENIUS**2 / 24
 
 
 def test_quadform_l2_norm_matches_quadrature(grid3):
@@ -277,6 +297,16 @@ def test_build_field_quad_pair_descriptor(grid3):
     rep = fld.continuity_report()
     assert np.isfinite(rep["max_d_h"])
     assert all(np.isfinite(p["d_h"]) for p in rep["pairs"])
+
+
+def test_build_field_reports_only_constant_frames(grid3):
+    # a bad degree is the descriptor's own error, not a list of frames
+    desc = {"type": "ambient_quad", "matrix": np.diag([1.0, 2.0, 3.0, -6.0]), "N": 4, "degree": 40}
+    with pytest.raises(InputError, match=r"degree d=40 outside 0\.\.12"):
+        build_field(grid3, desc, count=3)
+    # the identity restricts to a constant on every frame
+    with pytest.raises(InputError, match=r"section data invalid on frames \[0, 1, 2\]"):
+        build_field(grid3, {"type": "ambient_quad", "matrix": np.eye(4), "N": 4}, count=3)
 
 
 def test_build_field_rejects_unknown_type(grid3):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from convexsphere.bodies import from_support_samples, from_vertices
+from convexsphere.bodies import from_vertices
 from convexsphere.errors import Degenerate, InputError, OriginNotInterior
 from convexsphere.fourier2d import (
     fourier_analyze,

@@ -9,7 +9,6 @@ from convexsphere.errors import BudgetExceeded, InputError
 from convexsphere.mod2poly import (
     Mod2SymPoly,
     elementary_symmetric,
-    euler_factorial_residue,
     expand_elementary,
     express_elementary,
     stiefel_whitney_top,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from convexsphere.errors import ConstantPolynomial, InputError
 from convexsphere.groups import random_rotations
 from convexsphere.polynomials import (
+    Basis,
     JoinPoint,
     SphericalPoly,
     _family,
@@ -23,7 +25,7 @@ from convexsphere.polynomials import (
     stacked_monomial_form,
     to_F_space,
 )
-from convexsphere.sphere import integrate
+from convexsphere.sphere import build_grid, integrate
 
 
 def test_space_dimension_frozen_values():
@@ -87,7 +89,7 @@ def test_monomial_fit_refuses_ill_conditioning(grid3):
 def test_grad_matches_finite_differences(n, d, grid2, grid3, grid4):
     basis = get_basis(n, d, {2: grid2, 3: grid3, 4: grid4}[n])
     rng = np.random.default_rng(7)
-    p = SphericalPoly(n, d, rng.normal(size=basis.dim) / np.sqrt(basis.dim), basis)
+    p = SphericalPoly(rng.normal(size=basis.dim) / np.sqrt(basis.dim), basis)
     pts = _unit_vectors(n, 20, seed=8)
     exps, coef = stacked_monomial_form([p])
 
@@ -252,3 +254,45 @@ def test_odd_even_split(grid3):
     assert np.abs(odd + odd[grid3.antipode]).max() < 1e-14
     assert np.abs(even - even[grid3.antipode]).max() < 1e-14
     assert np.abs(odd + even - f).max() < 1e-14
+
+
+def test_polynomial_is_its_description(grid3):
+    basis = get_basis(3, 8, grid3)
+    c = np.zeros(basis.dim)
+    c[-1] = 1.0
+    p = SphericalPoly(c, basis)
+    samples = p.samples.copy()
+    c[0] = 1.0  # the polynomial holds a copy
+    assert np.array_equal(p.samples, samples)
+    assert np.abs(p.eval(grid3.nodes) - samples).max() < 1e-12
+    # n and d are the basis'; the identity rotation keeps all of p
+    assert (p.n, p.d, p.grid) == (3, 8, grid3)
+    q = rotate_poly(p, np.eye(3))
+    assert q.d == 8 and np.abs(q.coeffs - p.coeffs).max() < 1e-12
+    with pytest.raises(TypeError):
+        SphericalPoly(3, 2, c, basis)
+    with pytest.raises(InputError, match="does not match basis dimension"):
+        SphericalPoly(c[:-1], basis)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.coeffs = c
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.samples = samples
+    assert not p.coeffs.flags.writeable and not p.samples.flags.writeable
+
+
+def test_basis_is_its_description(grid3):
+    basis = Basis(8, grid3)
+    cached = get_basis(3, 8, grid3)
+    assert basis == cached and hash(basis) == hash(cached)
+    assert np.array_equal(basis.samples, cached.samples)
+    assert basis != Basis(4, grid3) and basis.n == 3
+    derived = [basis.samples, basis.degrees, basis._proj, basis.f_mask, *basis.monomial_form]
+    assert not any(a.flags.writeable for a in derived)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.d = 2
+    with pytest.raises(InputError, match="degree d=13 outside"):
+        Basis(13, grid3)
+    with pytest.raises(InputError, match="cannot hold a degree-8 basis"):
+        Basis(8, build_grid(3, 8))
+    with pytest.raises(InputError, match="grid dimension 3 != n=4"):
+        get_basis(4, 2, grid3)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from convexsphere.bodies import ball, from_radial, from_support_samples, from_vertices
+from convexsphere.bodies import ball, from_radial, from_vertices
 from convexsphere.errors import InputError
 from convexsphere.fields import build_field, radial_body, sample_unit_F, thicken
 from convexsphere.polynomials import project

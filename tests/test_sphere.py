@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from convexsphere.errors import InputError
 from convexsphere.sphere import (
+    SphereGrid,
     build_grid,
     integrate,
     monomial_samples,
@@ -58,7 +60,8 @@ def test_grid_nodes_and_weights(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_antipode_is_exact(n):
     grid = build_grid(n)
-    assert np.array_equal(grid.nodes[grid.antipode], -grid.nodes)
+    # bitwise, signed zeros included
+    assert grid.nodes[grid.antipode].tobytes() == (-grid.nodes).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -111,3 +114,26 @@ def test_build_grid_rejects_bad_dimension():
         build_grid(1)
     with pytest.raises(InputError):
         build_grid(5)
+
+
+def test_grid_is_its_description(grid3):
+    grid = SphereGrid(3, 16)
+    assert grid == grid3 and hash(grid) == hash(grid3)
+    assert grid.key == grid3.key == build_grid(3).key
+    assert grid != SphereGrid(3, 18)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.nodes = -grid.nodes
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.resolution = 18
+    for n in (2, 3, 4):
+        g = build_grid(n)
+        arrays = [g.nodes, g.weights, g.antipode] + ([g.angles] if n == 2 else [])
+        assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        grid.nodes[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("resolution", [9, 6, 16.0, None])
+def test_grid_rejects_bad_resolution(resolution):
+    with pytest.raises(InputError, match="resolution must be even"):
+        SphereGrid(3, resolution)
