@@ -4,8 +4,10 @@ Each kernel is a quadratic scan with a tiny inner dimension (n <= 4).
 The scans go through BLAS in blocks of `_BLOCK` rows, which bounds the
 temporary at G * _BLOCK doubles instead of G^2. The two max-scans also
 take caller-chosen (own, cand) blocks, scanning for the outputs `own`
-only the entries `cand` that can attain them (bodies.hull_depth). Every
-entry point coerces its array arguments to contiguous float64.
+only the entries `cand` that can attain them (bodies.hull_depth);
+hull_gaps computes only the outputs its blocks own, so a caller can
+leave out whole tiles. Every entry point coerces its array arguments to
+contiguous float64.
 """
 
 import numpy as np
@@ -62,16 +64,18 @@ def hull_gaps(cloud, dirs, h, blocks=None):
     inside the polytope {x : <x, dirs[j]> <= h[j]}, with equality on active
     constraints.
 
-    blocks: (own, cand) pairs whose `own` cover the cloud; gap[own] is
-    taken over the dirs `cand` only. Default: every dir for every point.
+    blocks: (own, cand) pairs; gap[own] is taken over the dirs `cand`
+    only, and points in no `own` are left unset. Default: every dir for
+    every point.
 
     A block's wide product cloud[own] @ dirs[cand].T can round its last
     (len(cand) mod 8) columns an ulp apart from the same entries of the
-    full product (seen with an AVX-512 OpenBLAS). bodies.hull_depth still
-    equals the full scan bit for bit only because the grid's cached
-    cosine order puts the farthest candidates, which do not attain the
-    gap, in those columns; a block order that moves attaining candidates
-    there gives up that equality."""
+    full product (seen with an AVX-512 OpenBLAS), and a subset of its
+    rows can round apart too. bodies.hull_depth still equals the full
+    scan bit for bit only because it passes whole tiles as blocks and
+    the grid's cached cosine order puts the farthest candidates, which
+    do not attain the gap, in those columns; a block order that moves
+    attaining candidates there gives up that equality."""
     cloud, dirs, h = _c(cloud), _c(dirs), _c(h)
     out = np.empty(cloud.shape[0])
     for own, cand in _row_blocks(cloud.shape[0]) if blocks is None else blocks:

@@ -70,7 +70,7 @@ def c0_l2_constant(n: int) -> float:
 _DESCRIPTIONS = ("terms", "radial_profile", "sampled_radial", "sampled_support")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexBody:
     grid: SphereGrid = field(repr=False)
     terms: tuple | None = field(default=None, repr=False)  # (rows, offsets, weights)
@@ -492,7 +492,7 @@ def certify_convex_radial(body: ConvexBody, tol: float | None = None) -> bool:
     n = 2: spectral criterion r^2 + 2 r'^2 - r r'' >= -tol with FFT
     derivatives (exact for band-limited samples).
     n >= 3: hull_depth of the radial cloud against its own sampled
-    support, with tolerance scaled by the squared grid gap.
+    support, with floor -tol and tolerance scaled by the squared grid gap.
     """
     r = body.radial
     grid = body.grid
@@ -511,12 +511,15 @@ def certify_convex_radial(body: ConvexBody, tol: float | None = None) -> bool:
         return bool(crit.min() >= -tol)
     if tol is None:
         tol = float(np.max(r)) ** 2 * grid.max_gap**2
-    return bool(hull_depth(grid, r) >= -tol)
+    return bool(hull_depth(grid, r, -tol) >= -tol)
 
 
 #: Taken off both cosine cut-offs of hull_depth, so that round-off never
 #: drops a pair that attains a maximum.
 _COS_PAD = 1e-12
+#: Taken, times max r, off the own-direction bound r_i - h_i of a hull
+#: gap in hull_depth, above the few ulps by which the two can round apart.
+_GAP_PAD = 1e-12
 
 
 def _radial_support(grid: SphereGrid, r: np.ndarray, gaps: bool = False):
@@ -544,13 +547,16 @@ def _radial_support(grid: SphereGrid, r: np.ndarray, gaps: bool = False):
     return cloud, h, gap_blocks, outputs
 
 
-def hull_depth(grid: SphereGrid, r: np.ndarray) -> float:
+def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> float:
     """Minimum hull gap of the radial cloud {r_i u_i} on the grid nodes
     u_i against its own sampled support h_j = max_i <r_i u_i, u_j>.
 
     Zero when every cloud point lies on the hull of the cloud, negative
     by the depth of the deepest dimple otherwise; -inf when r has a
     non-positive entry, since then there is no star body to certify.
+    The value is exact when it is below floor, else some v with
+    floor <= v <= depth, so hull_depth(grid, r, f) >= f decides
+    depth >= f exactly; the default floor scans every tile.
 
     Both maxima are taken over the pairs of nodes that can attain them
     (grid.neighbourhoods), which gives the full scan's value exactly.
@@ -566,12 +572,24 @@ def hull_depth(grid: SphereGrid, r: np.ndarray) -> float:
       scanned as outputs. Negation is exact and nodes[G/2:] ==
       -nodes[:G/2], so the cloud is exactly symmetric, and substituting
       i -> -i, j -> -j in either maximum gives h_-j = h_j and gap_-i = gap_i.
+    - floor: gap_i >= r_i - h_i, the j = i term, which every candidate
+      list holds. So low_i = r_i - h_i - _GAP_PAD * rmax bounds the
+      computed gap from below, and a tile whose members all have
+      low_i >= floor holds no point below the floor: it is not scanned,
+      and its points count with low_i. The other tiles go to one
+      hull_gaps call as whole blocks, so each scanned gap keeps the full
+      scan's bits.
     """
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
         return -math.inf
     cloud, h, blocks, outputs = _radial_support(grid, r, gaps=True)
-    return float(backend.hull_gaps(cloud, grid.nodes, h, blocks=blocks)[:outputs].min())
+    low = r - h - _GAP_PAD * float(r.max())
+    deep = [(own, cand) for own, cand in blocks if low[own].min() < floor]
+    gaps = backend.hull_gaps(cloud, grid.nodes, h, blocks=deep)
+    for own, _ in deep:
+        low[own] = gaps[own]
+    return float(low[:outputs].min())
 
 
 def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:

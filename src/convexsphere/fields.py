@@ -233,7 +233,9 @@ def find_epsilon(
     spanning samples of the unit sphere of F^d.
 
     Certification accepts hull gaps down to -DEPTH_TOL * max(r), a
-    fixed dimple depth relative to the body scale. Bisection runs on
+    fixed dimple depth relative to the body scale; hull_depth takes it as
+    its floor, so only tiles with a point near or below it are scanned
+    for gaps. Bisection runs on
     the working grid; the final eps is re-certified on the 2x-refined
     grid and the pass rate reported (running the refined check inside
     every bisection step would be orders of magnitude more work).
@@ -266,7 +268,8 @@ def find_epsilon(
     hi0 = float(np.min(-1.0 / mins))
 
     def passes(g: SphereGrid, r: np.ndarray) -> bool:
-        return hull_depth(g, r) >= -DEPTH_TOL * float(r.max())
+        floor = -DEPTH_TOL * float(r.max())
+        return hull_depth(g, r, floor) >= floor
 
     limiting = None  # the sample that failed the latest failed round
 

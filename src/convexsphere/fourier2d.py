@@ -16,7 +16,7 @@ from .bodies import ConvexBody
 from .errors import Degenerate, InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierSupport:
     """Truncated circle-harmonic expansion a0 + sum a_q cos + b_q sin."""
 

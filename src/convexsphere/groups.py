@@ -21,7 +21,7 @@ TAGS = ("pm", "torus", "so", "user")
 _ORTHO_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSample:
     tag: str
     n: int

@@ -28,7 +28,7 @@ from .groups import random_frames
 from .sphere import SphereGrid, build_grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectionFamily:
     """Planar central sections of one body in R^N, indexed by 2-frames:
     the ellipsoid {x: <x, quad x> <= 1}, or the polytope

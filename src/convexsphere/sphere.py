@@ -130,14 +130,14 @@ class SphereGrid:
         return backend.max_nn_gap(self.nodes)
 
     @cached_property
-    def tiles(self) -> tuple[list, np.ndarray, np.ndarray]:
+    def tiles(self) -> tuple[tuple, np.ndarray, np.ndarray]:
         """(members, centres, radii): the nodes grouped into spatially
         compact tiles of about TILE_SIZE nodes. The first K/2 tiles cover
         the first G/2 nodes, from 8 rounds of spherical k-means with a
         fixed seed; tile t + K/2 is the antipodal image of tile t.
         members[t] are the node indices of tile t, centres[t] its unit
         centre and radii[t] the largest angle from the centre to a
-        member. O(G) memory."""
+        member. O(G) memory; every array is read-only."""
         half = self.size // 2
         nodes = self.nodes[:half]
         k = max(1, half // TILE_SIZE)
@@ -157,8 +157,8 @@ class SphereGrid:
             2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(nodes[m] - c, axis=1).max()))
             for m, c in zip(members, centres)
         ])
-        return (members + [self.antipode[m] for m in members],
-                np.vstack([centres, -centres]), np.concatenate([radii, radii]))
+        return (tuple(read_only(m) for m in members + [self.antipode[m] for m in members]),
+                read_only(np.vstack([centres, -centres])), read_only(np.concatenate([radii, radii])))
 
     @cached_property
     def _tile_order(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +166,12 @@ class SphereGrid:
         the centre of tile t (int32, K x G), and keys the flattened
         3t - cosine of order[t], ascending over all rows since every
         cosine lies in [-1, 1] and rounding is monotone. 12 bytes per
-        entry, about G^2/48 entries (1 MB at G=2048)."""
+        entry, about G^2/48 entries (1 MB at G=2048). Both read-only."""
         _, centres, _ = self.tiles
         cos = centres @ self.nodes.T
         order = np.argsort(-cos, axis=1).astype(np.int32)
         keys = 3.0 * np.arange(len(centres))[:, None] - np.take_along_axis(cos, order, axis=1)
-        return order, keys.ravel()
+        return read_only(order), read_only(keys.ravel())
 
     def neighbourhoods(self, cos_cuts, half: bool = False) -> list:
         """[(members, cand_1, ..., cand_c)] per tile, one cand per cut of

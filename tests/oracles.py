@@ -118,10 +118,11 @@ def dense_hull_gaps(cloud: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return (dots - dots.max(axis=0)[None, :]).max(axis=1)
 
 
-def dense_hull_depth(grid, r) -> float:
+def dense_hull_depth(grid, r, floor=math.inf) -> float:
     """The library's hull_depth(grid, r) from the full G x G matrix,
     pruning nothing: -inf for a non-positive radius, else the minimum gap
-    of the radial cloud on the grid nodes."""
+    of the radial cloud on the grid nodes. floor is ignored: the exact
+    depth meets hull_depth's contract for every floor."""
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
         return -math.inf

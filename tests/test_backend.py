@@ -159,6 +159,35 @@ def test_even_radii_scan_half_the_pairs(monkeypatch, n, grid3, grid4):
 
 
 @pytest.mark.parametrize("n", [3, 4])
+def test_floor_skips_tiles_that_clear_it(monkeypatch, n, grid3, grid4):
+    # a body that passes at find_epsilon's floor: the support scan is the
+    # same, and only tiles with a point near or below the floor get gaps
+    grid = grid3 if n == 3 else grid4
+    r = smooth_radii(grid, 0.02, 4)
+    floor = -5e-3 * r.max()
+    pairs = _count_scanned_pairs(monkeypatch, grid)
+    depth = hull_depth(grid, r)
+    full = pairs[:]
+    pairs.clear()
+    assert floor <= hull_depth(grid, r, floor) <= depth
+    assert pairs[0] == full[0]
+    assert pairs[1] < full[1]
+
+
+def test_floor_keeps_the_depth_of_an_own_direction_gap(grid3):
+    # on this ellipsoid the deepest point's gap is its own-direction term
+    # r_i - h_i, which rounds an ulp above the computed gap: only the pad
+    # keeps its tile scanned when the floor sits at or just above the depth
+    axes = np.array([1.174099715796055, 1.0896088398456767, 1.201598463386908])
+    r = 1.0 / np.linalg.norm(grid3.nodes / axes, axis=1)
+    r = 0.5 * (r + r[grid3.antipode])
+    dense = dense_hull_depth(grid3, r)
+    assert dense < 0
+    for floor in (dense, np.nextafter(dense, 0.0)):
+        assert hull_depth(grid3, r, floor) == dense
+
+
+@pytest.mark.parametrize("n", [3, 4])
 def test_grid_depth_is_never_shallower_than_exact(n, grid3, grid4):
     # the grid tests the cloud against supporting half-spaces of its
     # exact hull only, so no point can look deeper inside than it is

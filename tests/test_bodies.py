@@ -31,8 +31,10 @@ from convexsphere.bodies import (
     validate_body,
 )
 from convexsphere.errors import GridMismatch, InputError, OriginNotInterior
-from convexsphere.groups import sample_group
+from convexsphere.fourier2d import FourierSupport
+from convexsphere.groups import cyclic_rotation_group, sample_group
 from convexsphere.polynomials import monomial_jet, project, stacked_monomial_form
+from convexsphere.sections import cube_family
 from convexsphere.sphere import build_grid
 from oracles import polar_vertices, polytope_sandwich_lp
 
@@ -373,6 +375,22 @@ def test_body_is_frozen_with_one_description(grid3):
         ConvexBody(grid=grid3)
     with pytest.raises(InputError):
         ConvexBody(grid=grid3, terms=cube.terms, sampled_support=cube.support)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: from_vertices(g, np.vstack([np.eye(3), -np.eye(3)])),
+    lambda g: from_support_samples(g, np.ones(g.size)),
+    lambda g: cyclic_rotation_group(3, (0, 1), 5),
+    lambda g: cube_family(4),
+    lambda g: FourierSupport(1.0, np.zeros(3), np.zeros(3)),
+], ids=["vertex_body", "sample_body", "group", "section_family", "fourier"])
+def test_value_types_with_arrays_compare_by_identity(grid3, make):
+    # equal descriptions with array fields are distinct values, never a
+    # comparison of arrays
+    a, b = make(grid3), make(grid3)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_support_only_body_scans_its_radial_once(grid3, monkeypatch):

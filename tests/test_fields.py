@@ -238,9 +238,9 @@ def test_find_epsilon_certifies_exactly_even_radii(monkeypatch, grid3):
     # even to the last bit, so that it scans one antipodal half
     seen = []
 
-    def recording(grid, r):
+    def recording(grid, r, floor):
         seen.append((grid.size, np.array_equal(r, r[grid.antipode])))
-        return hull_depth(grid, r)
+        return hull_depth(grid, r, floor)
 
     monkeypatch.setattr(fields, "hull_depth", recording)
     find_epsilon(3, 4, seed=3, grid=grid3, steps=6)

@@ -7,6 +7,7 @@ certificate, even or not; and over random polynomials for the GF(2)
 ring laws of mod2poly."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from convexsphere.bodies import (
     hull_depth,
     scaled_body,
 )
-from convexsphere.fields import rotate_body, thicken
+from convexsphere.fields import DEPTH_TOL, rotate_body, thicken
 from convexsphere.groups import cyclic_rotation_group, random_rotations, sample_group
 from convexsphere.mod2poly import Mod2SymPoly
 from convexsphere.serialize import body_doc, body_from_doc
@@ -108,11 +109,28 @@ def test_pruned_hull_depth_matches_full_scan(grid3, grid4, n, spread, waves, see
     assert abs(hull_depth(grid, r) - dense_hull_depth(grid, r)) <= 1e-15
     cloud = r[:, None] * grid.nodes
     assert np.abs(from_radial(grid, r).support - (cloud @ grid.nodes.T).max(axis=0)).max() <= 1e-15
+    _check_floor_contract(grid, r, tol=1e-15)
     # exactly even radii: one antipodal half is scanned, bit for bit
     r = 0.5 * (r + r[grid.antipode])
     assert hull_depth(grid, r) == dense_hull_depth(grid, r)
     cloud = r[:, None] * grid.nodes
     assert np.array_equal(from_radial(grid, r).support, (cloud @ grid.nodes.T).max(axis=0))
+    _check_floor_contract(grid, r, tol=0.0)
+
+
+def _check_floor_contract(grid, r, tol):
+    """hull_depth(grid, r, floor) is the dense depth when that is below the
+    floor, else between the floor and the dense depth; tol covers the
+    round-off by which the library's full scan and the dense one differ."""
+    dense = dense_hull_depth(grid, r)
+    floors = (-math.inf, dense - 1e-3, dense - 1e-9, dense, np.nextafter(dense, math.inf),
+              dense + 1e-9, -DEPTH_TOL * float(r.max()))
+    for floor in floors:
+        v = hull_depth(grid, r, floor)
+        if dense < floor:
+            assert abs(v - dense) <= tol
+        else:
+            assert floor - tol <= v <= dense + tol
 
 
 @st.composite

@@ -133,6 +133,21 @@ def test_grid_is_its_description(grid3):
         grid.nodes[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_tile_caches_are_read_only(n):
+    # every pruned hull scan cuts its blocks from these caches
+    grid = build_grid(n)
+    members, centres, radii = grid.tiles
+    order, keys = grid._tile_order
+    assert isinstance(members, tuple)
+    for a in (*members, centres, radii, order, keys):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    for own, cand in grid.neighbourhoods([0.9]):
+        assert not own.flags.writeable
+        assert isinstance(cand, slice) or not cand.flags.writeable
+
+
 @pytest.mark.parametrize("resolution", [9, 6, 16.0, None])
 def test_grid_rejects_bad_resolution(resolution):
     with pytest.raises(InputError, match="resolution must be even"):
