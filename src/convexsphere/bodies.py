@@ -9,11 +9,12 @@ exact support
 a radial profile 1 + eps * phi of an even polynomial phi; radial
 samples (the hull of the cloud {r_i u_i} on the grid nodes u_i); or
 support samples (the outer body {x : <x,u_j> <= h_j}). The grid samples
-support and radial are derived from the description at first use, so a
-frozen body, or a dataclasses.replace of one, never carries samples of
-another. The vertex sets are stored stacked, as terms = (rows, offsets,
-weights) with V_t = rows[offsets[t]:offsets[t+1]], and from_terms checks
-them. Polytopes, balls, thickenings, rotations, scalings and group
+support and radial are derived from the description at first use, and
+the description's arrays are read-only copies, so a frozen body, or a
+dataclasses.replace of one, never carries samples of another. The vertex
+sets are stored stacked, as terms = (rows, offsets, weights) with
+V_t = rows[offsets[t]:offsets[t+1]], and from_terms checks them.
+Polytopes, balls, thickenings, rotations, scalings and group
 averages of term bodies stay term bodies, each one array operation on
 rows and weights, which is what makes exact-group invariance defects
 drop to floating-point level instead of the O(grid gap^2) floor of
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .groups import GroupSample
 from .polynomials import get_basis, monomial_jet, stacked_monomial_form
-from .sphere import SphereGrid, build_grid, check_samples, integrate, norms, read_only
+from .sphere import SphereGrid, build_grid, check_samples, hold_copies, integrate, norms, read_only
 
 # Cap-volume constants of the C0-via-L2 comparison: a Euclidean cap of
 # radius rho <= 1/2 on S^{n-1} has measure >= C1 * rho^{n-1}
@@ -85,6 +86,10 @@ class ConvexBody:
             raise InputError(f"a body needs exactly one of {_DESCRIPTIONS}, got {given}")
         if self.ball_radius and self.terms is None:
             raise InputError("a ball radius belongs to a body with terms")
+        # read-only copies: the samples derived at first use never go stale
+        if self.terms is not None:
+            object.__setattr__(self, "terms", tuple(read_only(np.array(a)) for a in self.terms))
+        hold_copies(self, "sampled_radial", "sampled_support")
 
     @property
     def n(self) -> int:
@@ -128,9 +133,9 @@ def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.
     ball radius rho. rows must be finite points in R^n, offsets integers
     rising strictly from 0 to len(rows) (no term is empty), one weight
     per term, and the weights and rho finite and >= 0."""
-    rows = np.array(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     offsets = np.asarray(offsets)
-    weights = np.array(weights, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != grid.n:
         raise InputError(
             f"minkowski term vertices of shape {rows.shape} are not points in R^{grid.n}"
@@ -151,14 +156,14 @@ def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.
     rho = float(ball_radius)
     if not (math.isfinite(rho) and rho >= 0):
         raise InputError(f"ball radius {rho} is not finite and >= 0")
-    return ConvexBody(grid=grid, terms=(rows, offsets.astype(np.int64), weights), ball_radius=rho)
+    return ConvexBody(grid=grid, terms=(rows, offsets.astype(np.int64, copy=False), weights), ball_radius=rho)
 
 
 def from_support_samples(grid: SphereGrid, h) -> ConvexBody:
     """Outer body {x : <x,u_j> <= h_j} of support samples h_j at the grid
     nodes u_j."""
     h = check_samples(grid, np.asarray(h, dtype=float))
-    return ConvexBody(grid=grid, sampled_support=read_only(h.copy()))
+    return ConvexBody(grid=grid, sampled_support=h)
 
 
 def from_vertices(grid: SphereGrid, verts) -> ConvexBody:
@@ -180,7 +185,7 @@ def from_radial(grid: SphereGrid, r) -> ConvexBody:
     r = check_samples(grid, np.asarray(r, dtype=float))
     if np.min(r) <= 0:
         raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
-    return ConvexBody(grid=grid, sampled_radial=read_only(r.copy()))
+    return ConvexBody(grid=grid, sampled_radial=r)
 
 
 def _polygon_support_interp(grid: SphereGrid, h, points) -> np.ndarray:

@@ -40,8 +40,8 @@ from .errors import (
 )
 from .fields import (
     DEPTH_TOL,
-    build_field,
     find_epsilon,
+    quad_pair_field,
     radial_body,
     sample_unit_F,
     separation_delta,
@@ -125,12 +125,7 @@ def _octahedron_field_sweep(grid, seed: int) -> dict:
     frames = np.stack(
         [w0 @ expm(s * skew) for s in np.linspace(0.0, 0.4, _SWEEP_FRAMES)]
     )
-    fld = build_field(
-        grid,
-        {"type": "quad_pair", "qa": amb[0], "qb": amb[1], "t": 0.5, "N": 5},
-        frames=frames,
-    )
-    rep = fld.continuity_report()
+    rep = quad_pair_field(grid, frames, amb[0], amb[1]).continuity_report()
     return {
         "frames": _SWEEP_FRAMES,
         "max_adjacent_d_h": rep["max_d_h"],
@@ -402,8 +397,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         base = ExperimentConfig.from_json_file(args.config).to_dict() if args.config else {}
-        cfg = ExperimentConfig.from_dict({**base, **_parse_pairs(args.settings)})
-        cfg.experiment = args.command
+        cfg = ExperimentConfig.from_dict(
+            {**base, **_parse_pairs(args.settings), "experiment": args.command}
+        )
         return _COMMANDS[args.command](cfg)
     except ConvexSphereError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Experiment configuration shared by the command-line drivers.
 
-One flat dataclass covers every subcommand; unused fields stay None.
+One flat frozen dataclass covers every subcommand; unused fields stay
+None.
 Configs parse from key=value pairs or a JSON file, round-trip
 losslessly through to_dict/from_dict, and reject unknown keys with
 the list of valid ones, so a typo never silently runs defaults.
@@ -15,7 +16,7 @@ from .errors import ConfigError
 _TUPLE_KEYS = {"axes"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = ""
     n: int = 3
@@ -42,13 +43,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return out
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -58,12 +54,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown config keys {unknown}; valid keys: {sorted(valid)}"
             )
-        kwargs = {}
-        for key, value in data.items():
-            if key in _TUPLE_KEYS and value is not None:
-                value = tuple(value)
-            kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**{
+            k: tuple(v) if k in _TUPLE_KEYS and v is not None else v for k, v in data.items()
+        })
 
     @classmethod
     def from_pairs(cls, pairs) -> "ExperimentConfig":

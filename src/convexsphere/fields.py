@@ -13,10 +13,14 @@ Paired octahedra hull to at most 12 vertices, thickenings add a ball
 radius, and radial bodies 1 + eps*phi with phi in the unit sphere of
 the even zero-average polynomials give the certified-convexity family
 whose largest working eps is estimated by bisection in find_epsilon.
+
+A BodyField is its frames and one body per frame on one grid, nothing
+more. quad_pair_field builds the octahedron field C(Q) of two ambient
+forms over given frames, ambient_quad_field the radial bodies of one.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .bodies import (
     hull_depth,
 )
 from .errors import ConstantPolynomial, InputError, NonpositiveRadius
-from .groups import random_frames, random_rotations
+from .groups import random_rotations
 from .polynomials import (
     SphericalPoly,
     get_basis,
@@ -78,17 +82,15 @@ class QuadForm3:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_matrix(cls, m, project: bool = True) -> "QuadForm3":
+    def from_matrix(cls, m) -> "QuadForm3":
+        """The form of the traceless symmetric part of a 3x3 matrix."""
         m = np.asarray(m, dtype=float)
-        if project:
-            m = 0.5 * (m + m.T)
-            m = m - (np.trace(m) / 3.0) * np.eye(3)
-        return cls(m)
+        m = 0.5 * (m + m.T)
+        return cls(m - (np.trace(m) / 3.0) * np.eye(3))
 
     @classmethod
     def random_unit(cls, rng: np.random.Generator) -> "QuadForm3":
-        q = cls.from_matrix(rng.normal(size=(3, 3)))
-        return q.normalized()
+        return cls.from_matrix(rng.normal(size=(3, 3))).normalized()
 
     @property
     def frobenius(self) -> float:
@@ -363,38 +365,75 @@ def rotate_body(body: ConvexBody, rot: np.ndarray) -> ConvexBody:
     return from_support_samples(grid, body.support_eval(grid.nodes @ rot))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BodyField:
-    """Frames with one convex body each, plus the section descriptor
-    that produced them and a declared adjacency for continuity checks."""
+    """Orthonormal n-frames with one convex body each: a field of bodies
+    over frames, one frame at least. The frames are a read-only copy,
+    and every body lives on one grid, the field's grid."""
 
     frames: np.ndarray  # (k, n, N), orthonormal rows each
-    bodies: list
-    descriptor: dict
-    grid: SphereGrid = field(repr=False)
-    adjacency: list | None = None
+    bodies: tuple
 
     def __post_init__(self):
-        k = self.frames.shape[0]
-        if len(self.bodies) != k:
+        bodies = tuple(self.bodies)
+        if not bodies:
+            raise InputError("a field needs at least one frame")
+        grid = bodies[0].grid
+        if any(b.grid != grid for b in bodies):
+            raise InputError("the bodies of a field live on different grids")
+        frames = _checked_frames(self.frames, grid.n)
+        if len(bodies) != frames.shape[0]:
             raise InputError("one body per frame required")
-        gram = np.einsum("kij,klj->kil", self.frames, self.frames)
-        dev = np.max(np.abs(gram - np.eye(self.frames.shape[1])[None]))
-        if dev > 1e-10:
-            raise InputError(f"frames not orthonormal, deviation {dev:.3e}")
-        if self.adjacency is None:
-            self.adjacency = [(i, i + 1) for i in range(k - 1)]
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "bodies", bodies)
+
+    @property
+    def grid(self) -> SphereGrid:
+        return self.bodies[0].grid
 
     def continuity_report(self) -> dict:
-        """d_h between bodies of adjacent frames after optimal frame
-        alignment."""
+        """d_h between the bodies of consecutive frames after optimal
+        frame alignment."""
         pairs = []
-        for i, j in self.adjacency:
-            r = frame_align(self.frames[i], self.frames[j])
-            d = hausdorff(self.bodies[i], rotate_body(self.bodies[j], r))
-            pairs.append({"i": i, "j": j, "d_h": d})
+        for i in range(len(self.bodies) - 1):
+            r = frame_align(self.frames[i], self.frames[i + 1])
+            d = hausdorff(self.bodies[i], rotate_body(self.bodies[i + 1], r))
+            pairs.append({"i": i, "j": i + 1, "d_h": d})
         worst = max((p["d_h"] for p in pairs), default=0.0)
         return {"max_d_h": worst, "pairs": pairs}
+
+
+def _checked_frames(frames, n: int) -> np.ndarray:
+    """A read-only copy of k >= 1 orthonormal n-frames in R^N, (k, n, N)."""
+    frames = np.array(frames, dtype=float)
+    if frames.ndim != 3 or frames.shape[0] == 0 or frames.shape[1] != n:
+        raise InputError(f"frames of shape {frames.shape} are not k >= 1 {n}-frames")
+    gram = np.einsum("kij,klj->kil", frames, frames)
+    dev = np.max(np.abs(gram - np.eye(n)[None]))
+    if dev > 1e-10:
+        raise InputError(f"frames not orthonormal, deviation {dev:.3e}")
+    return read_only(frames)
+
+
+def _section_field(grid: SphereGrid, frames, forms, section, refused) -> BodyField:
+    """The field of section(w, *forms) over the frames w, the forms being
+    N x N matrices for the frames' R^N. The frames on which section raises
+    refused are named together in one InputError."""
+    frames = _checked_frames(frames, grid.n)
+    big = frames.shape[2]
+    forms = [np.asarray(m, dtype=float) for m in forms]
+    for m in forms:
+        if m.shape != (big, big):
+            raise InputError(f"ambient matrix shape {m.shape} does not match N={big}")
+    bodies, bad = [], []
+    for idx, w in enumerate(frames):
+        try:
+            bodies.append(section(w, *forms))
+        except refused:
+            bad.append(idx)
+    if bad:
+        raise InputError(f"section data invalid on frames {bad}")
+    return BodyField(frames, bodies)
 
 
 def _restrict_quad(w: np.ndarray, amb: np.ndarray) -> QuadForm3:
@@ -406,79 +445,30 @@ def _restrict_quad(w: np.ndarray, amb: np.ndarray) -> QuadForm3:
     return q.normalized()
 
 
-def build_field(
-    grid: SphereGrid,
-    descriptor: dict,
-    frames: np.ndarray | None = None,
-    seed: int = 0,
-    count: int = 16,
+def quad_pair_field(
+    grid: SphereGrid, frames, qa, qb, t: float = 0.5, rho: float | None = None
 ) -> BodyField:
-    """Assemble a BodyField from a section descriptor.
+    """The octahedron field over 3-frames in R^N: on each frame, the
+    paired octahedron hull (pair_hull) at weight t of the unit
+    restrictions of the N x N forms qa and qb, thickened by rho when it
+    is given."""
+    if grid.n != 3:
+        raise InputError("quad_pair sections need n = 3")
+    fld = _section_field(grid, frames, (qa, qb), lambda w, a, b: pair_hull(
+        grid, t, _restrict_quad(w, a), _restrict_quad(w, b)), InputError)
+    return fld if rho is None else BodyField(fld.frames, [thicken(b, rho) for b in fld.bodies])
 
-    type "constant"      one body, N = n, the identity frame.
-    type "ambient_quad"  restrict P(x) = <x, A x> to each frame, project,
-                         normalize into F, radial body 1 + eps*phi.
-    type "quad_pair"     restrict two ambient forms, normalize, paired
-                         octahedron hull at weight t, optional thickening.
-    """
-    n = grid.n
-    kind = descriptor.get("type")
-    if kind == "constant":
-        body = descriptor.get("body")
-        if not isinstance(body, ConvexBody):
-            raise InputError("descriptor type 'constant' needs a ConvexBody under 'body'")
-        if body.grid != grid:
-            raise InputError("constant-section body lives on a different grid")
-        frames = np.eye(n)[None, :, :]
-        return BodyField(frames, [body], {"type": "constant"}, grid)
 
-    if frames is None:
-        big_n = int(descriptor.get("N", n))
-        rng = np.random.default_rng(seed)
-        frames = random_frames(n, big_n, count, rng)
-    frames = np.asarray(frames, dtype=float)
+def ambient_quad_field(
+    grid: SphereGrid, frames, matrix, eps: float = 0.05, degree: int = 2
+) -> BodyField:
+    """Radial bodies 1 + eps*phi over n-frames in R^N, phi the
+    restriction of P(x) = <x, A x> to the frame's sphere, projected to
+    the given degree and normalized into F; A is the N x N matrix."""
 
-    bodies = []
-    bad = []
-    if kind == "ambient_quad":
-        eps = float(descriptor.get("eps", 0.05))
-        d = int(descriptor.get("degree", 2))
-        amb = np.asarray(descriptor["matrix"], dtype=float)
-        big = frames.shape[2]
-        if amb.shape != (big, big):
-            raise InputError(
-                f"ambient matrix shape {amb.shape} does not match "
-                f"ambient dimension N={big}"
-            )
-        for idx, w in enumerate(frames):
-            pts = grid.nodes @ w  # rows are ambient coordinates of sphere points
-            f = np.einsum("gi,ij,gj->g", pts, amb, pts)
-            try:
-                phi = to_F_space(project(grid, f, d))
-            except ConstantPolynomial:
-                bad.append(idx)
-                continue
-            bodies.append(radial_body(grid, phi, eps))
-    elif kind == "quad_pair":
-        qa = np.asarray(descriptor["qa"], dtype=float)
-        qb = np.asarray(descriptor["qb"], dtype=float)
-        t = float(descriptor.get("t", 0.5))
-        rho = descriptor.get("rho")
-        if n != 3:
-            raise InputError("quad_pair sections need n = 3")
-        for idx, w in enumerate(frames):
-            try:
-                body = pair_hull(grid, t, _restrict_quad(w, qa), _restrict_quad(w, qb))
-            except InputError:
-                bad.append(idx)
-                continue
-            if rho:
-                body = thicken(body, float(rho))
-            bodies.append(body)
-    else:
-        raise InputError(f"unknown section descriptor type {kind!r}")
+    def section(w, amb):
+        pts = grid.nodes @ w  # rows are ambient coordinates of sphere points
+        f = np.einsum("gi,ij,gj->g", pts, amb, pts)
+        return radial_body(grid, to_F_space(project(grid, f, degree)), eps)
 
-    if bad:
-        raise InputError(f"section data invalid on frames {bad}")
-    desc_echo = {k: v for k, v in descriptor.items() if k != "body"}
-    return BodyField(frames, bodies, desc_echo, grid)
+    return _section_field(grid, frames, (matrix,), section, ConstantPolynomial)

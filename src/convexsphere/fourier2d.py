@@ -14,6 +14,7 @@ import numpy as np
 
 from .bodies import ConvexBody
 from .errors import Degenerate, InputError
+from .sphere import hold_copies
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,6 +30,7 @@ class FourierSupport:
         return self.a.size
 
     def __post_init__(self):
+        hold_copies(self, "a", "b")
         if self.a.shape != self.b.shape or self.a.ndim != 1:
             raise InputError("cosine and sine coefficient arrays must match")
 

@@ -7,6 +7,10 @@ equidistributed, so block-separable integrands (supports of coordinate
 boxes, in particular) average with error far below the Monte-Carlo
 k^{-1/2} floor. The shift keeps the sample random and unbiased on the
 torus.
+
+A sample is its elements and weights, read-only copies, and n is read
+off the elements. Random frames come from one stacked QR of a Gaussian
+array, bit for bit what a QR per frame gives.
 """
 
 import math
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .sphere import hold_copies
 
 TAGS = ("pm", "torus", "so", "user")
 
@@ -23,25 +28,29 @@ _ORTHO_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class GroupSample:
-    tag: str
-    n: int
+    """Weighted sample of an averaging group: orthogonal n x n elements
+    with positive weights summing to one, both held as read-only copies."""
+
     elements: np.ndarray  # (k, n, n) orthogonal matrices
     weights: np.ndarray   # (k,) positive, sums to 1
-    seed: int | None = None
+
+    @property
+    def n(self) -> int:
+        return self.elements.shape[1]
 
     @property
     def size(self) -> int:
         return self.elements.shape[0]
 
     def __post_init__(self):
-        el = self.elements
-        if el.ndim != 3 or el.shape[1] != self.n or el.shape[2] != self.n:
-            raise InputError(f"elements must be (k, {self.n}, {self.n})")
+        hold_copies(self, "elements", "weights")
+        el, w = self.elements, self.weights
+        if el.ndim != 3 or el.shape[1] != el.shape[2] or w.shape != el.shape[:1]:
+            raise InputError(f"elements {el.shape} and weights {w.shape} are not (k, n, n) and (k,)")
         gram = np.einsum("kij,kil->kjl", el, el)
-        dev = np.max(np.abs(gram - np.eye(self.n)[None]))
+        dev = np.max(np.abs(gram - np.eye(el.shape[1])[None]), initial=0.0)
         if dev > _ORTHO_TOL:
             raise InputError(f"non-orthogonal element, deviation {dev:.3e}")
-        w = self.weights
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
             raise InputError("weights must be positive and sum to 1")
 
@@ -51,11 +60,10 @@ def random_frames(n: int, big_n: int, count: int, rng: np.random.Generator) -> n
     manifold: the sign-fixed Q of the QR of a Gaussian matrix."""
     if big_n < n:
         raise InputError(f"ambient dimension N={big_n} below n={n}")
-    out = np.empty((count, n, big_n))
-    for i in range(count):
-        q, r = np.linalg.qr(rng.normal(size=(big_n, n)))
-        out[i] = (q * np.sign(np.diag(r))[None, :]).T
-    return out
+    # one stacked QR draws and factors exactly what a loop over frames would
+    q, r = np.linalg.qr(rng.normal(size=(count, big_n, n)))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    return np.ascontiguousarray((q * signs[:, None, :]).transpose(0, 2, 1))
 
 
 def random_rotations(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -125,17 +133,16 @@ def sample_group(
 
     if tag == "pm":
         el = np.stack([np.eye(n), -np.eye(n)])
-        return GroupSample("pm", n, el, np.array([0.5, 0.5]), seed)
+        return GroupSample(el, np.array([0.5, 0.5]))
 
     if tag == "user":
         if elements is None:
             raise InputError("tag 'user' requires an explicit element list")
         el = np.asarray(elements, dtype=float)
-        if el.ndim != 3:
-            raise InputError("user elements must be a (k, n, n) array")
-        k = el.shape[0]
-        w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
-        return GroupSample("user", n, el, w / w.sum() if weights is not None else w, seed)
+        if el.ndim != 3 or el.shape[1:] != (n, n):
+            raise InputError(f"user elements must be a (k, {n}, {n}) array")
+        w = np.ones(el.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+        return GroupSample(el, w / w.sum())
 
     if count is None or count < 1:
         raise InputError(f"tag {tag!r} requires a positive sample count")
@@ -145,7 +152,7 @@ def sample_group(
     else:
         el = random_rotations(n, count, rng)
     w = np.full(count, 1.0 / count)
-    return GroupSample(tag, n, el, w, seed)
+    return GroupSample(el, w)
 
 
 def cyclic_rotation_group(n: int, axes: tuple[int, int], order: int) -> GroupSample:

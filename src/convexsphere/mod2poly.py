@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InputError
+from .sphere import read_only
 
 MAX_VARS = 4
 _SHIFT = 16
@@ -54,7 +55,8 @@ def _reduce(keys: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Mod2SymPoly:
     """GF(2) polynomial in at most four variables, stored as the
-    sorted set of packed exponent keys."""
+    sorted, read-only set of packed exponent keys. Equal and hashed by
+    (nvars, keys)."""
 
     nvars: int
     keys: np.ndarray
@@ -62,7 +64,7 @@ class Mod2SymPoly:
     def __post_init__(self):
         if not 1 <= self.nvars <= MAX_VARS:
             raise InputError(f"nvars must be 1..{MAX_VARS}, got {self.nvars}")
-        object.__setattr__(self, "keys", np.sort(np.asarray(self.keys, dtype=np.uint64)))
+        object.__setattr__(self, "keys", read_only(np.sort(np.asarray(self.keys, dtype=np.uint64))))
 
     @classmethod
     def zero(cls, nvars: int) -> "Mod2SymPoly":
@@ -116,6 +118,9 @@ class Mod2SymPoly:
             and self.nvars == other.nvars
             and np.array_equal(self.keys, other.keys)
         )
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.keys.tobytes()))
 
     def _match(self, other: "Mod2SymPoly") -> None:
         if self.nvars != other.nvars:
@@ -177,8 +182,6 @@ class SWTopClass:
     """Expanded top class (when materialized) with its bookkeeping."""
 
     poly: Mod2SymPoly | None
-    nvars: int
-    degree_param: int
     factor_count: int
     all_ones: int
 
@@ -239,7 +242,7 @@ def stiefel_whitney_top(
                     f"expansion exceeded {budget} monomials at factor {j}",
                     details={"partial": poly, "factor": j},
                 )
-    return SWTopClass(poly, n, d, factor_count, all_ones)
+    return SWTopClass(poly, factor_count, all_ones)
 
 
 def sw_product_chain(

@@ -421,15 +421,16 @@ def is_nonconstant(p: SphericalPoly) -> bool:
     return variance > _NONCONSTANT_TOL
 
 
-@dataclass
+@dataclass(frozen=True)
 class JoinPoint:
     """Formal join-coordinate point: positive weights summing to one,
     each attached to a unit-norm even non-constant polynomial of a
     common degree."""
 
-    entries: list  # [(t_i, SphericalPoly)]
+    entries: tuple  # ((t_i, SphericalPoly), ...)
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple((t, f) for t, f in self.entries))
         if not self.entries:
             raise InputError("join point needs at least one entry")
         ts = np.array([t for t, _ in self.entries], dtype=float)

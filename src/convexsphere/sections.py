@@ -4,7 +4,8 @@ A section family maps an orthonormal 2-frame to the planar convex
 body cut out by the frame's plane. A family holds exactly one
 description of its body: the quadratic form of an ellipsoid, whose
 sections are exact quadratic-form slices, or the facets
-{x: <normals_i, x> <= offsets_i} of a polytope with the origin inside.
+{x: <normals_i, x> <= offsets_i} of a polytope with the origin inside,
+held as read-only copies so the origin check cannot be undone.
 A polytope section is {y: <p_i, y> <= 1} with p_i the projected
 normals over their offsets, the polar of the planar hull of the p_i,
 so its vertices are the polars of that hull's edges.
@@ -25,7 +26,7 @@ from .bodies import ConvexBody, from_support_samples, from_vertices
 from .errors import InputError, OriginNotInterior
 from .fourier2d import fourier_analyze, harmonic_energy
 from .groups import random_frames
-from .sphere import SphereGrid, build_grid
+from .sphere import SphereGrid, build_grid, hold_copies
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +44,7 @@ class SectionFamily:
         given = [self.quad is not None, self.normals is not None, self.offsets is not None]
         if given not in ([True, False, False], [False, True, True]):
             raise InputError("a section family needs exactly one of quad or normals with offsets")
+        hold_copies(self, "quad", "normals", "offsets")
         if self.offsets is not None and np.any(self.offsets <= 0):
             raise OriginNotInterior("origin is not interior to the polytope")
 

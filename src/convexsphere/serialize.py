@@ -8,7 +8,9 @@ Polynomial, body and field documents record the grid_key of their
 grid, and loaders refuse a document whose key differs from the grid it
 is loaded on (documents without a key still load). A body document
 holds the body's one description and loads through the constructor of
-its kind. Terms are listed one by one, {"weight", "vertices"} each, and
+its kind; a field document holds its frames and bodies (keys that older
+documents carry beside them are covered by the hash and otherwise
+ignored). Terms are listed one by one, {"weight", "vertices"} each, and
 bodies.from_terms refuses negative or non-finite weights and radii and
 empty or non-finite vertex sets; fields.radial_body refuses a profile
 that is not even or not positive. Every invalid document is refused
@@ -26,7 +28,7 @@ from .errors import ConvexSphereError, InputError
 from .fields import BodyField, radial_body
 from .polynomials import SphericalPoly, get_basis
 from .sphere import SphereGrid, build_grid
-from .util import content_hash
+from .util import _jsonable, content_hash
 
 FORMAT_VERSION = 1
 
@@ -44,16 +46,8 @@ def _finalize(doc: dict) -> dict:
 
 def dump_json(doc: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, default=_np_default)
+        json.dump(doc, fh, indent=1, sort_keys=True, default=_jsonable)
         fh.write("\n")
-
-
-def _np_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def load_json(path: str) -> dict:
@@ -210,8 +204,6 @@ def field_doc(fld: BodyField) -> dict:
         "kind": "body_field",
         **grid_meta(fld.grid),
         "frames": fld.frames.tolist(),
-        "descriptor": fld.descriptor,
-        "adjacency": [list(p) for p in fld.adjacency],
         "bodies": [body_doc(b) for b in fld.bodies],
     }
     return _finalize(doc)
@@ -224,10 +216,7 @@ def save_field(fld: BodyField, path: str) -> None:
 def load_field(path: str) -> BodyField:
     def build(doc):
         grid = grid_from_meta(doc)
-        frames = np.asarray(doc["frames"], dtype=float)
-        bodies = [body_from_doc(b, grid) for b in doc["bodies"]]
-        adjacency = [tuple(p) for p in doc.get("adjacency", [])] or None
-        return BodyField(frames, bodies, doc.get("descriptor", {}), grid, adjacency)
+        return BodyField(doc["frames"], [body_from_doc(b, grid) for b in doc["bodies"]])
 
     return _load_checked(path, "body_field", build)
 

@@ -57,6 +57,14 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def hold_copies(value, *names: str) -> None:
+    """Replace the named array attributes of a frozen value that are set
+    by read-only float copies, so no caller can edit them afterwards."""
+    for name in names:
+        if getattr(value, name) is not None:
+            object.__setattr__(value, name, read_only(np.array(getattr(value, name), dtype=float)))
+
+
 def derived_field():
     """A dataclass field computed in __post_init__ from the description:
     not an init argument, not compared, not shown."""

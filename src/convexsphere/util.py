@@ -15,6 +15,8 @@ def content_hash(obj) -> str:
 
 
 def _jsonable(obj):
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -23,7 +25,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -164,18 +164,18 @@ def test_criterion_04_octahedron(capsys, grid3):
     t0 = time.perf_counter()
     e = np.eye(3)
 
-    q1 = QuadForm3.from_matrix(np.diag([2.0, 1.0, -3.0]), project=False)
+    q1 = QuadForm3(np.diag([2.0, 1.0, -3.0]))
     want1 = from_vertices(
         grid3, np.vstack([0.5 * e[0], -0.5 * e[0], 0.5 * e[1], -0.5 * e[1],
                           4.5 * e[2], -4.5 * e[2]])
     )
     ex1 = float(np.max(np.abs(octahedron(grid3, q1).support - want1.support)))
 
-    q2 = QuadForm3.from_matrix(np.diag([1.0, 1.0, -2.0]), project=False)
+    q2 = QuadForm3(np.diag([1.0, 1.0, -2.0]))
     want2 = from_vertices(grid3, np.vstack([2.0 * e[2], -2.0 * e[2]]))
     ex2 = float(np.max(np.abs(octahedron(grid3, q2).support - want2.support)))
 
-    q3 = QuadForm3.from_matrix(np.zeros((3, 3)), project=False)
+    q3 = QuadForm3(np.zeros((3, 3)))
     ex3 = float(np.max(np.abs(octahedron(grid3, q3).support)))
 
     rng = np.random.default_rng(44)
@@ -199,7 +199,7 @@ def test_criterion_04_octahedron(capsys, grid3):
                 s = 0.5 * (s + s.T)
                 s -= (np.trace(s) / 3.0) * np.eye(3)
                 s /= np.linalg.norm(s)
-                qa = QuadForm3.from_matrix(base, project=False)
+                qa = QuadForm3(base)
                 qb = QuadForm3.from_matrix(base + eta * s)
                 dh = hausdorff(octahedron(grid3, qa), octahedron(grid3, qb))
                 kmax = max(kmax, dh / (delta + eta))

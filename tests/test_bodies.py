@@ -31,6 +31,7 @@ from convexsphere.bodies import (
     validate_body,
 )
 from convexsphere.errors import GridMismatch, InputError, OriginNotInterior
+from convexsphere.fields import BodyField
 from convexsphere.fourier2d import FourierSupport
 from convexsphere.groups import cyclic_rotation_group, sample_group
 from convexsphere.polynomials import monomial_jet, project, stacked_monomial_form
@@ -383,7 +384,8 @@ def test_body_is_frozen_with_one_description(grid3):
     lambda g: cyclic_rotation_group(3, (0, 1), 5),
     lambda g: cube_family(4),
     lambda g: FourierSupport(1.0, np.zeros(3), np.zeros(3)),
-], ids=["vertex_body", "sample_body", "group", "section_family", "fourier"])
+    lambda g: BodyField(np.eye(3)[None], [ball(g)]),
+], ids=["vertex_body", "sample_body", "group", "section_family", "fourier", "body_field"])
 def test_value_types_with_arrays_compare_by_identity(grid3, make):
     # equal descriptions with array fields are distinct values, never a
     # comparison of arrays

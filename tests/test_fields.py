@@ -10,13 +10,15 @@ from convexsphere.errors import InputError, NonpositiveRadius
 from convexsphere.fields import (
     DEPTH_TOL,
     QUADFORM_UNIT_FROBENIUS,
+    BodyField,
     QuadForm3,
-    build_field,
+    ambient_quad_field,
     find_epsilon,
     frame_align,
     octahedron,
     pair_hull,
     psi_product,
+    quad_pair_field,
     radial_body,
     rotate_body,
     sample_unit_F,
@@ -276,42 +278,52 @@ def test_frame_align_recovers_rotation(grid3):
 
 
 def test_build_field_constant_descriptor(grid3):
-    fld = build_field(grid3, {"type": "constant", "body": ball(grid3, 2.0)})
-    assert len(fld.bodies) == 1
-    rep = fld.continuity_report()
-    assert rep["max_d_h"] == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(InputError):
-        build_field(grid3, {"type": "constant", "body": "ball"})
+    # the one-body field over the identity frame
+    fld = BodyField(np.eye(3)[None], [ball(grid3, 2.0)])
+    assert len(fld.bodies) == 1 and fld.grid == grid3
+    assert fld.continuity_report() == {"max_d_h": 0.0, "pairs": []}
+    with pytest.raises(InputError, match="at least one frame"):
+        BodyField(np.empty((0, 3, 3)), [])
+    with pytest.raises(InputError, match="one body per frame"):
+        BodyField(np.eye(3)[None], [ball(grid3), ball(grid3)])
+    with pytest.raises(InputError, match="different grids"):
+        BodyField(np.stack([np.eye(3)] * 2), [ball(grid3), ball(grid3.refined())])
+    with pytest.raises(InputError, match="not k >= 1 3-frames"):
+        BodyField(np.eye(4)[None], [ball(grid3)])
+
+
+def _traceless(m):
+    m = 0.5 * (m + m.T)
+    return m - np.trace(m) / m.shape[0] * np.eye(m.shape[0])
 
 
 def test_build_field_quad_pair_descriptor(grid3):
+    # 3-frames in R^5 with 5x5 forms
     rng = np.random.default_rng(4)
-    m = rng.normal(size=(3, 3))
-    m = m + m.T
-    m -= np.trace(m) / 3.0 * np.eye(3)
-    m /= np.linalg.norm(m)
-    desc = {"type": "quad_pair", "qa": m.tolist(), "qb": np.diag([1.0, 0.0, -1.0]) / math.sqrt(2),
-            "t": 0.4, "rho": 0.05, "ambient_n": 5}
-    fld = build_field(grid3, desc, seed=1, count=5)
-    assert len(fld.bodies) == 5
+    qa, qb = _traceless(rng.normal(size=(5, 5))), _traceless(rng.normal(size=(5, 5)))
+    frames = random_frames(3, 5, 5, np.random.default_rng(1))
+    fld = quad_pair_field(grid3, frames, qa, qb, t=0.4, rho=0.05)
+    assert fld.frames.shape == (5, 3, 5) and np.array_equal(fld.frames, frames)
+    assert len(fld.bodies) == 5 and all(b.ball_radius == 0.05 for b in fld.bodies)
     rep = fld.continuity_report()
     assert np.isfinite(rep["max_d_h"])
+    assert [(p["i"], p["j"]) for p in rep["pairs"]] == [(i, i + 1) for i in range(4)]
     assert all(np.isfinite(p["d_h"]) for p in rep["pairs"])
+    # a form that is not N x N for the frames' N, and a misspelled input
+    with pytest.raises(InputError, match=r"ambient matrix shape \(3, 3\)"):
+        quad_pair_field(grid3, frames, qa[:3, :3], qb)
+    with pytest.raises(TypeError):
+        quad_pair_field(grid3, frames, qa, qb, ambient_n=5)
 
 
 def test_build_field_reports_only_constant_frames(grid3):
-    # a bad degree is the descriptor's own error, not a list of frames
-    desc = {"type": "ambient_quad", "matrix": np.diag([1.0, 2.0, 3.0, -6.0]), "N": 4, "degree": 40}
+    frames = random_frames(3, 4, 3, np.random.default_rng(0))
+    # a bad degree is the section's own error, not a list of frames
     with pytest.raises(InputError, match=r"degree d=40 outside 0\.\.12"):
-        build_field(grid3, desc, count=3)
+        ambient_quad_field(grid3, frames, np.diag([1.0, 2.0, 3.0, -6.0]), degree=40)
     # the identity restricts to a constant on every frame
     with pytest.raises(InputError, match=r"section data invalid on frames \[0, 1, 2\]"):
-        build_field(grid3, {"type": "ambient_quad", "matrix": np.eye(4), "N": 4}, count=3)
-
-
-def test_build_field_rejects_unknown_type(grid3):
-    with pytest.raises(InputError):
-        build_field(grid3, {"type": "mystery"}, count=2)
+        ambient_quad_field(grid3, frames, np.eye(4))
 
 
 def test_rotate_body_rotates_support(grid3):

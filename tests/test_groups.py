@@ -4,6 +4,7 @@ import pytest
 from convexsphere.errors import InputError
 from convexsphere.groups import (
     cyclic_rotation_group,
+    random_frames,
     random_rotations,
     sample_group,
 )
@@ -97,3 +98,34 @@ def test_cyclic_group_first_element_identity():
         e = np.zeros(4)
         e[i] = 1.0
         assert np.allclose(g @ e, e, atol=1e-15)
+
+
+def test_user_sample_is_a_copy_of_its_elements():
+    # a sample keeps its own read-only copy, so editing the caller's array
+    # after construction cannot undo the orthogonality check
+    el = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+    s = sample_group("user", 3, elements=el)
+    el[1] = 5.0
+    assert np.array_equal(s.elements[1], np.diag([1.0, -1.0, 1.0]))
+    assert s.n == 3 and not s.elements.flags.writeable and not s.weights.flags.writeable
+    with pytest.raises(InputError):
+        sample_group("user", 3, elements=np.stack([np.eye(2)]))
+    with pytest.raises(InputError):
+        sample_group("user", 3, elements=np.empty((0, 3, 3)))
+
+
+def _loop_frames(n, big_n, count, rng):
+    out = np.empty((count, n, big_n))
+    for i in range(count):
+        q, r = np.linalg.qr(rng.normal(size=(big_n, n)))
+        out[i] = (q * np.sign(np.diag(r))[None, :]).T
+    return out
+
+
+@pytest.mark.parametrize("n, big_n, count", [(3, 3, 40), (3, 5, 21), (2, 6, 30), (4, 4, 7), (3, 5, 0)])
+def test_random_frames_match_a_loop_of_qr(n, big_n, count):
+    # the stacked QR draws and factors what one QR per frame would, bit for bit
+    for seed in range(3):
+        got = random_frames(n, big_n, count, np.random.default_rng(seed))
+        want = _loop_frames(n, big_n, count, np.random.default_rng(seed))
+        assert got.shape == (count, n, big_n) and got.tobytes() == want.tobytes()

@@ -5,7 +5,14 @@ import pytest
 
 from convexsphere.bodies import ball, from_radial, from_vertices
 from convexsphere.errors import InputError
-from convexsphere.fields import build_field, radial_body, sample_unit_F, thicken
+from convexsphere.fields import (
+    ambient_quad_field,
+    quad_pair_field,
+    radial_body,
+    sample_unit_F,
+    thicken,
+)
+from convexsphere.groups import random_frames
 from convexsphere.polynomials import project
 from convexsphere.serialize import (
     body_doc,
@@ -120,15 +127,13 @@ def test_body_roundtrip_plain_radial(tmp_path, grid2):
     assert np.abs(back.support - body.support).max() < 1e-15
 
 
+def _field(grid, big_n, count, seed):
+    frames = random_frames(3, big_n, count, np.random.default_rng(seed))
+    return ambient_quad_field(grid, frames, np.diag([1.0, -0.5, -0.5, 0.25][:big_n]), eps=0.02)
+
+
 def test_field_roundtrip(tmp_path, grid3):
-    fld = build_field(
-        grid3,
-        {"type": "ambient_quad",
-         "matrix": np.diag([1.0, -0.5, -0.5, 0.25]).tolist(),
-         "N": 4, "eps": 0.02},
-        seed=2,
-        count=3,
-    )
+    fld = _field(grid3, 4, 3, seed=2)
     path = tmp_path / "field.json"
     save_field(fld, str(path))
     back = load_field(str(path))
@@ -136,6 +141,20 @@ def test_field_roundtrip(tmp_path, grid3):
     assert np.abs(back.frames - fld.frames).max() < 1e-15
     for a, b in zip(back.bodies, fld.bodies):
         assert np.abs(a.support - b.support).max() < 1e-12
+
+    # a field document is its frames and bodies; older documents that also
+    # carry a descriptor and an adjacency load, their hash still checked
+    doc = field_doc(fld)
+    assert set(doc) - {"n", "resolution", "grid_key"} == {
+        "kind", "frames", "bodies", "format_version", "toolkit_version", "content_hash"}
+    doc["descriptor"] = {"type": "ambient_quad", "N": 4, "eps": 0.02}
+    doc["adjacency"] = [[0, 1], [1, 2]]
+    dump_json(_restamp(doc), str(path))
+    assert len(load_field(str(path)).bodies) == 3
+    doc["descriptor"]["eps"] = 0.03
+    dump_json(doc, str(path))
+    with pytest.raises(InputError, match="content_hash"):
+        load_field(str(path))
 
 
 def test_write_csv(tmp_path):
@@ -175,12 +194,7 @@ def test_poly_and_field_loads_check_content_hash(tmp_path, grid3):
     with pytest.raises(InputError, match="content_hash"):
         load_poly(poly_path)
 
-    fld = build_field(
-        grid3,
-        {"type": "ambient_quad", "matrix": np.diag([1.0, -0.5, -0.5]).tolist(), "eps": 0.02},
-        seed=1,
-        count=2,
-    )
+    fld = _field(grid3, 3, 2, seed=1)
     field_path = str(tmp_path / "field.json")
     save_field(fld, field_path)
     doc = load_json(field_path)
@@ -226,12 +240,7 @@ def test_loads_check_grid_key(tmp_path, grid3):
     with pytest.raises(InputError, match="grid key"):
         body_from_doc(body_doc(body), grid3.refined())
 
-    fld = build_field(
-        grid3,
-        {"type": "ambient_quad", "matrix": np.diag([1.0, -0.5, -0.5]).tolist(), "eps": 0.02},
-        seed=1,
-        count=2,
-    )
+    fld = _field(grid3, 3, 2, seed=1)
     field_path = str(tmp_path / "field.json")
     doc = field_doc(fld)
     assert doc["grid_key"] == grid3.key
@@ -253,15 +262,9 @@ def test_documents_without_grid_key_still_load(tmp_path, grid3):
     assert np.abs(back.radial - body.radial).max() < 1e-12
 
 def test_field_rejects_mis_sized_ambient_matrix(grid3):
+    frames = random_frames(3, 4, 2, np.random.default_rng(2))
     with pytest.raises(InputError):
-        build_field(
-            grid3,
-            {"type": "ambient_quad",
-             "matrix": np.diag([1.0, -0.5, -0.5]).tolist(),
-             "N": 4},
-            seed=2,
-            count=2,
-        )
+        ambient_quad_field(grid3, frames, np.diag([1.0, -0.5, -0.5]))
 
 
 def _save_edited(doc, path, edit):
@@ -315,9 +318,9 @@ def test_load_poly_wraps_structural_faults(tmp_path, grid3):
 
 
 def test_load_field_wraps_structural_faults(tmp_path, grid3):
-    desc = {"type": "quad_pair", "qa": np.diag([1.0, -0.5, -0.5]).tolist(),
-            "qb": np.diag([1.0, 0.0, -1.0]).tolist(), "t": 0.4, "rho": 0.05}
-    fld = build_field(grid3, desc, seed=1, count=2)
+    frames = random_frames(3, 3, 2, np.random.default_rng(1))
+    fld = quad_pair_field(grid3, frames, np.diag([1.0, -0.5, -0.5]), np.diag([1.0, 0.0, -1.0]),
+                          t=0.4, rho=0.05)
     path = _save_edited(field_doc(fld), str(tmp_path / "field.json"),
                         lambda d: d["bodies"][1]["minkowski_terms"][0].pop("weight"))
     with pytest.raises(InputError, match="invalid body_field document") as info:
