@@ -1,16 +1,16 @@
-"""Paired measurement of the floor-bounded hull-depth scan against a parent
-checkout; writes BENCH_hull_floor.json.
+"""Paired measurement of this checkout against a parent checkout; writes
+BENCH_<label>.json.
 
-    python3 scripts/bench_hull_floor.py PARENT_DIR [--pairs 10] [--seconds 20]
+    python3 scripts/bench_pairs.py PARENT_DIR --label L --what TEXT [--pairs 10] [--seconds 20]
 
 PARENT_DIR is a checkout of the parent commit (made with git archive or
-git clone). For seeds 1 and 7 and both perfbench workloads the script runs
-`perfbench/run.py` in the parent and in this checkout, --pairs times,
-alternating which side runs first. It adds one traced `epsilon` run per
-side, an in-process probe per side (the hull pairs each `epsilon` pass
-scans, counted from the kernels' blocks; the find_epsilon manifests; a
-hash of the counterexample report) and interleaved timings of
-find_epsilon(3, 200, seed=1) on the 2048-node grid. Every run is one
+git clone). For each seed (default 1 and 7) and both perfbench workloads
+the script runs `perfbench/run.py` in the parent and in this checkout,
+--pairs times, alternating which side runs first. It adds one traced
+`epsilon` run per side, an in-process probe per side (the hull pairs each
+`epsilon` pass scans, counted from the kernels' blocks; the find_epsilon
+decisions and values; the counterexample report) and interleaved timings
+of find_epsilon(3, 200, seed=1) on the 2048-node grid. Every run is one
 process at a time.
 """
 
@@ -29,14 +29,14 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("epsilon", "counterexample")
 METRICS = ("setup_s", "run_s", "peak_rss_mb")
 LAYERS = ("backend.hull_gaps.s", "backend.support_max_dot.s", "backend.hull_gaps.calls",
-          "fields.find_epsilon.scans")
-MANIFEST_KEYS = ("eps_star", "eps_upper", "history", "limiting_sample", "refined_pass_rate")
+          "fields.find_epsilon.scans", "polynomials.rotate_poly.s", "polynomials.eval_batch.s",
+          "polynomials.eval_batch.points", "fields.sample_unit_F.s")
 
 
 def probe(seeds, out_dir):
     """In-process, on the convexsphere on PYTHONPATH: pairs scanned and
     manifests of the epsilon workload's four solves at each seed, two more
-    manifests, and the hash of the counterexample report."""
+    manifests, and the counterexample report's hash and values."""
     import collections
     import contextlib
     import io
@@ -55,7 +55,8 @@ def probe(seeds, out_dir):
             return kernel(*args, blocks=blocks)
         return run
 
-    for name in ("support_max_dot", "hull_gaps"):
+    kernels = {name: getattr(backend, name) for name in ("support_max_dot", "hull_gaps")}
+    for name in kernels:
         setattr(backend, name, counting(name))
     g512, g2048, g2000 = sphere.build_grid(3), sphere.build_grid(3, 32), sphere.build_grid(4)
     manifests, per_pass = [], {}
@@ -66,6 +67,8 @@ def probe(seeds, out_dir):
         manifests += [fields.find_epsilon(n, k, s, grid=g, refined_check=rc)
                       for n, k, s, g, rc in solves]
         per_pass[f"seed{seed}"] = dict(pairs)
+    for name, kernel in kernels.items():
+        setattr(backend, name, kernel)
     manifests += [fields.find_epsilon(3, 40, seed=1), fields.find_epsilon(4, 12, seed=2)]
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["counterexample", "n=3", "samples=200", "seed=1", f"out={out_dir}"])
@@ -73,7 +76,9 @@ def probe(seeds, out_dir):
     summary = json.loads(report)
     return {
         "epsilon_pass_pairs": per_pass,
-        "manifests": [{k: m.get(k) for k in MANIFEST_KEYS} for m in manifests],
+        "decisions": [["".join("+" if ok else "-" for _, ok in m["history"]),
+                       m["limiting_sample"], m.get("refined_pass_rate")] for m in manifests],
+        "eps_star": [m["eps_star"] for m in manifests],
         "counterexample_sha256": hashlib.sha256(report).hexdigest(),
         "counterexample": {k: summary[k] for k in ("eps", "delta", "certified")},
     }
@@ -131,7 +136,8 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_hull_floor.json"))
+    ap.add_argument("--label", help="output file BENCH_<label>.json")
+    ap.add_argument("--what", default="", help="the change measured, for the record")
     ap.add_argument("--probe", metavar="OUT_DIR")
     ap.add_argument("--time-solve", action="store_true")
     args = ap.parse_args()
@@ -141,10 +147,10 @@ def main():
     if args.time_solve:
         print(json.dumps(time_solve()))
         return 0
-    if args.parent is None:
-        ap.error("PARENT_DIR is required")
+    if args.parent is None or args.label is None:
+        ap.error("PARENT_DIR and --label are required")
     sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
-    scratch = ROOT / ".bench_build" / "hull_floor"
+    scratch = ROOT / ".bench_build" / "bench_pairs"
 
     end_to_end, records = {}, {}
     for seed in args.seeds:
@@ -171,9 +177,7 @@ def main():
             solve[s].append(round(child(sides[s], "--time-solve"), 3))
 
     doc = {
-        "what": "hull_depth(grid, r, floor) scans only the tiles holding a point whose own-direction "
-                "bound r_i - h_i - 1e-12 max r lies below the floor; find_epsilon passes "
-                "-DEPTH_TOL max r and certify_convex_radial -tol",
+        "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
         "method": f"{args.pairs} interleaved parent/change pairs per workload and seed, the side "
                   "that runs first alternating; medians and quartiles (inclusive) of per-run values; "
@@ -187,15 +191,19 @@ def main():
         "traced_epsilon": traced,
         "epsilon_pass_pairs": {s: probes[s]["epsilon_pass_pairs"] for s in sides},
         "same_answers": {
-            "find_epsilon_manifests": probes["parent"]["manifests"] == probes["change"]["manifests"],
-            "counterexample_report": probes["parent"]["counterexample_sha256"]
+            "find_epsilon_decisions": probes["parent"]["decisions"] == probes["change"]["decisions"],
+            "find_epsilon_solves": len(probes["change"]["decisions"]),
+            "eps_star_bit_equal": sum(a == b for a, b in zip(*(probes[s]["eps_star"] for s in sides))),
+            "eps_star_max_rel_change": max(abs(a - b) / a for a, b in
+                                           zip(*(probes[s]["eps_star"] for s in sides))),
+            "counterexample_report_identical": probes["parent"]["counterexample_sha256"]
             == probes["change"]["counterexample_sha256"],
-            "counterexample": probes["change"]["counterexample"],
+            "counterexample": {s: probes[s]["counterexample"] for s in sides},
         },
         "find_epsilon_3_200_seed1_G2048_s": solve,
         "lines": {s: {d: lines(sides[s], d) for d in ("src", "tests")} for s in sides},
     }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

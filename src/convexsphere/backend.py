@@ -8,6 +8,10 @@ only the entries `cand` that can attain them (bodies.hull_depth);
 hull_gaps computes only the outputs its blocks own, so a caller can
 leave out whole tiles. Every entry point coerces its array arguments to
 contiguous float64.
+
+The max-scans transpose the scanned side once per call to contiguous
+(n, P) columns; each block gathers its candidates' columns and reduces
+the row-major (own x cand) product along its contiguous rows.
 """
 
 import numpy as np
@@ -31,15 +35,24 @@ def _row_blocks(m):
     return [(slice(a, min(a + _BLOCK, m)), slice(None)) for a in range(0, m, _BLOCK)]
 
 
+def _product(rows, cols, cand):
+    """rows @ cols[:, cand] through gemm at every shape: numpy hands a
+    product with one row or one column to gemv, which can round it apart
+    from gemm, so a lone row or column is taken twice."""
+    cols = cols[:, cand] if isinstance(cand, slice) else cols.take(cand, axis=1)
+    m, k = rows.shape[0], cols.shape[1]
+    return ((rows if m > 1 else rows[[0, 0]]) @ (cols if k > 1 else cols[:, [0, 0]]))[:m, :k]
+
+
 def support_max_dot(points, dirs, blocks=None):
     """h[j] = max_i <points[i], dirs[j]>.
 
     blocks: (own, cand) pairs whose `own` cover the dirs; h[own] is taken
     over the points `cand` only. Default: every point for every dir."""
-    points, dirs = _c(points), _c(dirs)
+    cols, dirs = _c(np.transpose(points)), _c(dirs)
     out = np.empty(dirs.shape[0])
     for own, cand in _row_blocks(dirs.shape[0]) if blocks is None else blocks:
-        out[own] = (points[cand] @ dirs[own].T).max(axis=0)
+        out[own] = _product(dirs[own], cols, cand).max(axis=1)
     return out
 
 
@@ -68,18 +81,15 @@ def hull_gaps(cloud, dirs, h, blocks=None):
     only, and points in no `own` are left unset. Default: every dir for
     every point.
 
-    A block's wide product cloud[own] @ dirs[cand].T can round its last
-    (len(cand) mod 8) columns an ulp apart from the same entries of the
-    full product (seen with an AVX-512 OpenBLAS), and a subset of its
-    rows can round apart too. bodies.hull_depth still equals the full
-    scan bit for bit only because it passes whole tiles as blocks and
-    the grid's cached cosine order puts the farthest candidates, which
-    do not attain the gap, in those columns; a block order that moves
-    attaining candidates there gives up that equality."""
-    cloud, dirs, h = _c(cloud), _c(dirs), _c(h)
+    A block's entries keep the full product's bits in any candidate
+    order, so bodies.hull_depth equals the full scan. Gathered rows,
+    cloud[own] @ dirs[cand].T, rounded the last (len(cand) mod 8) columns
+    an ulp apart on an AVX-512 OpenBLAS; gathered columns matched in all
+    800 blocks of 2-130 x 2-400 entries tried there."""
+    cloud, cols, h = _c(cloud), _c(np.transpose(dirs)), _c(h)
     out = np.empty(cloud.shape[0])
     for own, cand in _row_blocks(cloud.shape[0]) if blocks is None else blocks:
-        out[own] = (cloud[own] @ dirs[cand].T - h[None, cand]).max(axis=1)
+        out[own] = (_product(cloud[own], cols, cand) - h[cand]).max(axis=1)
     return out
 
 

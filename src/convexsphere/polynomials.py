@@ -340,8 +340,13 @@ class SphericalPoly:
     def samples(self) -> np.ndarray:
         return read_only(self.basis.samples @ self.coeffs)
 
+    @cached_property
+    def monomial_coef(self) -> np.ndarray:
+        """Coefficients in the basis' monomials: eval needs no basis values."""
+        return read_only(self.basis.monomial_form[1] @ self.coeffs)
+
     def eval(self, points: np.ndarray) -> np.ndarray:
-        return self.basis.eval(points) @ self.coeffs
+        return _monomials(self.basis.monomial_form[0], _powers(points, self.d)) @ self.monomial_coef
 
     @property
     def norm(self) -> float:
@@ -371,7 +376,7 @@ def stacked_monomial_form(polys) -> tuple[np.ndarray, np.ndarray]:
     if len(nd) > 1:
         raise InputError(f"polynomials of mixed (n, d) {sorted(nd)} do not share monomials")
     exps = polys[0].basis.monomial_form[0]
-    return exps, np.stack([p.basis.monomial_form[1] @ p.coeffs for p in polys])
+    return exps, np.stack([p.monomial_coef for p in polys])
 
 
 def monomial_jet(exponents: np.ndarray, coef: np.ndarray, points: np.ndarray):

@@ -82,6 +82,32 @@ def test_kernels_match_full_matrix_reference(n):
     assert backend.backend_name() == "numpy"
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_blocked_max_scans_equal_the_dense_product_bit_for_bit(n):
+    # hull_depth's equality with the full scan rests on every block
+    # rounding each entry as the one wide product does, whatever the
+    # block's shape: cand lengths 1..17 put every column remainder at the
+    # edge, with the attaining candidate of own[0] last
+    grid = build_grid(n)
+    rng = np.random.default_rng(200 + n)
+    cloud = smooth_radii(grid, 0.05, n)[:, None] * grid.nodes
+    dense = cloud @ grid.nodes.T
+    h = dense.max(axis=0)
+    gaps = dense - h
+    assert np.array_equal(backend.support_max_dot(cloud, grid.nodes), h)
+    assert np.array_equal(backend.hull_gaps(cloud, grid.nodes, h), gaps.max(axis=1))
+    for length in range(1, 18):
+        for size in (1, 2, 5, 13):
+            own = rng.choice(grid.size, size, replace=False)
+            cand = rng.choice(grid.size, length, replace=False)
+            support_cand = cand[np.argsort(dense[cand, own[0]])]
+            gap_cand = cand[np.argsort(gaps[own[0], cand])]
+            got = backend.support_max_dot(cloud, grid.nodes, blocks=[(own, support_cand)])
+            assert np.array_equal(got[own], dense[np.ix_(support_cand, own)].max(axis=0))
+            got = backend.hull_gaps(cloud, grid.nodes, h, blocks=[(own, gap_cand)])
+            assert np.array_equal(got[own], gaps[np.ix_(own, gap_cand)].max(axis=1))
+
+
 def test_radial_matches_support_on_ball():
     grid = build_grid(3)
     h = np.full(grid.size, 1.5)

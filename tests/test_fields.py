@@ -27,7 +27,7 @@ from convexsphere.fields import (
 )
 from convexsphere.groups import random_frames, random_rotations
 from convexsphere.polynomials import project
-from convexsphere.sphere import integrate
+from convexsphere.sphere import build_grid, integrate
 from oracles import dense_hull_depth
 
 
@@ -233,6 +233,25 @@ def test_find_epsilon_decisions_match_dense_scan(monkeypatch):
     dense = find_epsilon(3, 10, steps=8, refined_check=False)
     assert pruned["history"] == dense["history"]
     assert pruned["limiting_sample"] == dense["limiting_sample"]
+
+
+@pytest.mark.parametrize("n,count,seed,resolution,refined,steps,limiting,rate,eps_star", [
+    (3, 44, 1, None, True, "-----+-+--+++--+++", 35, 43 / 44, 0.02272744760317481),
+    (3, 44, 2, None, True, "-----+--++--++++++", 34, 1.0, 0.02127167673348417),
+    (3, 44, 1, 32, False, "-----+-+-++-++++--", 36, None, 0.02245342729842151),
+    (4, 16, 1, None, False, "----++-++++-++---+", 9, None, 0.06383785037996156),
+], ids=["n3_G512_seed1", "n3_G512_seed2", "n3_G2048_seed1", "n4_G2000_seed1"])
+def test_find_epsilon_keeps_its_decisions(n, count, seed, resolution, refined, steps, limiting,
+                                          rate, eps_star):
+    # a speedup keeps every pass/fail decision of the bisection; the
+    # values may move by round-off in the samples, which moves the
+    # positivity cap and so every midpoint by an ulp
+    grid = build_grid(n) if resolution is None else build_grid(n, resolution)
+    out = find_epsilon(n, count, seed, grid=grid, refined_check=refined)
+    assert "".join("+" if ok else "-" for _, ok in out["history"]) == steps
+    assert out["limiting_sample"] == limiting
+    assert out.get("refined_pass_rate") == rate
+    assert out["eps_star"] == pytest.approx(eps_star, rel=1e-14, abs=0.0)
 
 
 def test_find_epsilon_certifies_exactly_even_radii(monkeypatch, grid3):

@@ -105,7 +105,7 @@ def _one_of_each():
         ExperimentConfig(),
     ]
     for v in values:  # derive the cached arrays too
-        for name in ("support", "radial", "samples"):
+        for name in ("support", "radial", "samples", "monomial_coef"):
             getattr(v, name, None)
     return values
 

@@ -69,6 +69,24 @@ def test_basis_eval_matches_harmonic_family(n, d, grid2, grid3, grid4):
     assert np.abs(basis.eval(pts) - fam @ np.linalg.inv(r)).max() <= 1e-11
 
 
+@pytest.mark.parametrize("n,d", CASES)
+def test_poly_evaluates_through_its_monomial_coefficients(n, d, grid2, grid3, grid4):
+    # eval goes through one coefficient vector, not the whole basis, and
+    # the stacked form is the same vector bit for bit
+    basis = get_basis(n, d, {2: grid2, 3: grid3, 4: grid4}[n])
+    rng = np.random.default_rng(11 * n + d)
+    polys = [SphericalPoly(rng.normal(size=basis.dim), basis) for _ in range(3)]
+    pts = _unit_vectors(n, 500, seed=n + d)
+    for p in polys:
+        want = basis.eval(pts) @ p.coeffs
+        assert np.abs(p.eval(pts) - want).max() <= 1e-13 * np.abs(want).max()
+        assert p.monomial_coef.shape == (basis.dim,) and not p.monomial_coef.flags.writeable
+    exps, coef = stacked_monomial_form(polys)
+    assert np.array_equal(exps, basis.monomial_form[0])
+    for row, p in zip(coef, polys):
+        assert np.array_equal(row, p.monomial_coef)
+
+
 def test_monomial_fit_refuses_ill_conditioning(grid3):
     # nodes crowded into a cap of radius 1e-3 cannot tell degree-8
     # monomials apart: the fit's condition number is far above the limit
