@@ -8,8 +8,9 @@ git clone). For each seed (default 1 and 7) and both perfbench workloads
 the script runs `perfbench/run.py` in the parent and in this checkout,
 --pairs times, alternating which side runs first. It adds one traced
 `epsilon` run per side, an in-process probe per side (the hull pairs each
-`epsilon` pass scans, counted from the kernels' blocks; the find_epsilon
-decisions and values; the counterexample report) and interleaved timings
+`epsilon` pass scans, counted from the kernels' blocks, and the hull
+scans of each of its solves; the find_epsilon decisions and values; the
+counterexample report) and interleaved timings
 of find_epsilon(3, 200, seed=1) on the 2048-node grid. Every run is one
 process at a time.
 """
@@ -34,9 +35,10 @@ LAYERS = ("backend.hull_gaps.s", "backend.support_max_dot.s", "backend.hull_gaps
 
 
 def probe(seeds, out_dir):
-    """In-process, on the convexsphere on PYTHONPATH: pairs scanned and
-    manifests of the epsilon workload's four solves at each seed, two more
-    manifests, and the counterexample report's hash and values."""
+    """In-process, on the convexsphere on PYTHONPATH: pairs scanned,
+    hull scans (hull_gaps calls) per solve and manifests of the epsilon
+    workload's four solves at each seed, two more manifests, and the
+    counterexample report's hash and values."""
     import collections
     import contextlib
     import io
@@ -64,9 +66,12 @@ def probe(seeds, out_dir):
         pairs.clear()
         solves = [(3, 44, seed, g512, True), (3, 44, seed + 1, g512, True),
                   (3, 44, seed, g2048, False), (4, 16, seed, g2000, False)]
-        manifests += [fields.find_epsilon(n, k, s, grid=g, refined_check=rc)
-                      for n, k, s, g, rc in solves]
-        per_pass[f"seed{seed}"] = dict(pairs)
+        scans = []
+        for n, k, s, g, rc in solves:
+            before = pairs["hull_gaps_calls"]
+            manifests.append(fields.find_epsilon(n, k, s, grid=g, refined_check=rc))
+            scans.append(pairs["hull_gaps_calls"] - before)
+        per_pass[f"seed{seed}"] = dict(pairs, hull_scans_per_solve=scans)
     for name, kernel in kernels.items():
         setattr(backend, name, kernel)
     manifests += [fields.find_epsilon(3, 40, seed=1), fields.find_epsilon(4, 12, seed=2)]
@@ -181,7 +186,8 @@ def main():
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
         "method": f"{args.pairs} interleaved parent/change pairs per workload and seed, the side "
                   "that runs first alternating; medians and quartiles (inclusive) of per-run values; "
-                  "one traced epsilon run per side; pairs counted in-process from the kernels' blocks",
+                  "one traced epsilon run per side; pairs and hull scans counted in-process from "
+                  "the kernels' blocks and calls",
         "record": records["change"],
         "record_parent": records["parent"],
         "not_controlled": ["shared host: other tenants' load varies between and within runs",

@@ -11,7 +11,10 @@ contiguous float64.
 
 The max-scans transpose the scanned side once per call to contiguous
 (n, P) columns; each block gathers its candidates' columns and reduces
-the row-major (own x cand) product along its contiguous rows.
+the row-major (own x cand) product along its contiguous rows. Every
+product of every kernel goes through _product, so an entry rounds the
+same in a block of one row or one column as in a larger one: a single
+direction's support equals its row of a batch.
 """
 
 import numpy as np
@@ -59,12 +62,12 @@ def support_max_dot(points, dirs, blocks=None):
 def minkowski_support(rows, offsets, weights, ball_r, dirs):
     """Support of  sum_t w_t * conv(rows[offsets[t]:offsets[t+1]])  (+ ball_r
     on unit directions)."""
-    rows, weights, dirs = _c(rows), _c(weights), _c(dirs)
+    rows, weights, cols = _c(rows), _c(weights), _c(np.transpose(dirs))
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    out = np.full(dirs.shape[0], float(ball_r))
-    for a in range(0, dirs.shape[0], _BLOCK):
-        b = min(a + _BLOCK, dirs.shape[0])
-        dot = rows @ dirs[a:b].T
+    out = np.full(cols.shape[1], float(ball_r))
+    for a in range(0, cols.shape[1], _BLOCK):
+        b = min(a + _BLOCK, cols.shape[1])
+        dot = _product(rows, cols, slice(a, b))
         acc = np.zeros(b - a)
         for t in range(len(weights)):
             acc += weights[t] * dot[offsets[t]:offsets[t + 1]].max(axis=0)
@@ -97,11 +100,11 @@ def radial_from_support(h, dirs, queries):
     """r[q] = min over dirs with <q, dir> > _POS_TOL of h/<q,dir>.
     -1 marks queries with no positive-dot direction (should not happen on
     antipodal grids)."""
-    h, dirs, queries = _c(h), _c(dirs), _c(queries)
+    h, cols, queries = _c(h), _c(np.transpose(dirs)), _c(queries)
     out = np.empty(queries.shape[0])
     for a in range(0, queries.shape[0], _BLOCK):
         b = min(a + _BLOCK, queries.shape[0])
-        dot = queries[a:b] @ dirs.T
+        dot = _product(queries[a:b], cols, slice(None))
         ratio = np.where(dot > _POS_TOL, h[None, :] / np.where(dot > _POS_TOL, dot, 1.0), np.inf)
         m = ratio.min(axis=1)
         out[a:b] = np.where(np.isfinite(m), m, -1.0)
@@ -111,10 +114,11 @@ def radial_from_support(h, dirs, queries):
 def max_nn_gap(nodes):
     """Largest nearest-neighbor geodesic gap of a unit-vector cloud."""
     nodes = _c(nodes)
+    cols = _c(nodes.T)
     worst = 0.0
     for a in range(0, nodes.shape[0], _BLOCK):
         b = min(a + _BLOCK, nodes.shape[0])
-        dot = nodes[a:b] @ nodes.T
+        dot = _product(nodes[a:b], cols, slice(None))
         dot[np.arange(b - a), np.arange(a, b)] = -2.0  # exclude self-pairs
         best = np.arccos(np.clip(dot.max(axis=1), -1.0, 1.0))
         worst = max(worst, best.max())

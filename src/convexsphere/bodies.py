@@ -584,17 +584,32 @@ def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> floa
       and its points count with low_i. The other tiles go to one
       hull_gaps call as whole blocks, so each scanned gap keeps the full
       scan's bits.
+    - slack: _hull_depth_slack returns the terms r_i - h_i at the outputs
+      beside the depth. Along radii 1 + eps*v they move at most linearly
+      in eps, so find_epsilon bounds a sample's later depths from them
+      and skips the scans that bound already passes (its docstring has
+      the bound and the proof).
     """
+    return _hull_depth_slack(grid, r, floor)[0]
+
+
+def _hull_depth_slack(grid: SphereGrid, r: np.ndarray, floor: float = math.inf):
+    """(hull_depth(grid, r, floor), r - h at the scanned outputs): the
+    own-direction terms r_i - h_i, G/2 of them when r is exactly even,
+    whose minimum bounds the depth from below up to round-off; None for
+    the slack when r has a non-positive entry. find_epsilon keeps the
+    slack to prove later passes of the same sample without a scan."""
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
-        return -math.inf
+        return -math.inf, None
     cloud, h, blocks, outputs = _radial_support(grid, r, gaps=True)
-    low = r - h - _GAP_PAD * float(r.max())
+    slack = r - h
+    low = slack - _GAP_PAD * float(r.max())
     deep = [(own, cand) for own, cand in blocks if low[own].min() < floor]
     gaps = backend.hull_gaps(cloud, grid.nodes, h, blocks=deep)
     for own, _ in deep:
         low[own] = gaps[own]
-    return float(low[:outputs].min())
+    return float(low[:outputs].min()), slack[:outputs]
 
 
 def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:

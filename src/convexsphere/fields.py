@@ -31,7 +31,7 @@ from .bodies import (
     from_terms,
     from_vertices,
     hausdorff,
-    hull_depth,
+    _hull_depth_slack,
 )
 from .errors import ConstantPolynomial, InputError, NonpositiveRadius
 from .groups import random_rotations
@@ -211,13 +211,27 @@ def sample_unit_F(
 
 
 #: Hull-depth certification threshold of find_epsilon, relative to the
-#: body scale. A fixed depth (rather than the grid-scaled tolerance of
-#: certify_convex_radial) is what makes the estimate converge: once the
-#: grid resolves a dimple its measured depth is resolution-independent,
-#: while a tolerance shrinking with the grid would keep dragging the
-#: accepted eps toward the sharp convexity threshold at every
-#: refinement instead of stabilizing.
+#: body scale: a fixed dimple depth, where certify_convex_radial's
+#: default tolerance shrinks with the grid gap. The estimate does not
+#: converge on the grids in use: find_epsilon(3, 200, seed=1) without
+#: the refined check gives eps_star 0.01950, 0.02158 and 0.02537 at
+#: G = 512, 2048 and 8192, a rise of 10-21% per doubling of G.
 DEPTH_TOL = 5e-3
+
+#: Margin, times max r, by which find_epsilon's proven lower bound on a
+#: depth must clear the floor before a scan is skipped. It lies far above
+#: the round-off between the bound and a scan's depth: a few ulps of
+#: max r, and hull_depth's own pad of 1e-12 max r.
+_SKIP_PAD = 1e-9
+
+
+def _depth_bound(eps_a: float, slack: np.ndarray, v: np.ndarray, eps: float) -> float:
+    """A lower bound on the hull depth of the radii 1 + eps*v, from the
+    slack r - h of the radii 1 + eps_a*v at its first slack.size nodes
+    (the scanned outputs of hull_depth); find_epsilon proves it."""
+    delta = eps - eps_a
+    slope = max(float(v.max()), 0.0) if delta >= 0 else max(-float(v.min()), 0.0)
+    return float(np.min(slack + delta * v[:slack.size])) - abs(delta) * slope
 
 
 def find_epsilon(
@@ -242,6 +256,27 @@ def find_epsilon(
     grid and the pass rate reported (running the refined check inside
     every bisection step would be orders of magnitude more work).
 
+    A round skips the scan of a sample that its latest scan already
+    passes. Fix the sample v, and let that scan be at eps_a, with
+    s = r - h there. At eps = eps_a + D:
+
+    - r_j = 1 + eps*v_j is linear in eps.
+    - h_j = max_k r_k <u_k, u_j> is attained at a k with
+      0 < <u_k, u_j> <= 1, since h_j >= r_j > 0. The same k at eps_a
+      gives h_j(eps_a) >= h_j(eps) - D v_k <u_k, u_j>, so
+      h_j(eps) <= h_j(eps_a) + |D| m, with m = max(0, max v) for D >= 0
+      and m = max(0, -min v) for D < 0.
+    - Every gap is at least r_j - h_j, the j = i term.
+
+    So depth(eps) >= min_j (s_j + D v_j) - |D| m, which _depth_bound
+    computes over the outputs of the earlier scan: one antipodal half,
+    where the depth of exactly even radii takes its minimum. When the
+    bound clears the floor by _SKIP_PAD * max r, the sample passes at
+    eps and is not scanned. A sample with a non-positive radius at eps
+    is always scanned, and fails. A skipped sample would have passed, so
+    the pass/fail history, limiting_sample and eps_star are those of a
+    scan of every sample. The refined check scans every sample.
+
     phis, when given, are the samples sample_unit_F(n, d, sample_count,
     seed, grid) already drawn by the caller; they are used as they are.
 
@@ -264,14 +299,25 @@ def find_epsilon(
     # hull_depth scans one antipodal half of the grid
     vals = np.stack([p.samples for p in phis])
     vals = 0.5 * (vals + vals[:, grid.antipode])
-    mins = vals.min(axis=1)
+    mins, tops = vals.min(axis=1), vals.max(axis=1)
     if np.any(mins >= 0):
         raise InputError("zero-average sample without negative values")  # pragma: no cover
     hi0 = float(np.min(-1.0 / mins))
 
-    def passes(g: SphereGrid, r: np.ndarray) -> bool:
+    def scan(g: SphereGrid, r: np.ndarray):
         floor = -DEPTH_TOL * float(r.max())
-        return hull_depth(g, r, floor) >= floor
+        depth, slack = _hull_depth_slack(g, r, floor)
+        return depth >= floor, slack
+
+    latest = {}  # sample -> (eps, r - h) of its latest scan with positive radii
+
+    def proven(k: int, eps: float) -> bool:
+        # min r and max r of 1 + eps * v are 1 + eps * min v and 1 + eps * max v:
+        # rounding is monotone
+        if k not in latest or 1.0 + eps * mins[k] <= 0:
+            return False
+        rmax = 1.0 + eps * tops[k]
+        return _depth_bound(*latest[k], vals[k], eps) >= (_SKIP_PAD - DEPTH_TOL) * rmax
 
     limiting = None  # the sample that failed the latest failed round
 
@@ -281,7 +327,12 @@ def find_epsilon(
         nonlocal limiting
         first = [] if limiting is None else [limiting]
         for k in first + [k for k in range(len(vals)) if k != limiting]:
-            if not passes(grid, 1.0 + eps * vals[k]):
+            if proven(k, eps):
+                continue
+            ok, slack = scan(grid, 1.0 + eps * vals[k])
+            if slack is not None:
+                latest[k] = (eps, slack)
+            if not ok:
                 limiting = k
                 return False
         return True
@@ -322,7 +373,7 @@ def find_epsilon(
         coeffs = np.stack([p.coeffs for p in phis])
         fine_vals = phis[0].basis.eval(fine.nodes) @ coeffs.T
         fine_vals = 0.5 * (fine_vals + fine_vals[fine.antipode])
-        passed = sum(passes(fine, 1.0 + lo * col) for col in fine_vals.T)
+        passed = sum(scan(fine, 1.0 + lo * col)[0] for col in fine_vals.T)
         result["refined_pass_rate"] = passed / sample_count
     return result
 

@@ -129,6 +129,49 @@ def dense_hull_depth(grid, r, floor=math.inf) -> float:
     return float(dense_hull_gaps(r[:, None] * grid.nodes, grid.nodes).min())
 
 
+def dense_own_gaps(grid, r) -> np.ndarray:
+    """r_j - h_j with h_j = max_k r_k <u_k, u_j> from the full G x G
+    matrix: the j = i term of each hull gap, a lower bound on it."""
+    r = np.asarray(r, dtype=float)
+    return r - ((r[:, None] * grid.nodes) @ grid.nodes.T).max(axis=0)
+
+
+def dense_bisection(grid, vals, steps: int, depth_tol: float) -> dict:
+    """find_epsilon's bisection over the sample values vals (one row per
+    sample, exactly even), scanning every sample of every round with
+    dense_hull_depth. A round takes the samples in find_epsilon's order,
+    the one that failed the latest failed round first; its first failure
+    decides the round and becomes the limiting sample. Returns the
+    (eps, ok) history, the limiting sample, eps_star and the rounds, each
+    (eps, [(sample, radii, passed), ...]) in scan order."""
+    rounds, limiting = [], None
+
+    def certifies(eps):
+        nonlocal limiting
+        order = [] if limiting is None else [limiting]
+        scans = []
+        for k in order + [k for k in range(len(vals)) if k != limiting]:
+            r = 1.0 + eps * vals[k]
+            scans.append((k, r, dense_hull_depth(grid, r) >= -depth_tol * float(r.max())))
+        rounds.append((eps, scans))
+        failed = [k for k, _, ok in scans if not ok]
+        if failed:
+            limiting = failed[0]
+        return not failed
+
+    lo, hi = 0.0, float(np.min(-1.0 / vals.min(axis=1)))
+    history = []
+    if certifies(hi):
+        lo = hi
+    else:
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            ok = certifies(mid)
+            history.append((mid, ok))
+            lo, hi = (mid, hi) if ok else (lo, mid)
+    return {"history": history, "limiting_sample": limiting, "eps_star": lo, "rounds": rounds}
+
+
 def exact_hull_gaps(cloud: np.ndarray) -> np.ndarray:
     """gap_i = max over the facets a.x + b <= 0 (unit a) of the exact
     convex hull of the cloud of a.cloud[i] + b: zero for a point on the

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from convexsphere import backend
-from convexsphere.bodies import certify_convex_radial, from_radial, hull_depth
+from convexsphere.bodies import certify_convex_radial, from_radial, from_vertices, hull_depth
 from convexsphere.sphere import build_grid
 from oracles import dense_hull_depth, dense_hull_gaps, exact_hull_gaps
 
@@ -106,6 +106,28 @@ def test_blocked_max_scans_equal_the_dense_product_bit_for_bit(n):
             assert np.array_equal(got[own], dense[np.ix_(support_cand, own)].max(axis=0))
             got = backend.hull_gaps(cloud, grid.nodes, h, blocks=[(own, gap_cand)])
             assert np.array_equal(got[own], gaps[np.ix_(own, gap_cand)].max(axis=1))
+
+
+def test_one_direction_rounds_as_its_row_of_a_batch(grid3):
+    # every kernel product goes through _product, so a lone direction, a
+    # one-vertex body or a last block of one row keeps the batch's bits
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(40, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    for k in (1, 2, 12):
+        body = from_vertices(grid3, rng.normal(size=(k, 3)))
+        batch = body.support_eval(x)
+        assert [body.support_eval(x[i:i + 1])[0] for i in range(len(x))] == batch.tolist()
+    h = 1.0 + 0.3 * rng.random(grid3.size)
+    batch = backend.radial_from_support(h, grid3.nodes, x)
+    single = [backend.radial_from_support(h, grid3.nodes, x[i:i + 1])[0] for i in range(len(x))]
+    assert single == batch.tolist()
+    for size in (257, 300):
+        nodes = grid3.nodes[:size]
+        dot = nodes @ nodes.T
+        np.fill_diagonal(dot, -2.0)
+        want = float(np.arccos(np.clip(dot.max(axis=1), -1.0, 1.0)).max())
+        assert backend.max_nn_gap(nodes) == want
 
 
 def test_radial_matches_support_on_ball():

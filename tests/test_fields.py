@@ -28,7 +28,7 @@ from convexsphere.fields import (
 from convexsphere.groups import random_frames, random_rotations
 from convexsphere.polynomials import project
 from convexsphere.sphere import build_grid, integrate
-from oracles import dense_hull_depth
+from oracles import dense_bisection, dense_own_gaps
 
 
 def test_quadform_eigen_order_and_reconstruction():
@@ -227,46 +227,104 @@ def test_find_epsilon_smoke(grid3):
     assert hull_depth(grid3, r) < -DEPTH_TOL * r.max()
 
 
-def test_find_epsilon_decisions_match_dense_scan(monkeypatch):
-    pruned = find_epsilon(3, 10, steps=8, refined_check=False)
-    monkeypatch.setattr(fields, "hull_depth", dense_hull_depth)
-    dense = find_epsilon(3, 10, steps=8, refined_check=False)
-    assert pruned["history"] == dense["history"]
-    assert pruned["limiting_sample"] == dense["limiting_sample"]
+def _even_values(phis, grid):
+    """The samples' values made exactly even, as find_epsilon makes them."""
+    vals = np.stack([p.samples for p in phis])
+    return 0.5 * (vals + vals[:, grid.antipode])
 
 
-@pytest.mark.parametrize("n,count,seed,resolution,refined,steps,limiting,rate,eps_star", [
-    (3, 44, 1, None, True, "-----+-+--+++--+++", 35, 43 / 44, 0.02272744760317481),
-    (3, 44, 2, None, True, "-----+--++--++++++", 34, 1.0, 0.02127167673348417),
-    (3, 44, 1, 32, False, "-----+-+-++-++++--", 36, None, 0.02245342729842151),
-    (4, 16, 1, None, False, "----++-++++-++---+", 9, None, 0.06383785037996156),
+def _recording_scans(monkeypatch):
+    """Make find_epsilon's scans append (grid, radii) to the returned list."""
+    seen = []
+    scan = fields._hull_depth_slack
+
+    def recording(grid, r, floor):
+        seen.append((grid, r.copy()))
+        return scan(grid, r, floor)
+
+    monkeypatch.setattr(fields, "_hull_depth_slack", recording)
+    return seen
+
+
+def test_find_epsilon_decisions_match_dense_scan(monkeypatch, grid3):
+    # find_epsilon skips the scans its bound proves; an oracle bisection
+    # that scans every sample of every round on the full matrix takes the
+    # same decisions, and passes every sample find_epsilon skipped
+    phis = sample_unit_F(3, 8, 16, 1, grid3)
+    seen = _recording_scans(monkeypatch)
+    out = find_epsilon(3, 16, grid=grid3, steps=10, refined_check=False, phis=phis)
+    want = dense_bisection(grid3, _even_values(phis, grid3), 10, DEPTH_TOL)
+    assert out["history"] == want["history"]
+    assert out["limiting_sample"] == want["limiting_sample"]
+    assert out["eps_star"] == want["eps_star"]
+    # without skips a round scans up to its first failure; find_epsilon
+    # scans a subsequence of those radii, and leaves out passes only
+    needed = []
+    for _, scans in want["rounds"]:
+        fail = next((i for i, (_, _, ok) in enumerate(scans) if not ok), len(scans) - 1)
+        needed += [(r.tobytes(), ok) for _, r, ok in scans[:fail + 1]]
+    scanned = iter(r.tobytes() for _, r in seen)
+    nxt, skipped = next(scanned, None), 0
+    for r, ok in needed:
+        if r == nxt:
+            nxt = next(scanned, None)
+        else:
+            assert ok
+            skipped += 1
+    assert nxt is None
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("n,count,seed,resolution,refined,steps,limiting,rate,eps_star,scans", [
+    (3, 44, 1, None, True, "-----+-+--+++--+++", 35, 43 / 44, 0.02272744760317481, 225),
+    (3, 44, 2, None, True, "-----+--++--++++++", 34, 1.0, 0.02127167673348417, 203),
+    (3, 44, 1, 32, False, "-----+-+-++-++++--", 36, None, 0.02245342729842151, 252),
+    (4, 16, 1, None, False, "----++-++++-++---+", 9, None, 0.06383785037996156, 109),
 ], ids=["n3_G512_seed1", "n3_G512_seed2", "n3_G2048_seed1", "n4_G2000_seed1"])
-def test_find_epsilon_keeps_its_decisions(n, count, seed, resolution, refined, steps, limiting,
-                                          rate, eps_star):
+def test_find_epsilon_keeps_its_decisions(monkeypatch, n, count, seed, resolution, refined, steps,
+                                          limiting, rate, eps_star, scans):
     # a speedup keeps every pass/fail decision of the bisection; the
     # values may move by round-off in the samples, which moves the
-    # positivity cap and so every midpoint by an ulp
+    # positivity cap and so every midpoint by an ulp. The hull scans,
+    # refined check included, are counted: without the skips of
+    # _depth_bound they were 494, 530, 445 and 163
     grid = build_grid(n) if resolution is None else build_grid(n, resolution)
+    seen = _recording_scans(monkeypatch)
     out = find_epsilon(n, count, seed, grid=grid, refined_check=refined)
     assert "".join("+" if ok else "-" for _, ok in out["history"]) == steps
     assert out["limiting_sample"] == limiting
     assert out.get("refined_pass_rate") == rate
     assert out["eps_star"] == pytest.approx(eps_star, rel=1e-14, abs=0.0)
+    assert len(seen) == scans
 
 
 def test_find_epsilon_certifies_exactly_even_radii(monkeypatch, grid3):
-    # bisection and refined check both hand hull_depth radii that are
-    # even to the last bit, so that it scans one antipodal half
-    seen = []
-
-    def recording(grid, r, floor):
-        seen.append((grid.size, np.array_equal(r, r[grid.antipode])))
-        return hull_depth(grid, r, floor)
-
-    monkeypatch.setattr(fields, "hull_depth", recording)
+    # bisection and refined check both hand their scans radii that are
+    # even to the last bit, so that hull_depth scans one antipodal half
+    seen = _recording_scans(monkeypatch)
     find_epsilon(3, 4, seed=3, grid=grid3, steps=6)
-    assert {size for size, _ in seen} == {grid3.size, grid3.refined().size}
-    assert all(even for _, even in seen)
+    assert {g.size for g, _ in seen} == {grid3.size, grid3.refined().size}
+    assert all(np.array_equal(r, r[g.antipode]) for g, r in seen)
+
+
+@pytest.mark.parametrize("n,resolution", [(3, None), (3, 32), (4, None)],
+                         ids=["n3_G512", "n3_G2048", "n4_G2000"])
+def test_depth_bound_never_exceeds_the_dense_own_gaps(n, resolution):
+    # the bound that lets find_epsilon skip a scan, taken from a scan at
+    # eps_a, stays below min_j (r_j - h_j) at eps, from the full matrix,
+    # for eps below and above eps_a; at eps = eps_a it is that minimum
+    grid = build_grid(n) if resolution is None else build_grid(n, resolution)
+    vals = _even_values(sample_unit_F(n, 8, 4, seed=5, grid=grid), grid)
+    for v in vals:
+        for eps_a in (0.01, 0.02, 0.04):
+            _, slack = fields._hull_depth_slack(grid, 1.0 + eps_a * v)
+            for delta in (-5e-3, -1e-3, -1e-5, 0.0, 1e-5, 1e-3, 5e-3):
+                r = 1.0 + (eps_a + delta) * v
+                own = float(dense_own_gaps(grid, r).min())
+                bound = fields._depth_bound(eps_a, slack, v, eps_a + delta)
+                assert bound <= own + 1e-14 * r.max()
+                if delta == 0.0:
+                    assert bound == pytest.approx(own, rel=0.0, abs=1e-14 * r.max())
 
 
 def test_separation_delta_positive_for_nonballs(grid3):
