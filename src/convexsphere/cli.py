@@ -136,6 +136,8 @@ def _octahedron_field_sweep(grid, seed: int) -> dict:
 def cmd_counterexample(cfg: ExperimentConfig) -> int:
     if cfg.n not in (3, 4):
         raise InputError(f"counterexample needs n in {{3, 4}}, got n={cfg.n}")
+    if cfg.samples < 1:
+        raise InputError(f"counterexample needs samples >= 1, got {cfg.samples}")
     grid = build_grid(cfg.n, cfg.resolution)
     payload = {"n": cfg.n, "grid_key": grid.key}
     phis = sample_unit_F(cfg.n, cfg.d, cfg.samples, cfg.seed, grid)

@@ -193,6 +193,8 @@ def sample_unit_F(
     """Haar-random rotations of the orthonormal spanning set of the
     unit sphere of F^d: sample i is basis element (i mod dim F)
     composed with a random rotation."""
+    if count < 0:
+        raise InputError(f"sample count must be >= 0, got {count}")
     if grid is None:
         grid = build_grid(n)
     basis = get_basis(n, d, grid)
@@ -285,6 +287,10 @@ def find_epsilon(
     """
     if n not in (3, 4):
         raise InputError(f"find_epsilon needs n in {{3, 4}}, got n={n}")
+    if sample_count < 1:
+        raise InputError(f"find_epsilon needs sample_count >= 1, got {sample_count}")
+    if steps < 0:
+        raise InputError(f"find_epsilon needs steps >= 0, got {steps}")
     if grid is None:
         grid = build_grid(n)
     if phis is None:

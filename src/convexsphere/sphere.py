@@ -203,8 +203,8 @@ class SphereGrid:
                                  side="right") - rows * g
         counts[reach >= np.pi] = g
         return [
-            (members[t], *(slice(None) if k == g else order[t, :k] for k in counts[:, t]))
-            for t in rows
+            (members[t], *(slice(None) if k == g else order[t, :k] for k in cut))
+            for t, cut in enumerate(counts.T.tolist())
         ]
 
     def refined(self) -> "SphereGrid":

@@ -196,6 +196,14 @@ def test_counterexample_rejects_bad_dimension(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples,eps", [(0, None), (-3, None), (0, 0.01)])
+def test_counterexample_rejects_too_few_samples(samples, eps, tmp_path, capsys):
+    settings = [f"samples={samples}", f"out={tmp_path}"] + ([] if eps is None else [f"eps={eps}"])
+    assert cli.main(["counterexample", "n=3", *settings]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {samples}" in err
+
+
 # -- round2d -----------------------------------------------------------------
 
 

@@ -209,6 +209,16 @@ def test_sample_unit_F_properties(grid3):
         assert np.array_equal(p.coeffs, q.coeffs)
 
 
+def test_sampling_and_bisection_refuse_bad_counts(grid3):
+    with pytest.raises(InputError, match="got -1"):
+        sample_unit_F(3, 8, -1, seed=0, grid=grid3)
+    assert sample_unit_F(3, 8, 0, seed=0, grid=grid3) == []
+    with pytest.raises(InputError, match="sample_count >= 1, got 0"):
+        find_epsilon(3, sample_count=0, grid=grid3)
+    with pytest.raises(InputError, match="steps >= 0, got -2"):
+        find_epsilon(3, sample_count=2, grid=grid3, steps=-2)
+
+
 def test_find_epsilon_smoke(grid3):
     out = find_epsilon(3, sample_count=10, seed=0, steps=8, refined_check=False)
     assert out["eps_star"] > 0

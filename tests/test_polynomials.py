@@ -13,6 +13,7 @@ from convexsphere.polynomials import (
     _family,
     _fit_monomials,
     _monomial_exponents,
+    _powers,
     get_basis,
     is_nonconstant,
     join_product,
@@ -25,7 +26,7 @@ from convexsphere.polynomials import (
     stacked_monomial_form,
     to_F_space,
 )
-from convexsphere.sphere import build_grid, integrate
+from convexsphere.sphere import SphereGrid, build_grid, integrate
 
 
 def test_space_dimension_frozen_values():
@@ -250,6 +251,34 @@ def test_rotate_poly_is_exact_and_invertible(grid3):
     assert np.abs(q.samples - p.samples).max() < 1e-11
     # rotation preserves the L2 norm
     assert rotate_poly(p, r).norm == pytest.approx(p.norm, rel=1e-12)
+
+
+# (n, resolution, d): G = 512 and 2048 on S^2, 2000 on S^3, 512 on S^1
+@pytest.mark.parametrize("n,resolution,d", [(3, 16, 8), (3, 32, 8), (4, 10, 8), (2, 512, 8)])
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "one_odd_coefficient"])
+def test_rotate_poly_matches_pointwise(n, resolution, d, odd):
+    # odd coefficients exactly 0 take the half-grid path in the even
+    # monomials; one nonzero odd coefficient takes the full-grid path,
+    # and the half-grid values would miss its odd part entirely
+    basis = get_basis(n, d, SphereGrid(n, resolution))
+    rng = np.random.default_rng(n * resolution + odd)
+    c = np.where(basis.degrees % 2 == 0, rng.normal(size=basis.dim), 0.0)
+    if odd:
+        c[np.flatnonzero(basis.degrees == d - 1)[0]] = 0.5
+    p = SphericalPoly(c, basis)
+    for r in random_rotations(n, 3, rng):
+        ref = p.eval(basis.grid.nodes @ r.T)
+        err = np.abs(rotate_poly(p, r).samples - ref).max()
+        assert err <= (1e-12 if odd else 1e-13) * np.abs(ref).max()
+
+
+def test_powers_is_a_running_product():
+    x = _unit_vectors(3, 1000, seed=5)
+    pw = _powers(x, 8)
+    assert pw.shape == (1000, 3, 9) and pw.flags.c_contiguous
+    assert np.all(pw[..., 0] == 1.0)
+    for e in range(1, 9):
+        assert np.array_equal(pw[..., e], pw[..., e - 1] * x)
 
 
 def test_poly_product_matches_pointwise(grid3):
