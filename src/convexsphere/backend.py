@@ -2,12 +2,13 @@
 
 Each kernel is a quadratic scan with a tiny inner dimension (n <= 4).
 The scans go through BLAS in blocks of `_BLOCK` rows, which bounds the
-temporary at G * _BLOCK doubles instead of G^2. The two max-scans also
-take caller-chosen (own, cand) blocks, scanning for the outputs `own`
-only the entries `cand` that can attain them (bodies.hull_depth);
-hull_gaps computes only the outputs its blocks own, so a caller can
-leave out whole tiles. Every entry point coerces its array arguments to
-contiguous float64.
+temporary at G * _BLOCK doubles instead of G^2. The two max-scans,
+support_max_dot and hull_gaps, share one loop (_max_scan) over
+caller-chosen (own, cand) blocks, scanning for the outputs `own` only
+the entries `cand` that can attain them (bodies.hull_depth lists a
+tile and its antipodal image as two blocks); outputs in no block are
+left unset, so a caller can leave out whole tiles. Every entry point
+coerces its array arguments to contiguous float64.
 
 The max-scans transpose the scanned side once per call to contiguous
 (n, P) columns; each block gathers its candidates' columns and reduces
@@ -33,11 +34,6 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _row_blocks(m):
-    """Blocks of _BLOCK consecutive outputs, each scanned against everything."""
-    return [(slice(a, min(a + _BLOCK, m)), slice(None)) for a in range(0, m, _BLOCK)]
-
-
 def _product(rows, cols, cand):
     """rows @ cols[:, cand] through gemm at every shape: numpy hands a
     product with one row or one column to gemv, which can round it apart
@@ -47,16 +43,27 @@ def _product(rows, cols, cand):
     return ((rows if m > 1 else rows[[0, 0]]) @ (cols if k > 1 else cols[:, [0, 0]]))[:m, :k]
 
 
+def _max_scan(rows, cols, blocks, h=None):
+    """out[own] = max over cand of rows[own] @ cols[:, cand] (less h[cand])
+    for each (own, cand) of blocks, by default _BLOCK rows at a time
+    against every column; rows in no `own` are left unset."""
+    out = np.empty(rows.shape[0])
+    if blocks is None:
+        blocks = [(slice(a, a + _BLOCK), slice(None)) for a in range(0, rows.shape[0], _BLOCK)]
+    for own, cand in blocks:
+        dot = _product(rows[own], cols, cand)
+        if h is not None:
+            dot -= h[cand]
+        out[own] = dot.max(axis=1)
+    return out
+
+
 def support_max_dot(points, dirs, blocks=None):
     """h[j] = max_i <points[i], dirs[j]>.
 
     blocks: (own, cand) pairs whose `own` cover the dirs; h[own] is taken
     over the points `cand` only. Default: every point for every dir."""
-    cols, dirs = _c(np.transpose(points)), _c(dirs)
-    out = np.empty(dirs.shape[0])
-    for own, cand in _row_blocks(dirs.shape[0]) if blocks is None else blocks:
-        out[own] = _product(dirs[own], cols, cand).max(axis=1)
-    return out
+    return _max_scan(_c(dirs), _c(np.transpose(points)), blocks)
 
 
 def minkowski_support(rows, offsets, weights, ball_r, dirs):
@@ -80,20 +87,14 @@ def hull_gaps(cloud, dirs, h, blocks=None):
     inside the polytope {x : <x, dirs[j]> <= h[j]}, with equality on active
     constraints.
 
-    blocks: (own, cand) pairs; gap[own] is taken over the dirs `cand`
-    only, and points in no `own` are left unset. Default: every dir for
-    every point.
+    blocks: as in support_max_dot; points in no `own` are left unset.
 
     A block's entries keep the full product's bits in any candidate
     order, so bodies.hull_depth equals the full scan. Gathered rows,
     cloud[own] @ dirs[cand].T, rounded the last (len(cand) mod 8) columns
     an ulp apart on an AVX-512 OpenBLAS; gathered columns matched in all
     800 blocks of 2-130 x 2-400 entries tried there."""
-    cloud, cols, h = _c(cloud), _c(np.transpose(dirs)), _c(h)
-    out = np.empty(cloud.shape[0])
-    for own, cand in _row_blocks(cloud.shape[0]) if blocks is None else blocks:
-        out[own] = (_product(cloud[own], cols, cand) - h[cand]).max(axis=1)
-    return out
+    return _max_scan(_c(cloud), _c(np.transpose(dirs)), blocks, _c(h))
 
 
 def radial_from_support(h, dirs, queries):

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .groups import GroupSample
 from .polynomials import get_basis, monomial_jet, stacked_monomial_form
-from .sphere import SphereGrid, build_grid, check_samples, hold_copies, integrate, norms, read_only
+from .sphere import SphereGrid, build_grid, check_samples, finite, hold_copies, integrate, norms, read_only
 
 # Cap-volume constants of the C0-via-L2 comparison: a Euclidean cap of
 # radius rho <= 1/2 on S^{n-1} has measure >= C1 * rho^{n-1}
@@ -140,8 +140,7 @@ def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.
         raise InputError(
             f"minkowski term vertices of shape {rows.shape} are not points in R^{grid.n}"
         )
-    if not np.all(np.isfinite(rows)):
-        raise InputError("minkowski term vertices are not finite")
+    finite(rows, "minkowski term vertex coordinate")
     if weights.ndim != 1 or weights.size == 0:
         raise InputError("need at least one minkowski term")
     if (offsets.shape != (weights.size + 1,) or offsets.dtype.kind not in "iu"
@@ -162,7 +161,7 @@ def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.
 def from_support_samples(grid: SphereGrid, h) -> ConvexBody:
     """Outer body {x : <x,u_j> <= h_j} of support samples h_j at the grid
     nodes u_j."""
-    h = check_samples(grid, np.asarray(h, dtype=float))
+    h = check_samples(grid, finite(h, "support sample"))
     return ConvexBody(grid=grid, sampled_support=h)
 
 
@@ -182,7 +181,7 @@ def from_radial(grid: SphereGrid, r) -> ConvexBody:
     of the cloud {r_i u_i}. Its support samples are those of the cloud,
     and its radial samples are r as given. A body with a polynomial
     radial profile is built by fields.radial_body instead."""
-    r = check_samples(grid, np.asarray(r, dtype=float))
+    r = check_samples(grid, finite(r, "radial sample"))
     if np.min(r) <= 0:
         raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
     return ConvexBody(grid=grid, sampled_radial=r)
@@ -211,9 +210,7 @@ _VALIDATE_TOL = 1e-9  # slack of validate_body's unit-ball and Lipschitz checks
 def validate_body(body: ConvexBody, in_unit_ball: bool = False) -> dict:
     """Check the sampled-support invariants; raises InputError on hard
     failures, returns a diagnostics dict."""
-    h = check_samples(body.grid, body.support)
-    if not np.all(np.isfinite(h)):
-        raise InputError("non-finite support samples")
+    h = finite(body.support, "support sample")
     report = {"min_support": float(h.min()), "max_support": float(h.max())}
     if in_unit_ball:
         if h.max() > 1.0 + _VALIDATE_TOL:
@@ -527,29 +524,25 @@ _COS_PAD = 1e-12
 _GAP_PAD = 1e-12
 
 
-def _radial_support(grid: SphereGrid, r: np.ndarray, gaps: bool = False):
+def _radial_support(grid: SphereGrid, r: np.ndarray):
     """The cloud {r_i u_i} of positive radial samples on the grid nodes
-    u_i, its support h_j = max_i r_i <u_i, u_j> on the same nodes, and
-    the scanned outputs: G/2 when r is exactly even, else G.
-
-    The support scans only the pairs with <u_i, u_j> >= rmin/rmax. With
-    gaps=True the grid's neighbourhoods for the gap cut-off of hull_depth
-    come back too, as (own, cand) blocks; else None. When r is exactly
-    even only the first G/2 nodes are outputs and h[G/2:] = h[:G/2].
-    """
-    rmin, rmax = float(r.min()), float(r.max())
-    cuts = [rmin / rmax - _COS_PAD]
-    if gaps:
-        cuts.append(1.0 - (rmax - rmin) / rmin - _COS_PAD)
+    u_i, its support h_j = max_i r_i <u_i, u_j> over the pairs with
+    <u_i, u_j> >= rmin/rmax, and whether r is exactly even. An even r
+    scans the tiles of the first G/2 nodes and copies h[G/2:] = h[:G/2];
+    any other r scans their antipodal images as well (hull_depth)."""
     even = np.array_equal(r, r[grid.antipode])
-    tiles = grid.neighbourhoods(cuts, half=even)
     cloud = r[:, None] * grid.nodes
-    h = backend.support_max_dot(cloud, grid.nodes, blocks=[t[:2] for t in tiles])
-    outputs = grid.size // 2 if even else grid.size
+    blocks = grid.neighbourhoods(float(r.min()) / float(r.max()) - _COS_PAD)
+    h = backend.support_max_dot(cloud, grid.nodes,
+                                blocks=blocks + ([] if even else [_image(grid, *b) for b in blocks]))
     if even:
-        h[outputs:] = h[:outputs]
-    gap_blocks = [(t[0], t[2]) for t in tiles] if gaps else None
-    return cloud, h, gap_blocks, outputs
+        h[grid.size // 2:] = h[:grid.size // 2]
+    return cloud, h, even
+
+
+def _image(grid: SphereGrid, own, cand):
+    """The antipodal image of an (own, cand) block: its pairs, negated."""
+    return grid.antipode[own], cand if isinstance(cand, slice) else grid.antipode[cand]
 
 
 def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> float:
@@ -573,17 +566,17 @@ def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> floa
       1 - (rmax - rmin)/rmin. Any other j has r_i <u_i, u_j> - h_j <
       r_i - (rmax - rmin) - rmin <= r_i - h_i, the j = i term, because
       h_j >= r_j >= rmin, r_i >= rmin and h_i <= rmax.
-    - antipodes: when r is exactly even, only the first G/2 nodes are
-      scanned as outputs. Negation is exact and nodes[G/2:] ==
-      -nodes[:G/2], so the cloud is exactly symmetric, and substituting
-      i -> -i, j -> -j in either maximum gives h_-j = h_j and gap_-i = gap_i.
+    - antipodes: the tiles cover the first G/2 nodes and their images
+      (_image) the rest, with the same <u_i, u_j>: nodes[G/2:] ==
+      -nodes[:G/2] exactly. An exactly even r gives a symmetric cloud,
+      h_-j = h_j and gap_-i = gap_i, so only the tiles are scanned.
     - floor: gap_i >= r_i - h_i, the j = i term, which every candidate
       list holds. So low_i = r_i - h_i - _GAP_PAD * rmax bounds the
       computed gap from below, and a tile whose members all have
       low_i >= floor holds no point below the floor: it is not scanned,
-      and its points count with low_i. The other tiles go to one
-      hull_gaps call as whole blocks, so each scanned gap keeps the full
-      scan's bits.
+      and its points count with low_i. The other tiles and images go to
+      one hull_gaps call as whole blocks, so each scanned gap keeps the
+      full scan's bits.
     - slack: _hull_depth_slack returns the terms r_i - h_i at the outputs
       beside the depth. Along radii 1 + eps*v they move at most linearly
       in eps, so find_epsilon bounds a sample's later depths from them
@@ -602,13 +595,20 @@ def _hull_depth_slack(grid: SphereGrid, r: np.ndarray, floor: float = math.inf):
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
         return -math.inf, None
-    cloud, h, blocks, outputs = _radial_support(grid, r, gaps=True)
+    cloud, h, even = _radial_support(grid, r)
+    rmin, rmax = float(r.min()), float(r.max())
     slack = r - h
-    low = slack - _GAP_PAD * float(r.max())
-    deep = [(own, cand) for own, cand in blocks if low[own].min() < floor]
+    low = slack - _GAP_PAD * rmax
+    # near[s, t]: tile t (s = 0) or its image G/2 nodes on (s = 1) may hold a point below the floor
+    near = np.array([[v[m].min() < floor for m in grid.tiles[0]]
+                     for v in low.reshape(2, -1)[:1 if even else 2]])
+    keep = np.flatnonzero(near.any(axis=0))
+    hoods = dict(zip(keep.tolist(), grid.neighbourhoods(1.0 - (rmax - rmin) / rmin - _COS_PAD, keep)))
+    deep = [_image(grid, *hoods[t]) if s else hoods[t] for s, t in zip(*np.nonzero(near))]
     gaps = backend.hull_gaps(cloud, grid.nodes, h, blocks=deep)
     for own, _ in deep:
         low[own] = gaps[own]
+    outputs = grid.size // 2 if even else grid.size
     return float(low[:outputs].min()), slack[:outputs]
 
 

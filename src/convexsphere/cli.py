@@ -48,6 +48,7 @@ from .fields import (
 )
 from .groups import random_rotations, sample_group
 from .mod2poly import express_elementary, stiefel_whitney_top, sw_product_chain
+from .polynomials import odd_even_split
 from .sections import (
     cube_family,
     ellipsoid_family,
@@ -138,6 +139,8 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
         raise InputError(f"counterexample needs n in {{3, 4}}, got n={cfg.n}")
     if cfg.samples < 1:
         raise InputError(f"counterexample needs samples >= 1, got {cfg.samples}")
+    if cfg.eps is not None and not (np.isfinite(cfg.eps) and cfg.eps >= 0):
+        raise InputError(f"counterexample needs a finite eps >= 0, got {cfg.eps}")
     grid = build_grid(cfg.n, cfg.resolution)
     payload = {"n": cfg.n, "grid_key": grid.key}
     phis = sample_unit_F(cfg.n, cfg.d, cfg.samples, cfg.seed, grid)
@@ -258,7 +261,7 @@ def cmd_symmetrize(cfg: ExperimentConfig) -> int:
     before = invariance_defect(body, sample)
     avg = group_average(body, sample)
     after = invariance_defect(avg, sample)
-    odd = 0.5 * (body.support - body.support[body.grid.antipode])
+    odd = odd_even_split(body.grid, body.support)[1]
     odd_residual = float(np.sqrt(integrate(body.grid, odd**2)))
     out_path = os.path.join(_out_dir(cfg), "averaged_body.json")
     save_body(avg, out_path)

@@ -39,6 +39,7 @@ from .polynomials import (
     SphericalPoly,
     get_basis,
     is_nonconstant,
+    odd_even_split,
     poly_product,
     project,
     rotate_poly,
@@ -174,8 +175,8 @@ def psi_product(fp: SphericalPoly, fm: SphericalPoly, d_out: int = 8) -> Spheric
 def radial_body(grid: SphereGrid, phi: SphericalPoly, eps: float) -> ConvexBody:
     """The body of radial profile 1 + eps*phi (phi even, unit norm), whose
     grid samples and polished radial extremes all derive from phi."""
-    if eps < 0:
-        raise InputError(f"eps must be nonnegative, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise InputError(f"eps must be finite and nonnegative, got {eps}")
     if phi.odd_part_norm() > 1e-8:
         raise InputError("radial profile must be even")
     body = ConvexBody(grid=grid, radial_profile=(eps, phi))
@@ -295,16 +296,11 @@ def find_epsilon(
         grid = build_grid(n)
     if phis is None:
         phis = sample_unit_F(n, d, sample_count, seed, grid)
-    elif len(phis) != sample_count or any(
-        (p.n, p.d) != (n, d) or p.grid != grid for p in phis
-    ):
-        raise InputError(
-            f"find_epsilon needs {sample_count} samples of degree {d} on its grid"
-        )
+    elif len(phis) != sample_count or any((p.n, p.d) != (n, d) or p.grid != grid for p in phis):
+        raise InputError(f"find_epsilon needs {sample_count} samples of degree {d} on its grid")
     # even to the last bit (the samples are even to round-off), so that
     # hull_depth scans one antipodal half of the grid
-    vals = np.stack([p.samples for p in phis])
-    vals = 0.5 * (vals + vals[:, grid.antipode])
+    vals = odd_even_split(grid, np.stack([p.samples for p in phis]))[0]
     mins, tops = vals.min(axis=1), vals.max(axis=1)
     if np.any(mins >= 0):
         raise InputError("zero-average sample without negative values")  # pragma: no cover
@@ -377,9 +373,8 @@ def find_epsilon(
         # every sample shares one cached basis: evaluate it once at the
         # refined nodes and take all samples as one matrix product
         coeffs = np.stack([p.coeffs for p in phis])
-        fine_vals = phis[0].basis.eval(fine.nodes) @ coeffs.T
-        fine_vals = 0.5 * (fine_vals + fine_vals[fine.antipode])
-        passed = sum(scan(fine, 1.0 + lo * col)[0] for col in fine_vals.T)
+        fine_vals = odd_even_split(fine, (phis[0].basis.eval(fine.nodes) @ coeffs.T).T)[0]
+        passed = sum(scan(fine, 1.0 + lo * v)[0] for v in fine_vals)
         result["refined_pass_rate"] = passed / sample_count
     return result
 

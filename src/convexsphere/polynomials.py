@@ -53,7 +53,7 @@ import numpy as np
 from scipy.special import eval_gegenbauer, sph_harm_y
 
 from .errors import ConstantPolynomial, InputError
-from .sphere import SphereGrid, check_samples, derived_field, read_only, sphere_area
+from .sphere import SphereGrid, check_samples, derived_field, finite, read_only, sphere_area
 
 MAX_DEGREE = 12
 
@@ -321,7 +321,7 @@ class SphericalPoly:
     basis: Basis = field(repr=False)
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs = np.array(finite(self.coeffs, "polynomial coefficient"))
         if coeffs.shape != (self.basis.dim,):
             raise InputError(
                 f"coefficient vector of length {coeffs.size} does not "

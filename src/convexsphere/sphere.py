@@ -139,13 +139,13 @@ class SphereGrid:
 
     @cached_property
     def tiles(self) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """(members, centres, radii): the nodes grouped into spatially
-        compact tiles of about TILE_SIZE nodes. The first K/2 tiles cover
-        the first G/2 nodes, from 8 rounds of spherical k-means with a
-        fixed seed; tile t + K/2 is the antipodal image of tile t.
-        members[t] are the node indices of tile t, centres[t] its unit
-        centre and radii[t] the largest angle from the centre to a
-        member. O(G) memory; every array is read-only."""
+        """(members, centres, radii): the first G/2 nodes grouped into K/2
+        spatially compact tiles of about TILE_SIZE nodes, from 8 rounds of
+        spherical k-means with a fixed seed. members[t] are the node
+        indices of tile t, centres[t] its unit centre and radii[t] the
+        largest angle from the centre to a member. The second half is not
+        tiled: antipode[members[t]] is the image of tile t, with centre
+        -centres[t] and the same radius. Every array is read-only."""
         half = self.size // 2
         nodes = self.nodes[:half]
         k = max(1, half // TILE_SIZE)
@@ -158,54 +158,47 @@ class SphereGrid:
             centres = sums[norm > 0] / norm[norm > 0, None]
         label = np.argmax(centres @ nodes.T, axis=0)
         used = np.unique(label)
-        members = [np.flatnonzero(label == t) for t in used]
+        members = tuple(read_only(np.flatnonzero(label == t)) for t in used)
         centres = centres[used]
         # chord -> angle, well conditioned for small angles
         radii = np.array([
             2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(nodes[m] - c, axis=1).max()))
             for m, c in zip(members, centres)
         ])
-        return (tuple(read_only(m) for m in members + [self.antipode[m] for m in members]),
-                read_only(np.vstack([centres, -centres])), read_only(np.concatenate([radii, radii])))
+        return members, read_only(centres), read_only(radii)
 
     @cached_property
     def _tile_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, keys): order[t] the node indices by decreasing cosine to
-        the centre of tile t (int32, K x G), and keys the flattened
+        """(order, keys): order[t] all G node indices by decreasing cosine
+        to the centre of tile t (int32, K/2 x G), and keys the flattened
         3t - cosine of order[t], ascending over all rows since every
         cosine lies in [-1, 1] and rounding is monotone. 12 bytes per
-        entry, about G^2/48 entries (1 MB at G=2048). Both read-only."""
+        entry, about G^2/96 entries (0.5 MB at G=2048). Both read-only."""
         _, centres, _ = self.tiles
         cos = centres @ self.nodes.T
         order = np.argsort(-cos, axis=1).astype(np.int32)
         keys = 3.0 * np.arange(len(centres))[:, None] - np.take_along_axis(cos, order, axis=1)
         return read_only(order), read_only(keys.ravel())
 
-    def neighbourhoods(self, cos_cuts, half: bool = False) -> list:
-        """[(members, cand_1, ..., cand_c)] per tile, one cand per cut of
-        cos_cuts, where cand_k holds at least every node u with
-        <u, v> >= cos_cuts[k] for some member v: the nodes within the
-        tile's radius plus arccos(cos_cuts[k]) of its centre, or
-        slice(None) for all nodes when that reach covers the sphere.
-        With half=True only the tiles of the first G/2 nodes are listed.
-
-        Each cand is a prefix of the tile's cached node order by
-        decreasing cosine to its centre (_tile_order), so one searchsorted
-        over the row-offset cosines cuts every list of every tile, and the
-        list of a lower cut extends that of a higher one."""
+    def neighbourhoods(self, cos_cut: float, tiles=None) -> list:
+        """[(members, cand)] for each tile of `tiles` (default all), where
+        cand holds at least every node u with <u, v> >= cos_cut for some
+        member v: the nodes within the tile's radius plus arccos(cos_cut)
+        of its centre, or slice(None) for all nodes when that reach covers
+        the sphere. Negating both nodes keeps <u, v>, so the image
+        (antipode[members], antipode[cand]) does the same for the tile's
+        image. Each cand is a prefix of the tile's row of _tile_order, so
+        one searchsorted over the row-offset cosines cuts every list."""
         members, _, radii = self.tiles
         order, keys = self._tile_order
         g = self.size
-        rows = np.arange(len(members) // 2 if half else len(members))
-        cuts = np.clip(np.asarray(cos_cuts, dtype=float), -1.0, 1.0)
-        reach = radii[None, rows] + np.arccos(cuts)[:, None] + _REACH_PAD
+        rows = np.arange(len(members)) if tiles is None else np.asarray(tiles, dtype=int)
+        reach = radii[rows] + np.arccos(np.clip(cos_cut, -1.0, 1.0)) + _REACH_PAD
         counts = np.searchsorted(keys, 3.0 * rows - np.cos(np.minimum(reach, np.pi)),
                                  side="right") - rows * g
         counts[reach >= np.pi] = g
-        return [
-            (members[t], *(slice(None) if k == g else order[t, :k] for k in cut))
-            for t, cut in enumerate(counts.T.tolist())
-        ]
+        return [(members[t], slice(None) if k == g else order[t, :k])
+                for t, k in zip(rows.tolist(), counts.tolist())]
 
     def refined(self) -> "SphereGrid":
         """The grid of twice the resolution."""
@@ -255,6 +248,14 @@ def check_samples(grid: SphereGrid, f) -> np.ndarray:
             f"sample array of length {f.shape[-1]} does not match grid of size {grid.size}"
         )
     return f
+
+
+def finite(a, what: str) -> np.ndarray:
+    """a as a float array; an InputError names its first non-finite entry."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{what} {a[~np.isfinite(a)][0]} is not finite")
+    return a
 
 
 def integrate(grid: SphereGrid, f) -> float:

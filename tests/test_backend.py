@@ -27,7 +27,8 @@ def _pairs(grid, blocks):
 
 
 def _kept_share(grid, cos_cut):
-    return _pairs(grid, grid.neighbourhoods([cos_cut])) / grid.size**2
+    # the tiles cover the first G/2 nodes, and their images scan as many pairs
+    return 2 * _pairs(grid, grid.neighbourhoods(cos_cut)) / grid.size**2
 
 
 def _count_scanned_pairs(monkeypatch, grid):

@@ -297,6 +297,22 @@ def test_certify_rejects_nonpositive_radial(grid3):
     assert not certify_convex_radial(ConvexBody(grid=grid3, sampled_radial=r))
 
 
+def test_from_radial_refuses_non_finite_samples(grid3):
+    # a NaN passed the positivity check and made distance_to_ball nan
+    r = np.ones(grid3.size)
+    r[7] = np.nan
+    with pytest.raises(InputError, match="radial sample nan is not finite"):
+        from_radial(grid3, r)
+
+
+def test_from_support_samples_refuses_non_finite_samples(grid3):
+    # an inf made hausdorff(body, ball) inf
+    h = np.ones(grid3.size)
+    h[3] = np.inf
+    with pytest.raises(InputError, match="support sample inf is not finite"):
+        from_support_samples(grid3, h)
+
+
 def test_radial_of_ball_is_exact(grid3):
     r = radial_from_support(ball(grid3, 1.3))
     assert np.abs(r - 1.3).max() < 1e-12

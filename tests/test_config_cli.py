@@ -204,6 +204,15 @@ def test_counterexample_rejects_too_few_samples(samples, eps, tmp_path, capsys):
     assert err.startswith("error:") and f"got {samples}" in err
 
 
+@pytest.mark.parametrize("eps", ["-0.1", "nan", "inf"])
+def test_counterexample_rejects_bad_eps(eps, tmp_path, capsys):
+    # each certified no sample and wrote failing_sample.json with exit 1
+    assert cli.main(["counterexample", "n=3", "samples=3", f"eps={eps}", f"out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {float(eps)}" in err
+    assert not (tmp_path / "failing_sample.json").exists()
+
+
 # -- round2d -----------------------------------------------------------------
 
 
@@ -358,3 +367,12 @@ def test_reports_are_rerun_identical(tmp_path, capsys, monkeypatch):
     assert cli.main(["swclass", "n=3", "d=5"]) == 0
     capsys.readouterr()
     assert (d1 / "swclass.json").read_bytes() == (d2 / "swclass.json").read_bytes()
+    # the counterexample report names its CSV by path, so each run writes
+    # to the working directory; the report is fed by the pruned hull scans
+    monkeypatch.delenv("CONVEXSPHERE_OUT")
+    for d in (d1, d2):
+        monkeypatch.chdir(d)
+        assert cli.main(["counterexample", "n=3", "samples=12", "seed=1"]) == 0
+    capsys.readouterr()
+    for name in ("counterexample.json", "octahedron_sweep.csv"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()

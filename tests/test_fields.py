@@ -197,6 +197,14 @@ def test_radial_body_guards(grid3):
         radial_body(grid3, odd, 0.1)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_radial_body_refuses_non_finite_eps(grid3, eps):
+    # each gave NaN radii
+    phi = sample_unit_F(3, 8, 1, seed=0, grid=grid3)[0]
+    with pytest.raises(InputError, match=f"finite and nonnegative, got {eps}"):
+        radial_body(grid3, phi, eps)
+
+
 def test_sample_unit_F_properties(grid3):
     polys = sample_unit_F(3, 8, 12, seed=9, grid=grid3)
     assert len(polys) == 12

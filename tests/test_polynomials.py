@@ -88,6 +88,14 @@ def test_poly_evaluates_through_its_monomial_coefficients(n, d, grid2, grid3, gr
         assert np.array_equal(row, p.monomial_coef)
 
 
+def test_spherical_poly_refuses_non_finite_coefficients(grid3):
+    basis = get_basis(3, 4, grid3)
+    coeffs = np.zeros(basis.dim)
+    coeffs[2] = np.nan
+    with pytest.raises(InputError, match="polynomial coefficient nan is not finite"):
+        SphericalPoly(coeffs, basis)
+
+
 def test_monomial_fit_refuses_ill_conditioning(grid3):
     # nodes crowded into a cap of radius 1e-3 cannot tell degree-8
     # monomials apart: the fit's condition number is far above the limit

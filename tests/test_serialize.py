@@ -309,6 +309,35 @@ def test_load_body_refuses_a_profile_that_is_not_even(tmp_path, grid3):
     assert path in str(info.value)
 
 
+@pytest.mark.parametrize("key, value", [("radial", "nan"), ("support", "inf")])
+def test_load_body_refuses_non_finite_samples(tmp_path, grid3, key, value):
+    # json parses NaN and Infinity; restamped, the document passes the hash check
+    body = from_radial(grid3, np.ones(grid3.size))
+    doc = body_doc(body)
+    if key == "support":
+        doc["support"] = doc.pop("radial")
+
+    def edit(d):
+        d[key][5] = float(value)
+
+    path = _save_edited(doc, str(tmp_path / "body.json"), edit)
+    with pytest.raises(InputError, match=f"{key} sample {value} is not finite") as info:
+        load_body(path)
+    assert path in str(info.value)
+
+
+def test_load_poly_refuses_non_finite_coefficients(tmp_path, grid3):
+    p = project(grid3, grid3.nodes[:, 0] ** 2 - grid3.nodes[:, 1] ** 2, 4)
+
+    def edit(d):
+        d["coeffs"][1] = float("nan")
+
+    path = _save_edited(poly_doc(p), str(tmp_path / "poly.json"), edit)
+    with pytest.raises(InputError, match="polynomial coefficient nan is not finite") as info:
+        load_poly(path)
+    assert path in str(info.value)
+
+
 def test_load_poly_wraps_structural_faults(tmp_path, grid3):
     p = project(grid3, grid3.nodes[:, 0] ** 2 - grid3.nodes[:, 1] ** 2, 4)
     path = _save_edited(poly_doc(p), str(tmp_path / "poly.json"), lambda d: d.pop("coeffs"))

@@ -143,9 +143,19 @@ def test_tile_caches_are_read_only(n):
     for a in (*members, centres, radii, order, keys):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
-    for own, cand in grid.neighbourhoods([0.9]):
+    for own, cand in grid.neighbourhoods(0.9):
         assert not own.flags.writeable
         assert isinstance(cand, slice) or not cand.flags.writeable
+
+
+@pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
+def test_tiles_partition_the_first_half(n, resolution):
+    # the second half of the nodes is scanned through the tiles' images
+    grid = build_grid(n, resolution)
+    members, centres, radii = grid.tiles
+    assert np.array_equal(np.sort(np.concatenate(members)), np.arange(grid.size // 2))
+    assert len(centres) == len(radii) == len(members)
+    assert grid._tile_order[0].shape == (len(members), grid.size)
 
 
 @pytest.mark.parametrize("resolution", [9, 6, 16.0, None])
