@@ -1,12 +1,13 @@
-"""Command-line drivers.
+"""Command-line drivers: convexsphere [--config FILE] COMMAND [key=value ...].
 
-Six subcommands: metrics (distances between two stored bodies),
+Six commands: metrics (distances between two stored bodies),
 counterexample (certified-epsilon pipeline and field sweep), round2d
 (round-section search), symmetrize (group averaging), swclass (mod-2
-obstruction classes), bivec (double-cover checks). Every report embeds
-the resolved configuration, the toolkit version, the grid key, and a
-content hash, and contains no timestamps, so reruns on identical input
-are byte-identical.
+obstruction classes), bivec (double-cover checks). Each cmd_* returns
+(payload, exit code, summary) and main writes the one report. Every
+report embeds the resolved configuration, the toolkit version, the grid
+key, and a content hash, names the files beside it by file name, and
+contains no timestamps, so reruns on identical input are byte-identical.
 
 Exit codes: 0 success, 1 the computation ran but the asserted property
 failed (certification failures at an overridden eps, budget overflow),
@@ -73,17 +74,13 @@ def _out_dir(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _report(cfg: ExperimentConfig, name: str, payload: dict) -> dict:
-    doc = {"kind": f"report/{name}", "config": cfg.to_dict()}
-    doc.update(payload)
-    doc = _finalize(doc)
-    path = os.path.join(_out_dir(cfg), f"{name}.json")
-    dump_json(doc, path)
-    print(f"wrote {path}")
-    return doc
+def _report(cfg: ExperimentConfig, out: str, name: str, payload: dict) -> str:
+    path = os.path.join(out, f"{name}.json")
+    dump_json(_finalize({"kind": f"report/{name}", "config": cfg.to_dict(), **payload}), path)
+    return path
 
 
-def cmd_metrics(cfg: ExperimentConfig) -> int:
+def cmd_metrics(cfg: ExperimentConfig, out: str) -> tuple[dict, int, str]:
     if not cfg.body_a or not cfg.body_b:
         raise InputError("metrics needs body_a=<path> and body_b=<path>")
     a = load_body(cfg.body_a)
@@ -102,12 +99,10 @@ def cmd_metrics(cfg: ExperimentConfig) -> int:
         "distance_to_ball_b": distance_to_ball(b),
         "c0_l2": bound,
     }
-    _report(cfg, "metrics", rows)
-    print(
+    return rows, 0, (
         f"d_bm={rows['banach_mazur']:.6g} d_h={rows['hausdorff']:.6g} "
         f"c0<=bound: {bound['ok']}"
     )
-    return 0
 
 
 _SWEEP_FRAMES = 21  # frames along the path of the octahedron field sweep
@@ -134,7 +129,7 @@ def _octahedron_field_sweep(grid, seed: int) -> dict:
     }
 
 
-def cmd_counterexample(cfg: ExperimentConfig) -> int:
+def cmd_counterexample(cfg: ExperimentConfig, out: str) -> tuple[dict, int, str]:
     if cfg.n not in (3, 4):
         raise InputError(f"counterexample needs n in {{3, 4}}, got n={cfg.n}")
     if cfg.samples < 1:
@@ -187,72 +182,70 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
             "eps": eps,
             "poly": poly_doc(phis[idx]),
         }
-        path = os.path.join(_out_dir(cfg), "failing_sample.json")
+        payload["failing_sample"] = "failing_sample.json"
+        path = os.path.join(out, payload["failing_sample"])
         dump_json(_finalize(dump), path)
-        payload["failing_sample"] = path
-        _report(cfg, "counterexample", payload)
-        print(
+        return payload, 1, (
             f"certification failed on {len(failures)}/{cfg.samples} samples "
             f"at eps={eps:.6g}; first failure written to {path}"
         )
-        return 1
 
     payload["delta"] = separation_delta(bodies)
     if cfg.n == 3:
         sweep = _octahedron_field_sweep(grid, cfg.seed)
         payload["octahedron_sweep"] = sweep
-        csv_path = os.path.join(_out_dir(cfg), "octahedron_sweep.csv")
+        payload["octahedron_sweep_csv"] = "octahedron_sweep.csv"
         write_csv(
-            csv_path,
+            os.path.join(out, payload["octahedron_sweep_csv"]),
             ["i", "j", "d_h"],
             [(p["i"], p["j"], repr(p["d_h"])) for p in sweep["pairs"]],
         )
-        payload["octahedron_sweep_csv"] = csv_path
-    _report(cfg, "counterexample", payload)
-    print(
+    return payload, 0, (
         f"eps={eps:.6g} certified {len(bodies)}/{cfg.samples} "
         f"delta={payload['delta']:.6g}"
     )
-    return 0
 
 
-def cmd_round2d(cfg: ExperimentConfig) -> int:
+def cmd_round2d(cfg: ExperimentConfig, out: str) -> tuple[dict, int, str]:
     fam_name = cfg.family or ("ellipsoid" if cfg.axes else None)
     if fam_name == "ellipsoid":
         if not cfg.axes:
             raise InputError("round2d family=ellipsoid needs axes=a,b,c")
         family = ellipsoid_family(cfg.axes)
     elif fam_name == "cube":
-        if not cfg.ambient_n:
-            raise InputError("round2d family=cube needs ambient_n=<N>")
+        if cfg.ambient_n is None or cfg.ambient_n < 2:
+            raise InputError(f"round2d family=cube needs ambient_n >= 2, got {cfg.ambient_n}")
         family = cube_family(cfg.ambient_n)
     elif fam_name == "polytope":
         if not cfg.vertices:
             raise InputError("round2d family=polytope needs vertices=<path>")
         doc = load_json(cfg.vertices)
-        pts = doc["vertices"] if isinstance(doc, dict) else doc
-        family = polytope_family(np.asarray(pts, dtype=float))
+        try:
+            pts = np.asarray(doc["vertices"] if isinstance(doc, dict) else doc, dtype=float)
+        except (KeyError, TypeError, ValueError):
+            pts = None
+        if pts is None or pts.ndim != 2 or not np.isfinite(pts).all():
+            raise InputError(f"{cfg.vertices}: no finite vertex list, bare or under 'vertices'")
+        family = polytope_family(pts)
     else:
         raise InputError("round2d needs family in {ellipsoid, cube, polytope}")
 
     tol = cfg.tol if cfg.tol is not None else 1e-8
-    out = round_section_search(family, d=cfg.d, tol=tol, seed=cfg.seed)
+    found = round_section_search(family, d=cfg.d, tol=tol, seed=cfg.seed)
     payload = {
         "family": fam_name,
         "ambient_dim": family.ambient_dim,
-        "frame": out["frame"].tolist(),
-        "radius": out["radius"],
-        "energy": out["energy"],
-        "converged": out["converged"],
-        "trace": out["trace"],
+        "frame": found["frame"].tolist(),
+        "radius": found["radius"],
+        "energy": found["energy"],
+        "converged": found["converged"],
+        "trace": found["trace"],
     }
-    _report(cfg, "round2d", payload)
-    state = "round section" if out["converged"] else "best frame found (no round section)"
-    print(f"{state}: radius={out['radius']:.9g} energy={out['energy']:.3g}")
-    return 0
+    state = "round section" if found["converged"] else "best frame found (no round section)"
+    return payload, 0, f"{state}: radius={found['radius']:.9g} energy={found['energy']:.3g}"
 
 
-def cmd_symmetrize(cfg: ExperimentConfig) -> int:
+def cmd_symmetrize(cfg: ExperimentConfig, out: str) -> tuple[dict, int, str]:
     if not cfg.body:
         raise InputError("symmetrize needs body=<path>")
     body = load_body(cfg.body)
@@ -263,8 +256,7 @@ def cmd_symmetrize(cfg: ExperimentConfig) -> int:
     after = invariance_defect(avg, sample)
     odd = odd_even_split(body.grid, body.support)[1]
     odd_residual = float(np.sqrt(integrate(body.grid, odd**2)))
-    out_path = os.path.join(_out_dir(cfg), "averaged_body.json")
-    save_body(avg, out_path)
+    save_body(avg, os.path.join(out, "averaged_body.json"))
     payload = {
         "group": tag,
         "elements": int(sample.elements.shape[0]),
@@ -272,58 +264,49 @@ def cmd_symmetrize(cfg: ExperimentConfig) -> int:
         "defect_after": after,
         "hausdorff_to_average": hausdorff(body, avg),
         "odd_residual_l2": odd_residual,
-        "averaged_body": out_path,
+        "averaged_body": "averaged_body.json",
     }
-    _report(cfg, "symmetrize", payload)
-    print(
+    return payload, 0, (
         f"defect {before:.3g} -> {after:.3g}, "
         f"d_h(body, avg)={payload['hausdorff_to_average']:.6g}"
     )
-    return 0
 
 
-def cmd_swclass(cfg: ExperimentConfig) -> int:
-    payload = {"n": cfg.n}
+def cmd_swclass(cfg: ExperimentConfig, out: str) -> tuple[dict, int, str]:
+    payload = {"n": cfg.n, "mode": "chain" if cfg.chain else "single"}
     try:
         if cfg.chain:
             d_max = cfg.d_max if cfg.d_max is not None else cfg.d
             chain = sw_product_chain(cfg.n, d_max)
             poly = chain["poly"]
-            payload.update(mode="chain", d_max=d_max, stages=chain["stages"],
+            payload.update(d_max=d_max, stages=chain["stages"],
                            all_ones=chain["all_ones"])
         else:
             top = stiefel_whitney_top(cfg.n, cfg.d, allow_even=cfg.allow_even)
             poly = top.poly
-            payload.update(mode="single", d=cfg.d, factor_count=top.factor_count,
+            payload.update(d=cfg.d, factor_count=top.factor_count,
                            all_ones=top.all_ones)
         payload.update(monomials=poly.monomial_count, degree=poly.degree())
     except BudgetExceeded as exc:
         partial = exc.details.get("partial")
-        payload.update(
-            {
-                "mode": "chain" if cfg.chain else "single",
-                "budget_exceeded": str(exc),
-                "partial_monomials": None if partial is None else partial.monomial_count,
-            }
-        )
-        _report(cfg, "swclass", payload)
-        print(f"budget exceeded: {exc}")
-        return 1
+        payload["budget_exceeded"] = str(exc)
+        payload["partial_monomials"] = None if partial is None else partial.monomial_count
+        return payload, 1, f"budget exceeded: {exc}"
 
     if poly.monomial_count <= 4096:
         payload["exponents"] = poly.exponents().tolist()
     if cfg.elementary:
         expr = express_elementary(poly)
         payload["elementary"] = sorted([list(k) for k in expr])
-    _report(cfg, "swclass", payload)
-    print(
+    return payload, 0, (
         f"monomials={poly.monomial_count} degree={poly.degree()} "
         f"all_ones={payload['all_ones']}"
     )
-    return 0
 
 
-def cmd_bivec(cfg: ExperimentConfig) -> int:
+def cmd_bivec(cfg: ExperimentConfig, out: str) -> tuple[dict, int, str]:
+    if cfg.trials < 1:
+        raise InputError(f"bivec needs trials >= 1, got {cfg.trials}")
     rng = np.random.default_rng(cfg.seed)
     hom = 0.0
     for _ in range(cfg.trials):
@@ -361,13 +344,11 @@ def cmd_bivec(cfg: ExperimentConfig) -> int:
         "torus_reports": torus_reports,
         "preimages": preimages,
     }
-    _report(cfg, "bivec", payload)
     residuals = ", ".join(f"{p['residual']:.2g}" for p in preimages)
-    print(
+    return payload, 0, (
         f"homomorphism defect {hom:.3g}, torus planes ok: {payload['torus_all_ok']}, "
         f"preimage residuals [{residuals}]"
     )
-    return 0
 
 
 _COMMANDS = {
@@ -386,29 +367,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Support-function calculus and obstruction checks on spheres.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} driver")
-        p.add_argument(
-            "settings",
-            nargs="*",
-            help="key=value settings (see convexsphere.config for keys)",
-        )
-        p.add_argument("--config", help="JSON config file; key=value settings override")
+    parser.add_argument("--config", help="JSON config file; key=value settings override")
+    parser.add_argument("command", choices=_COMMANDS, help="the driver to run")
+    parser.add_argument("settings", nargs="*", help="key=value settings (keys: convexsphere.config)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # intermixed, so that --config may follow the command or a setting
+    args = build_parser().parse_intermixed_args(argv)
     try:
         base = ExperimentConfig.from_json_file(args.config).to_dict() if args.config else {}
         cfg = ExperimentConfig.from_dict(
             {**base, **_parse_pairs(args.settings), "experiment": args.command}
         )
-        return _COMMANDS[args.command](cfg)
+        out = _out_dir(cfg)
+        payload, code, summary = _COMMANDS[args.command](cfg, out)
+        path = _report(cfg, out, args.command, payload)
     except ConvexSphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"wrote {path}\n{summary}")
+    return code
 
 
 if __name__ == "__main__":

@@ -1,19 +1,20 @@
 """Experiment configuration shared by the command-line drivers.
 
-One flat frozen dataclass covers every subcommand; unused fields stay
+One flat frozen dataclass covers every command; unused fields stay
 None.
 Configs parse from key=value pairs or a JSON file, round-trip
 losslessly through to_dict/from_dict, and reject unknown keys with
 the list of valid ones, so a typo never silently runs defaults.
+from_dict types every value through one function, so a JSON config is
+typed like the command line and a wrong type is refused by key.
 """
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError
-
-_TUPLE_KEYS = {"axes"}
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        valid = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - set(valid))
+        unknown = sorted(set(data) - set(_HINTS))
         if unknown:
             raise ConfigError(
-                f"unknown config keys {unknown}; valid keys: {sorted(valid)}"
+                f"unknown config keys {unknown}; valid keys: {sorted(_HINTS)}"
             )
-        return cls(**{
-            k: tuple(v) if k in _TUPLE_KEYS and v is not None else v for k, v in data.items()
-        })
+        return cls(**{k: _typed(k, v) for k, v in data.items()})
 
     @classmethod
     def from_pairs(cls, pairs) -> "ExperimentConfig":
@@ -81,41 +79,53 @@ class ExperimentConfig:
 
 
 def _parse_pairs(pairs) -> dict:
-    """{key: value} of ["n=3", "eps=0.05", ...], each value coerced to
-    its field's declared type."""
-    valid = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    """{key: text} of ["n=3", "eps=0.05", ...]; from_dict types the text."""
     data = {}
     for pair in pairs:
-        if "=" not in pair:
+        key, eq, raw = pair.partition("=")
+        if not eq:
             raise ConfigError(f"expected key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        key = key.strip()
-        if key not in valid:
-            raise ConfigError(
-                f"unknown config key {key!r}; valid keys: {sorted(valid)}"
-            )
-        data[key] = _coerce(key, raw.strip())
+        data[key.strip()] = raw
     return data
 
 
-def _coerce(key: str, raw: str):
-    if key in _TUPLE_KEYS:
-        return tuple(float(x) for x in raw.split(",") if x)
-    if raw.lower() in ("none", "null"):
-        return None
-    hints = {f.name: str(f.type) for f in dataclasses.fields(ExperimentConfig)}
-    hint = hints[key]
+def _typed(key: str, value):
+    """`value` as the type that field `key` declares. A string parses as
+    key=value text ("none" or "null" is None, a tuple is comma-separated
+    floats); any other value must already have the declared type, where
+    an int passes for a float and a list for a tuple."""
+    hint = _HINTS[key]
+    kind, *optional = typing.get_args(hint) or (hint,)
     try:
-        if "bool" in hint:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw}")
-        if "int" in hint:
-            return int(raw)
-        if "float" in hint:
-            return float(raw)
+        if isinstance(value, str):
+            value = _parse(kind, value.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
-    return raw
+    real = (int, float)  # matched by exact type, so a bool is not a number
+    if value is None and optional:
+        return None
+    if kind is tuple and isinstance(value, (list, tuple)) and all(type(x) in real for x in value):
+        return tuple(map(float, value))
+    if kind is float and type(value) in real:
+        return float(value)
+    if kind in (int, str, bool) and type(value) is kind:
+        return value
+    expected = kind.__name__ + (" or null" if optional else "")
+    raise ConfigError(f"bad value for {key}: expected {expected}, got {value!r}")
+
+
+def _parse(kind: type, raw: str):
+    if raw.lower() in ("none", "null"):
+        return None
+    if kind is tuple:
+        return tuple(float(x) for x in raw.split(",") if x)
+    if kind is bool:
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"not a boolean: {raw}")
+    return kind(raw)
+
+
+_HINTS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}

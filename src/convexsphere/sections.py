@@ -69,7 +69,13 @@ def cube_family(big_n: int, grid: SphereGrid | None = None) -> SectionFamily:
 
 def polytope_family(vertices: np.ndarray, grid: SphereGrid | None = None) -> SectionFamily:
     """Sections of the hull of a vertex set (origin must be interior)."""
-    hull = ConvexHull(np.asarray(vertices, dtype=float))
+    vertices = np.asarray(vertices, dtype=float)
+    try:
+        hull = ConvexHull(vertices)
+    except QhullError:
+        raise InputError(
+            f"the hull of {len(vertices)} vertices in R^{vertices.shape[1]} is flat"
+        ) from None
     return SectionFamily(grid or build_grid(2), normals=hull.equations[:, :-1],
                          offsets=-hull.equations[:, -1])
 

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+import convexsphere
 from convexsphere import cli
 from convexsphere.bodies import ball, from_vertices
 from convexsphere.fields import thicken
@@ -77,10 +78,18 @@ def test_from_json_file_errors(tmp_path):
 
 
 def test_parser_requires_subcommand(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main([])
-    assert info.value.code == 2
+    for argv in ([], ["bogus"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_version_prints_package_version(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == convexsphere.__version__
 
 
 def test_unknown_setting_exits_2(capsys):
@@ -94,15 +103,49 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "no such config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,config,key",
+    [
+        ("counterexample", {"samples": "12", "n": 3}, None),
+        ("counterexample", {"seed": 1.5}, "seed"),
+        ("round2d", {"axes": 5}, "axes"),
+        ("swclass", {"d": 3.5}, "d"),
+        ("swclass", {"n": True, "d": 3}, "n"),
+    ],
+    ids=["string-samples", "float-seed", "int-axes", "float-d", "bool-n"],
+)
+def test_config_file_values_are_typed(command, config, key, tmp_path, capsys):
+    # each crashed with a TypeError traceback and exit 1; a string is
+    # parsed as key=value text is, and a value of the wrong type is refused
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    rc = cli.main([command, "--config", str(conf), f"out={tmp_path}"])
+    err = capsys.readouterr().err
+    if key is None:
+        assert rc == 0
+        assert load_json(str(tmp_path / f"{command}.json"))["config"]["samples"] == 12
+    else:
+        assert rc == 2 and err.startswith(f"error: bad value for {key}:")
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"n": 2, "d": 5, "out": str(tmp_path)}))
-    rc = cli.main(["swclass", "--config", str(conf), "d=3", "elementary=true"])
-    assert rc == 0
-    capsys.readouterr()
-    doc = load_json(str(tmp_path / "swclass.json"))
-    assert doc["config"]["n"] == 2
-    assert doc["config"]["d"] == 3
+    # one parser: --config may stand before the command, after it, or
+    # between the settings
+    for argv in (
+        ["swclass", "--config", str(conf), "d=3", "elementary=true"],
+        ["--config", str(conf), "swclass", "d=3", "elementary=true"],
+        ["swclass", "d=3", "--config", str(conf), "elementary=true"],
+    ):
+        (tmp_path / "swclass.json").unlink(missing_ok=True)
+        rc = cli.main(argv)
+        assert rc == 0
+        capsys.readouterr()
+        doc = load_json(str(tmp_path / "swclass.json"))
+        assert doc["config"]["n"] == 2
+        assert doc["config"]["d"] == 3
+        assert doc["config"]["elementary"] is True
 
 
 # -- metrics -----------------------------------------------------------------
@@ -260,6 +303,30 @@ def test_round2d_needs_family(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "settings,vertices,named",
+    [
+        (["round2d", "family=polytope"], {"foo": 1}, "verts.json"),
+        (["round2d", "family=polytope"], [[0, 0, 0], [1, 0, 0]], "2 vertices"),
+        (["round2d", "family=polytope"], {"vertices": "abc"}, "verts.json"),
+        (["round2d", "family=cube", "ambient_n=-1"], None, "got -1"),
+        (["bivec", "trials=-1"], None, "got -1"),
+    ],
+    ids=["polytope-no-vertices", "polytope-flat", "polytope-not-numbers",
+         "cube-negative-n", "bivec-negative-trials"],
+)
+def test_malformed_input_exits_2(settings, vertices, named, tmp_path, capsys):
+    # each was a traceback with exit 1, or, for bivec, exit 0 over zero trials
+    if vertices is not None:
+        path = tmp_path / "verts.json"
+        path.write_text(json.dumps(vertices))
+        settings = settings + [f"vertices={path}"]
+    assert cli.main(settings + [f"out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / f"{settings[0]}.json").exists()
+
+
 # -- symmetrize --------------------------------------------------------------
 
 
@@ -356,23 +423,26 @@ def test_out_env_variable(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envdir" / "swclass.json").exists()
 
 
-def test_reports_are_rerun_identical(tmp_path, capsys, monkeypatch):
+def test_reports_are_rerun_identical(tmp_path, grid3, capsys, monkeypatch):
     # no timestamps anywhere, so a rerun with the same settings must be
     # byte-identical; out dirs differ only through the environment, which
-    # is not embedded in the report
+    # is not embedded in the report, and a report names the files beside
+    # it by file name; the counterexample report is fed by the pruned hull
+    # scans
+    body = tmp_path / "shifted.json"
+    save_body(thicken(from_vertices(grid3, np.array([[0.3, 0.0, 0.0]])), 1.0), str(body))
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
-    monkeypatch.setenv("CONVEXSPHERE_OUT", str(d1))
-    assert cli.main(["swclass", "n=3", "d=5"]) == 0
-    monkeypatch.setenv("CONVEXSPHERE_OUT", str(d2))
-    assert cli.main(["swclass", "n=3", "d=5"]) == 0
-    capsys.readouterr()
-    assert (d1 / "swclass.json").read_bytes() == (d2 / "swclass.json").read_bytes()
-    # the counterexample report names its CSV by path, so each run writes
-    # to the working directory; the report is fed by the pruned hull scans
-    monkeypatch.delenv("CONVEXSPHERE_OUT")
     for d in (d1, d2):
-        monkeypatch.chdir(d)
+        monkeypatch.setenv("CONVEXSPHERE_OUT", str(d))
+        assert cli.main(["swclass", "n=3", "d=5"]) == 0
         assert cli.main(["counterexample", "n=3", "samples=12", "seed=1"]) == 0
+        assert cli.main(["symmetrize", f"body={body}", "group=pm"]) == 0
     capsys.readouterr()
-    for name in ("counterexample.json", "octahedron_sweep.csv"):
+    for name in (
+        "swclass.json",
+        "counterexample.json",
+        "octahedron_sweep.csv",
+        "symmetrize.json",
+        "averaged_body.json",
+    ):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
