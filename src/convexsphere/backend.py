@@ -5,9 +5,9 @@ The scans go through BLAS in blocks of `_BLOCK` rows, which bounds the
 temporary at G * _BLOCK doubles instead of G^2. The two max-scans,
 support_max_dot and hull_gaps, share one loop (_max_scan) over
 caller-chosen (own, cand) blocks, scanning for the outputs `own` only
-the entries `cand` that can attain them (bodies.hull_depth lists a
-tile and its antipodal image as two blocks); outputs in no block are
-left unset, so a caller can leave out whole tiles. Every entry point
+the entries `cand` that can attain them (bodies.hull_depth lists the
+tiles of the grid's first half); outputs in no block are left unset,
+so a caller can leave out whole tiles. Every entry point
 coerces its array arguments to contiguous float64.
 
 The max-scans transpose the scanned side once per call to contiguous

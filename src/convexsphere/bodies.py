@@ -103,7 +103,7 @@ class ConvexBody:
             return self.sampled_support
         if self.terms is not None:
             return read_only(backend.minkowski_support(*self.terms, self.ball_radius, self.grid.nodes))
-        return read_only(_radial_support(self.grid, self.radial)[1])
+        return read_only(_radial_support(self.grid, self.radial)[0])
 
     @cached_property
     def radial(self) -> np.ndarray:
@@ -525,24 +525,15 @@ _GAP_PAD = 1e-12
 
 
 def _radial_support(grid: SphereGrid, r: np.ndarray):
-    """The cloud {r_i u_i} of positive radial samples on the grid nodes
-    u_i, its support h_j = max_i r_i <u_i, u_j> over the pairs with
-    <u_i, u_j> >= rmin/rmax, and whether r is exactly even. An even r
-    scans the tiles of the first G/2 nodes and copies h[G/2:] = h[:G/2];
-    any other r scans their antipodal images as well (hull_depth)."""
-    even = np.array_equal(r, r[grid.antipode])
-    cloud = r[:, None] * grid.nodes
+    """(h, clouds): the support h_j = max_i r_i <u_i, u_j> of the radial
+    cloud {r_i u_i} over the pairs with <u_i, u_j> >= rmin/rmax, and the
+    clouds scanned on the tiles of the first G/2 nodes: that of r and,
+    unless r is exactly even, that of the flipped radii r[antipode]."""
+    flipped = r[grid.antipode]
+    clouds = [v[:, None] * grid.nodes for v in ([r] if np.array_equal(r, flipped) else [r, flipped])]
     blocks = grid.neighbourhoods(float(r.min()) / float(r.max()) - _COS_PAD)
-    h = backend.support_max_dot(cloud, grid.nodes,
-                                blocks=blocks + ([] if even else [_image(grid, *b) for b in blocks]))
-    if even:
-        h[grid.size // 2:] = h[:grid.size // 2]
-    return cloud, h, even
-
-
-def _image(grid: SphereGrid, own, cand):
-    """The antipodal image of an (own, cand) block: its pairs, negated."""
-    return grid.antipode[own], cand if isinstance(cand, slice) else grid.antipode[cand]
+    halves = [backend.support_max_dot(c, grid.nodes, blocks=blocks)[:grid.size // 2] for c in clouds]
+    return np.concatenate([halves[0], halves[-1]]), clouds
 
 
 def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> float:
@@ -566,22 +557,21 @@ def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> floa
       1 - (rmax - rmin)/rmin. Any other j has r_i <u_i, u_j> - h_j <
       r_i - (rmax - rmin) - rmin <= r_i - h_i, the j = i term, because
       h_j >= r_j >= rmin, r_i >= rmin and h_i <= rmax.
-    - antipodes: the tiles cover the first G/2 nodes and their images
-      (_image) the rest, with the same <u_i, u_j>: nodes[G/2:] ==
-      -nodes[:G/2] exactly. An exactly even r gives a symmetric cloud,
-      h_-j = h_j and gap_-i = gap_i, so only the tiles are scanned.
+    - antipodes: the tiles cover the first G/2 nodes. nodes[G/2:] ==
+      -nodes[:G/2] and negation rounds exactly, so the outputs of r from
+      G/2 on are, bit for bit, the first G/2 of the flipped radii
+      r[antipode] against h[antipode], on the same tiles. An exactly
+      even r is its own flip (h_-j = h_j, gap_-i = gap_i): one scan.
     - floor: gap_i >= r_i - h_i, the j = i term, which every candidate
       list holds. So low_i = r_i - h_i - _GAP_PAD * rmax bounds the
       computed gap from below, and a tile whose members all have
       low_i >= floor holds no point below the floor: it is not scanned,
-      and its points count with low_i. The other tiles and images go to
-      one hull_gaps call as whole blocks, so each scanned gap keeps the
-      full scan's bits.
-    - slack: _hull_depth_slack returns the terms r_i - h_i at the outputs
-      beside the depth. Along radii 1 + eps*v they move at most linearly
-      in eps, so find_epsilon bounds a sample's later depths from them
-      and skips the scans that bound already passes (its docstring has
-      the bound and the proof).
+      and its points count with low_i. The other tiles go to one
+      hull_gaps call per cloud as whole blocks, so each scanned gap
+      keeps the full scan's bits.
+    - slack: _hull_depth_slack also returns the terms r_i - h_i at the
+      outputs, from which find_epsilon bounds a sample's later depths
+      and skips the scans that bound passes (its docstring has the proof).
     """
     return _hull_depth_slack(grid, r, floor)[0]
 
@@ -595,20 +585,20 @@ def _hull_depth_slack(grid: SphereGrid, r: np.ndarray, floor: float = math.inf):
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
         return -math.inf, None
-    cloud, h, even = _radial_support(grid, r)
+    h, clouds = _radial_support(grid, r)
     rmin, rmax = float(r.min()), float(r.max())
     slack = r - h
     low = slack - _GAP_PAD * rmax
-    # near[s, t]: tile t (s = 0) or its image G/2 nodes on (s = 1) may hold a point below the floor
-    near = np.array([[v[m].min() < floor for m in grid.tiles[0]]
-                     for v in low.reshape(2, -1)[:1 if even else 2]])
-    keep = np.flatnonzero(near.any(axis=0))
-    hoods = dict(zip(keep.tolist(), grid.neighbourhoods(1.0 - (rmax - rmin) / rmin - _COS_PAD, keep)))
-    deep = [_image(grid, *hoods[t]) if s else hoods[t] for s, t in zip(*np.nonzero(near))]
-    gaps = backend.hull_gaps(cloud, grid.nodes, h, blocks=deep)
-    for own, _ in deep:
-        low[own] = gaps[own]
-    outputs = grid.size // 2 if even else grid.size
+    order, starts = grid.tiles[:2]
+    cut = 1.0 - (rmax - rmin) / rmin - _COS_PAD
+    # cloud s outputs r's half s: the flipped cloud's first half, against h turned over
+    for cloud, hs, part in zip(clouds, (h, h[grid.antipode]), low.reshape(2, -1)):
+        near = np.minimum.reduceat(part[order], starts[:-1]) < floor
+        gaps = backend.hull_gaps(cloud, grid.nodes, hs,
+                                 blocks=grid.neighbourhoods(cut, np.flatnonzero(near)))
+        deep = order[np.repeat(near, np.diff(starts))]
+        part[deep] = gaps[deep]
+    outputs = grid.size // 2 * len(clouds)
     return float(low[:outputs].min()), slack[:outputs]
 
 

@@ -24,7 +24,6 @@ from scipy.linalg import expm
 from . import __version__, bivectors as bv
 from .bodies import (
     bm_distance,
-    certify_convex_radial,
     check_c0_l2_bound,
     distance_to_ball,
     group_average,
@@ -40,7 +39,7 @@ from .errors import (
     NonpositiveRadius,
 )
 from .fields import (
-    DEPTH_TOL,
+    depth_certificate,
     find_epsilon,
     quad_pair_field,
     radial_body,
@@ -163,9 +162,7 @@ def cmd_counterexample(cfg: ExperimentConfig, out: str) -> tuple[dict, int, str]
             continue
         # a bisected eps_star has passed find_epsilon's own certificate on
         # every sample; only a given eps needs checking
-        if cfg.eps is None or certify_convex_radial(
-            body, tol=DEPTH_TOL * float(body.radial.max())
-        ):
+        if cfg.eps is None or depth_certificate(grid, body.radial)[0]:
             bodies.append(body)
         else:
             failures.append((i, "certificate"))

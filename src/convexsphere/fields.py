@@ -228,6 +228,15 @@ DEPTH_TOL = 5e-3
 _SKIP_PAD = 1e-9
 
 
+def depth_certificate(grid: SphereGrid, r: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """(passes, slack) of find_epsilon's certificate on the radii r:
+    hull_depth >= -DEPTH_TOL * max r, decided with that floor, and the
+    slack r - h of the scan (None for a non-positive radius, which fails)."""
+    floor = -DEPTH_TOL * float(r.max())
+    depth, slack = _hull_depth_slack(grid, r, floor)
+    return depth >= floor, slack
+
+
 def _depth_bound(eps_a: float, slack: np.ndarray, v: np.ndarray, eps: float) -> float:
     """A lower bound on the hull depth of the radii 1 + eps*v, from the
     slack r - h of the radii 1 + eps_a*v at its first slack.size nodes
@@ -251,13 +260,13 @@ def find_epsilon(
     radial function 1 + eps*phi certifies convex, over Haar-rotated
     spanning samples of the unit sphere of F^d.
 
-    Certification accepts hull gaps down to -DEPTH_TOL * max(r), a
-    fixed dimple depth relative to the body scale; hull_depth takes it as
-    its floor, so only tiles with a point near or below it are scanned
-    for gaps. Bisection runs on
-    the working grid; the final eps is re-certified on the 2x-refined
-    grid and the pass rate reported (running the refined check inside
-    every bisection step would be orders of magnitude more work).
+    Certification is depth_certificate: it accepts hull gaps down to
+    -DEPTH_TOL * max(r), a fixed dimple depth relative to the body scale;
+    hull_depth takes it as its floor, so only tiles with a point near or
+    below it are scanned for gaps. Bisection runs on the working grid;
+    the final eps is re-certified on the 2x-refined grid and the pass
+    rate reported (running the refined check inside every bisection step
+    would be orders of magnitude more work).
 
     A round skips the scan of a sample that its latest scan already
     passes. Fix the sample v, and let that scan be at eps_a, with
@@ -272,7 +281,7 @@ def find_epsilon(
     - Every gap is at least r_j - h_j, the j = i term.
 
     So depth(eps) >= min_j (s_j + D v_j) - |D| m, which _depth_bound
-    computes over the outputs of the earlier scan: one antipodal half,
+    computes over the outputs of the earlier scan: the first G/2 nodes,
     where the depth of exactly even radii takes its minimum. When the
     bound clears the floor by _SKIP_PAD * max r, the sample passes at
     eps and is not scanned. A sample with a non-positive radius at eps
@@ -299,17 +308,12 @@ def find_epsilon(
     elif len(phis) != sample_count or any((p.n, p.d) != (n, d) or p.grid != grid for p in phis):
         raise InputError(f"find_epsilon needs {sample_count} samples of degree {d} on its grid")
     # even to the last bit (the samples are even to round-off), so that
-    # hull_depth scans one antipodal half of the grid
+    # hull_depth scans them once, on the tiles of the first half
     vals = odd_even_split(grid, np.stack([p.samples for p in phis]))[0]
     mins, tops = vals.min(axis=1), vals.max(axis=1)
     if np.any(mins >= 0):
         raise InputError("zero-average sample without negative values")  # pragma: no cover
     hi0 = float(np.min(-1.0 / mins))
-
-    def scan(g: SphereGrid, r: np.ndarray):
-        floor = -DEPTH_TOL * float(r.max())
-        depth, slack = _hull_depth_slack(g, r, floor)
-        return depth >= floor, slack
 
     latest = {}  # sample -> (eps, r - h) of its latest scan with positive radii
 
@@ -331,7 +335,7 @@ def find_epsilon(
         for k in first + [k for k in range(len(vals)) if k != limiting]:
             if proven(k, eps):
                 continue
-            ok, slack = scan(grid, 1.0 + eps * vals[k])
+            ok, slack = depth_certificate(grid, 1.0 + eps * vals[k])
             if slack is not None:
                 latest[k] = (eps, slack)
             if not ok:
@@ -374,7 +378,7 @@ def find_epsilon(
         # refined nodes and take all samples as one matrix product
         coeffs = np.stack([p.coeffs for p in phis])
         fine_vals = odd_even_split(fine, (phis[0].basis.eval(fine.nodes) @ coeffs.T).T)[0]
-        passed = sum(scan(fine, 1.0 + lo * v)[0] for v in fine_vals)
+        passed = sum(depth_certificate(fine, 1.0 + lo * v)[0] for v in fine_vals)
         result["refined_pass_rate"] = passed / sample_count
     return result
 

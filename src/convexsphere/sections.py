@@ -155,6 +155,8 @@ def round_section_search(
     tol through degrees 1..d. Coarse Stiefel sampling plus coordinate
     planes, then Nelder-Mead descent in Grassmannian charts around the
     best candidates."""
+    if d < 2:
+        raise InputError(f"a round section search needs degree d >= 2, got d={d}")
     big_n = family.ambient_dim
     if big_n == 2:
         frame = np.eye(2)

@@ -3,8 +3,8 @@
 Grids are product rules written so the node set is closed under the
 antipodal map *exactly* in floating point: the first half of the nodes
 is constructed, the second half is its literal negation, and the index
-map u -> -u is stored. Measures are unnormalized (lengths 2*pi, 4*pi,
-2*pi^2).
+map u -> -u is stored: the second half of samples f is the first half
+of f[antipode]. Measures are unnormalized (lengths 2*pi, 4*pi, 2*pi^2).
 
 A grid is its description: SphereGrid(n, resolution) is frozen, builds
 its nodes, weights, antipode map and (n=2) angles from the two numbers
@@ -138,14 +138,14 @@ class SphereGrid:
         return backend.max_nn_gap(self.nodes)
 
     @cached_property
-    def tiles(self) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """(members, centres, radii): the first G/2 nodes grouped into K/2
+    def tiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(order, starts, centres, radii): the first G/2 nodes in K/2
         spatially compact tiles of about TILE_SIZE nodes, from 8 rounds of
-        spherical k-means with a fixed seed. members[t] are the node
-        indices of tile t, centres[t] its unit centre and radii[t] the
-        largest angle from the centre to a member. The second half is not
-        tiled: antipode[members[t]] is the image of tile t, with centre
-        -centres[t] and the same radius. Every array is read-only."""
+        spherical k-means with a fixed seed. Tile t is the nodes
+        order[starts[t]:starts[t+1]], in increasing index, with unit centre
+        centres[t] and radius radii[t], the largest angle from the centre
+        to a member. The second half is not tiled (bodies.hull_depth).
+        Every array is read-only."""
         half = self.size // 2
         nodes = self.nodes[:half]
         k = max(1, half // TILE_SIZE)
@@ -156,16 +156,14 @@ class SphereGrid:
             np.add.at(sums, label, nodes)
             norm = np.linalg.norm(sums, axis=1)
             centres = sums[norm > 0] / norm[norm > 0, None]
-        label = np.argmax(centres @ nodes.T, axis=0)
-        used = np.unique(label)
-        members = tuple(read_only(np.flatnonzero(label == t)) for t in used)
+        used, label = np.unique(np.argmax(centres @ nodes.T, axis=0), return_inverse=True)
         centres = centres[used]
+        order = np.argsort(label, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(label))])
         # chord -> angle, well conditioned for small angles
-        radii = np.array([
-            2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(nodes[m] - c, axis=1).max()))
-            for m, c in zip(members, centres)
-        ])
-        return members, read_only(centres), read_only(radii)
+        chord = np.maximum.reduceat(np.linalg.norm(nodes - centres[label], axis=1)[order], starts[:-1])
+        radii = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
+        return read_only(order), read_only(starts), read_only(centres), read_only(radii)
 
     @cached_property
     def _tile_order(self) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +172,7 @@ class SphereGrid:
         3t - cosine of order[t], ascending over all rows since every
         cosine lies in [-1, 1] and rounding is monotone. 12 bytes per
         entry, about G^2/96 entries (0.5 MB at G=2048). Both read-only."""
-        _, centres, _ = self.tiles
+        centres = self.tiles[2]
         cos = centres @ self.nodes.T
         order = np.argsort(-cos, axis=1).astype(np.int32)
         keys = 3.0 * np.arange(len(centres))[:, None] - np.take_along_axis(cos, order, axis=1)
@@ -185,19 +183,17 @@ class SphereGrid:
         cand holds at least every node u with <u, v> >= cos_cut for some
         member v: the nodes within the tile's radius plus arccos(cos_cut)
         of its centre, or slice(None) for all nodes when that reach covers
-        the sphere. Negating both nodes keeps <u, v>, so the image
-        (antipode[members], antipode[cand]) does the same for the tile's
-        image. Each cand is a prefix of the tile's row of _tile_order, so
-        one searchsorted over the row-offset cosines cuts every list."""
-        members, _, radii = self.tiles
+        the sphere. Each cand is a prefix of the tile's row of _tile_order,
+        so one searchsorted over the row-offset cosines cuts every list."""
+        members, starts, _, radii = self.tiles
         order, keys = self._tile_order
         g = self.size
-        rows = np.arange(len(members)) if tiles is None else np.asarray(tiles, dtype=int)
+        rows = np.arange(len(radii)) if tiles is None else np.asarray(tiles, dtype=int)
         reach = radii[rows] + np.arccos(np.clip(cos_cut, -1.0, 1.0)) + _REACH_PAD
         counts = np.searchsorted(keys, 3.0 * rows - np.cos(np.minimum(reach, np.pi)),
                                  side="right") - rows * g
         counts[reach >= np.pi] = g
-        return [(members[t], slice(None) if k == g else order[t, :k])
+        return [(members[starts[t]:starts[t + 1]], slice(None) if k == g else order[t, :k])
                 for t, k in zip(rows.tolist(), counts.tolist())]
 
     def refined(self) -> "SphereGrid":

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from convexsphere import backend
-from convexsphere.bodies import certify_convex_radial, from_radial, from_vertices, hull_depth
+from convexsphere.bodies import (
+    _hull_depth_slack,
+    certify_convex_radial,
+    from_radial,
+    from_vertices,
+    hull_depth,
+)
 from convexsphere.sphere import build_grid
-from oracles import dense_hull_depth, dense_hull_gaps, exact_hull_gaps
+from oracles import dense_hull_depth, dense_hull_gaps, dense_own_gaps, exact_hull_gaps
 
 
 def smooth_radii(grid, spread, seed):
@@ -27,23 +33,29 @@ def _pairs(grid, blocks):
 
 
 def _kept_share(grid, cos_cut):
-    # the tiles cover the first G/2 nodes, and their images scan as many pairs
+    # the tiles cover the first G/2 nodes, and the flipped radii scan as
+    # many pairs on them again
     return 2 * _pairs(grid, grid.neighbourhoods(cos_cut)) / grid.size**2
+
+
+def _wrap_max_scans(monkeypatch, record):
+    """Make the two max-scan kernels pass the (own, cand) blocks of each
+    call to record."""
+    def recording(kernel):
+        def run(*args, blocks):
+            record(blocks)
+            return kernel(*args, blocks=blocks)
+        return run
+
+    for name in ("support_max_dot", "hull_gaps"):
+        monkeypatch.setattr(backend, name, recording(getattr(backend, name)))
 
 
 def _count_scanned_pairs(monkeypatch, grid):
     """Make the two max-scan kernels append the pairs they scan on grid
     to the returned list."""
     pairs = []
-
-    def counting(kernel):
-        def run(*args, blocks):
-            pairs.append(_pairs(grid, blocks))
-            return kernel(*args, blocks=blocks)
-        return run
-
-    for name in ("support_max_dot", "hull_gaps"):
-        monkeypatch.setattr(backend, name, counting(getattr(backend, name)))
+    _wrap_max_scans(monkeypatch, lambda blocks: pairs.append(_pairs(grid, blocks)))
     return pairs
 
 
@@ -175,9 +187,9 @@ def test_pruned_hull_depth_equals_dense(n, resolution):
         for seed in range(3):
             r = smooth_radii(grid, spread, seed)
             cloud = r[:, None] * grid.nodes
-            assert abs(hull_depth(grid, r) - dense_hull_depth(grid, r)) <= 1e-15
+            assert hull_depth(grid, r) == dense_hull_depth(grid, r)
             dense_h = (cloud @ grid.nodes.T).max(axis=0)
-            assert np.abs(from_radial(grid, r).support - dense_h).max() <= 1e-15
+            assert np.array_equal(from_radial(grid, r).support, dense_h)
             # exactly even radii scan one antipodal half, bit for bit
             even = 0.5 * (r + r[grid.antipode])
             cloud = even[:, None] * grid.nodes
@@ -203,8 +215,37 @@ def test_even_radii_scan_half_the_pairs(monkeypatch, n, grid3, grid4):
     pairs.clear()
     assert hull_depth(grid, odd) == dense_hull_depth(grid, odd)
     full = pairs[:]
-    assert [2 * p for p in half] == full
-    assert full[0] < full[1] < grid.size**2
+    # each kernel runs once more, on the flipped radii, with the same pairs
+    assert full == [half[0], half[0], half[1], half[1]]
+    assert half[0] < half[1] < grid.size**2 // 2
+
+
+@pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
+def test_slack_of_uneven_radii_equals_the_dense_own_gaps(n, resolution):
+    # the far half's slack comes from the scan of the flipped radii
+    grid = build_grid(n, resolution)
+    for spread in (0.005, 0.1, 0.9):
+        for seed in range(2):
+            r = smooth_radii(grid, spread, seed)
+            dense = dense_own_gaps(grid, r)
+            for floor in (math.inf, -5e-3 * r.max()):
+                _, slack = _hull_depth_slack(grid, r, floor)
+                assert slack.size == grid.size
+                assert np.array_equal(slack, dense)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hull_scans_own_only_the_first_half(monkeypatch, n, grid3, grid4):
+    # no block outputs the second half of the grid: it is scanned as the
+    # first half of the flipped radii, on the same tiles
+    grid = grid3 if n == 3 else grid4
+    owned = []
+    _wrap_max_scans(monkeypatch, lambda blocks: owned.extend(own for own, _ in blocks))
+    r = smooth_radii(grid, 0.02, 4)
+    for radii in (r, 0.5 * (r + r[grid.antipode])):
+        owned.clear()
+        assert hull_depth(grid, radii) == dense_hull_depth(grid, radii)
+        assert owned and max(own.max() for own in owned) < grid.size // 2
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -219,8 +260,9 @@ def test_floor_skips_tiles_that_clear_it(monkeypatch, n, grid3, grid4):
     full = pairs[:]
     pairs.clear()
     assert floor <= hull_depth(grid, r, floor) <= depth
-    assert pairs[0] == full[0]
-    assert pairs[1] < full[1]
+    # support scans of r and of the flipped radii, then their gap scans
+    assert pairs[:2] == full[:2]
+    assert pairs[2] < full[2] and pairs[3] < full[3]
 
 
 def test_floor_keeps_the_depth_of_an_own_direction_gap(grid3):

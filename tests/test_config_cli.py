@@ -311,12 +311,18 @@ def test_round2d_needs_family(capsys):
         (["round2d", "family=polytope"], {"vertices": "abc"}, "verts.json"),
         (["round2d", "family=cube", "ambient_n=-1"], None, "got -1"),
         (["bivec", "trials=-1"], None, "got -1"),
+        (["round2d", "family=cube", "ambient_n=3", "d=1"], None, "d=1"),
+        (["round2d", "family=cube", "ambient_n=3", "d=0"], None, "d=0"),
+        (["round2d", "family=cube", "ambient_n=3", "d=-5"], None, "d=-5"),
     ],
     ids=["polytope-no-vertices", "polytope-flat", "polytope-not-numbers",
-         "cube-negative-n", "bivec-negative-trials"],
+         "cube-negative-n", "bivec-negative-trials", "round2d-degree-1",
+         "round2d-degree-0", "round2d-negative-degree"],
 )
 def test_malformed_input_exits_2(settings, vertices, named, tmp_path, capsys):
-    # each was a traceback with exit 1, or, for bivec, exit 0 over zero trials
+    # each was a traceback with exit 1, or exit 0: for bivec over zero
+    # trials, for round2d d=1 with the energy 0 of every centred section
+    # and for d=-5 over a spectrum sliced from its end
     if vertices is not None:
         path = tmp_path / "verts.json"
         path.write_text(json.dumps(vertices))

@@ -203,3 +203,11 @@ def test_round_section_search_honest_on_cube(grid2):
     assert np.isfinite(out["radius"])
     trace = out["trace"]
     assert all(trace[i] >= trace[i + 1] - 1e-15 for i in range(len(trace) - 1))
+
+
+@pytest.mark.parametrize("d", [1, 0, -5])
+def test_round_section_search_refuses_degree_below_2(d, grid2):
+    # through degree 1 a centred cube section has zero energy, so a degree
+    # below 2 would call every section round
+    with pytest.raises(InputError, match=f"d={d}"):
+        round_section_search(cube_family(3, grid=grid2), d=d)

@@ -137,10 +137,10 @@ def test_grid_is_its_description(grid3):
 def test_tile_caches_are_read_only(n):
     # every pruned hull scan cuts its blocks from these caches
     grid = build_grid(n)
-    members, centres, radii = grid.tiles
-    order, keys = grid._tile_order
-    assert isinstance(members, tuple)
-    for a in (*members, centres, radii, order, keys):
+    order, starts, centres, radii = grid.tiles
+    tile_order, keys = grid._tile_order
+    for a in (order, starts, centres, radii, tile_order, keys):
+        assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
     for own, cand in grid.neighbourhoods(0.9):
@@ -150,12 +150,17 @@ def test_tile_caches_are_read_only(n):
 
 @pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
 def test_tiles_partition_the_first_half(n, resolution):
-    # the second half of the nodes is scanned through the tiles' images
+    # the second half of the nodes is scanned as the first half of the
+    # flipped samples, on the same tiles
     grid = build_grid(n, resolution)
-    members, centres, radii = grid.tiles
-    assert np.array_equal(np.sort(np.concatenate(members)), np.arange(grid.size // 2))
-    assert len(centres) == len(radii) == len(members)
-    assert grid._tile_order[0].shape == (len(members), grid.size)
+    order, starts, centres, radii = grid.tiles
+    half = grid.size // 2
+    assert np.array_equal(np.sort(order), np.arange(half))
+    assert starts[0] == 0 and starts[-1] == half and np.all(np.diff(starts) > 0)
+    for a, b in zip(starts[:-1], starts[1:]):
+        assert np.all(np.diff(order[a:b]) > 0)
+    assert len(centres) == len(radii) == len(starts) - 1
+    assert grid._tile_order[0].shape == (len(radii), grid.size)
 
 
 @pytest.mark.parametrize("resolution", [9, 6, 16.0, None])
