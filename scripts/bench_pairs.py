@@ -7,9 +7,9 @@ PARENT_DIR is a checkout of the parent commit (made with git archive or
 git clone). For each seed (default 1 and 7) and both perfbench workloads
 the script runs `perfbench/run.py` in the parent and in this checkout,
 --pairs times, alternating which side runs first. It adds one traced
-`epsilon` run per side, an in-process probe per side (the hull pairs each
-`epsilon` pass scans, counted from the kernels' blocks, and the hull
-scans of each of its solves; the find_epsilon decisions and values; the
+`epsilon` run per side, an in-process probe per side (the ring entries
+and dense pairs each `epsilon` pass reduces in the two max-scan kernels,
+and the hull scans of each of its solves; the find_epsilon decisions and values; the
 counterexample report) and interleaved timings
 of find_epsilon(3, 200, seed=1) on the 2048-node grid. Every run is one
 process at a time.
@@ -35,8 +35,8 @@ LAYERS = ("backend.hull_gaps.s", "backend.support_max_dot.s", "backend.hull_gaps
 
 
 def probe(seeds, out_dir):
-    """In-process, on the convexsphere on PYTHONPATH: pairs scanned,
-    hull scans (hull_gaps calls) per solve and manifests of the epsilon
+    """In-process, on the convexsphere on PYTHONPATH: ring entries and
+    dense pairs reduced, hull scans (hull_gaps calls) per solve and manifests of the epsilon
     workload's four solves at each seed, two more manifests, and the
     counterexample report's hash and values."""
     import collections
@@ -46,20 +46,37 @@ def probe(seeds, out_dir):
     from convexsphere import backend, cli, fields, sphere
 
     pairs = collections.Counter()
+    scanning = []  # the kernel that the ring entries and dense rows count for
 
     def counting(name):
         kernel = getattr(backend, name)
 
-        def run(*args, blocks=None):
-            g = args[1].shape[0]
-            pairs[name] += sum(own.size * (g if isinstance(c, slice) else c.size) for own, c in blocks)
+        def run(*args, **kwargs):
             pairs[name + "_calls"] += 1
-            return kernel(*args, blocks=blocks)
+            scanning.append(name)
+            try:
+                return kernel(*args, **kwargs)
+            finally:
+                scanning.pop()
         return run
 
-    kernels = {name: getattr(backend, name) for name in ("support_max_dot", "hull_gaps")}
-    for name in kernels:
-        setattr(backend, name, counting(name))
+    def ring_entries(*args):
+        out = segments(*args)
+        pairs[scanning[-1] + "_ring_entries"] += int(out[2].sum())
+        return out
+
+    def dense_pairs(rows, cols, *args, **kwargs):
+        if scanning:
+            pairs[scanning[-1] + "_dense_pairs"] += rows.shape[0] * cols.shape[1]
+        return max_rows(rows, cols, *args, **kwargs)
+
+    hooks = {"support_max_dot": counting("support_max_dot"), "hull_gaps": counting("hull_gaps"),
+             "_ring_segments": ring_entries, "_max_rows": dense_pairs}
+    # an older checkout, without the ring scans, counts calls only
+    wrapped = {name: getattr(backend, name) for name in hooks if hasattr(backend, name)}
+    segments, max_rows = wrapped.get("_ring_segments"), wrapped.get("_max_rows")
+    for name in wrapped:
+        setattr(backend, name, hooks[name])
     g512, g2048, g2000 = sphere.build_grid(3), sphere.build_grid(3, 32), sphere.build_grid(4)
     manifests, per_pass = [], {}
     for seed in seeds:
@@ -72,7 +89,7 @@ def probe(seeds, out_dir):
             manifests.append(fields.find_epsilon(n, k, s, grid=g, refined_check=rc))
             scans.append(pairs["hull_gaps_calls"] - before)
         per_pass[f"seed{seed}"] = dict(pairs, hull_scans_per_solve=scans)
-    for name, kernel in kernels.items():
+    for name, kernel in wrapped.items():
         setattr(backend, name, kernel)
     manifests += [fields.find_epsilon(3, 40, seed=1), fields.find_epsilon(4, 12, seed=2)]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -186,8 +203,8 @@ def main():
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
         "method": f"{args.pairs} interleaved parent/change pairs per workload and seed, the side "
                   "that runs first alternating; medians and quartiles (inclusive) of per-run values; "
-                  "one traced epsilon run per side; pairs and hull scans counted in-process from "
-                  "the kernels' blocks and calls",
+                  "one traced epsilon run per side; ring entries, dense pairs and hull scans "
+                  "counted in-process from the kernels' calls",
         "record": records["change"],
         "record_parent": records["parent"],
         "not_controlled": ["shared host: other tenants' load varies between and within runs",

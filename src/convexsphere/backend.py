@@ -1,21 +1,22 @@
 """Hot numeric kernels: blocked numpy scans over point/direction pairs.
 
 Each kernel is a quadratic scan with a tiny inner dimension (n <= 4).
-The scans go through BLAS in blocks of `_BLOCK` rows, which bounds the
-temporary at G * _BLOCK doubles instead of G^2. The two max-scans,
-support_max_dot and hull_gaps, share one loop (_max_scan) over
-caller-chosen (own, cand) blocks, scanning for the outputs `own` only
-the entries `cand` that can attain them (bodies.hull_depth lists the
-tiles of the grid's first half); outputs in no block are left unset,
-so a caller can leave out whole tiles. Every entry point
-coerces its array arguments to contiguous float64.
+The dense scans go through BLAS in blocks of `_BLOCK` rows, which bounds
+the temporary at G * _BLOCK doubles instead of G^2. Every entry point
+coerces its array arguments to contiguous float64, and every product of
+every kernel goes through _product, so an entry rounds the same in a
+block of one row or one column as in a larger one: a single direction's
+support equals its row of a batch.
 
-The max-scans transpose the scanned side once per call to contiguous
-(n, P) columns; each block gathers its candidates' columns and reduces
-the row-major (own x cand) product along its contiguous rows. Every
-product of every kernel goes through _product, so an entry rounds the
-same in a block of one row or one column as in a larger one: a single
-direction's support equals its row of a batch.
+The two max-scans, support_max_dot and hull_gaps, also take radial
+clouds {r_i u_i} (radial=(r, units)). Their terms are then r_i times the
+cosine <u_i, d_j>, one product for every scan of a radial cloud. On a
+grid the cosines come from ring_table: for each node of the grid's
+first half, the nodes whose cosine to it clears each of RING_LEVELS,
+stored once as disjoint rings. A scan with a cosine cut (rings=...) then
+reduces, with np.maximum.reduceat, only the rings that the cut needs,
+and falls back to dense rows only for the outputs that the rings cannot
+certify (bodies.hull_depth proves both).
 """
 
 import numpy as np
@@ -24,6 +25,10 @@ _BLOCK = 256  # rows per block; bounds temporary memory at G*BLOCK
 
 #: Smallest <query, dir> that radial_from_support counts as positive.
 _POS_TOL = 1e-9
+
+#: Cosine levels of ring_table, falling: ring l of a node holds the nodes
+#: whose cosine to it lies in [RING_LEVELS[l], RING_LEVELS[l-1]).
+RING_LEVELS = (0.9875, 0.975, 0.95, 0.9)
 
 
 def _c(a):
@@ -43,27 +48,142 @@ def _product(rows, cols, cand):
     return ((rows if m > 1 else rows[[0, 0]]) @ (cols if k > 1 else cols[:, [0, 0]]))[:m, :k]
 
 
-def _max_scan(rows, cols, blocks, h=None):
-    """out[own] = max over cand of rows[own] @ cols[:, cand] (less h[cand])
-    for each (own, cand) of blocks, by default _BLOCK rows at a time
-    against every column; rows in no `own` are left unset."""
+def _max_rows(rows, cols, h=None, col_radii=None, row_radii=None):
+    """out[j] = max_k (s * <rows[j], cols[:, k]> - h[k]) over every column,
+    _BLOCK rows at a time, with s = col_radii[k] or row_radii[j] (default 1)
+    and h default 0."""
     out = np.empty(rows.shape[0])
-    if blocks is None:
-        blocks = [(slice(a, a + _BLOCK), slice(None)) for a in range(0, rows.shape[0], _BLOCK)]
-    for own, cand in blocks:
-        dot = _product(rows[own], cols, cand)
+    for a in range(0, rows.shape[0], _BLOCK):
+        dot = _product(rows[a:a + _BLOCK], cols, slice(None))
+        if col_radii is not None:
+            dot *= col_radii
+        if row_radii is not None:
+            dot *= row_radii[a:a + _BLOCK, None]
         if h is not None:
-            dot -= h[cand]
-        out[own] = dot.max(axis=1)
+            dot -= h
+        out[a:a + _BLOCK] = dot.max(axis=1)
     return out
 
 
-def support_max_dot(points, dirs, blocks=None):
-    """h[j] = max_i <points[i], dirs[j]>.
+def ring_table(nodes):
+    """(index, cosine, starts) of the unit rows `nodes` (G of them): for
+    each of the first G/2 nodes j and each level l of RING_LEVELS, the
+    segment s = l * G/2 + j is index[starts[s]:starts[s+1]] (int32), the
+    nodes k with RING_LEVELS[l] <= <u_j, u_k> < RING_LEVELS[l-1] in
+    increasing order, with their cosines. Node j itself is in every
+    segment, so none is empty; no other node is in two. The cosines are
+    _product's, 32 rows at a time: one pass counts the entries and a
+    second one fills them in, which keeps the temporaries to the table
+    and a few 32 G blocks of cosines."""
+    nodes = _c(nodes)
+    half, cols = nodes.shape[0] // 2, _c(nodes.T)
+    bands = list(enumerate(zip(RING_LEVELS, (np.inf,) + RING_LEVELS[:-1])))
 
-    blocks: (own, cand) pairs whose `own` cover the dirs; h[own] is taken
-    over the points `cand` only. Default: every point for every dir."""
-    return _max_scan(_c(dirs), _c(np.transpose(points)), blocks)
+    def blocks():
+        for a in range(0, half, 32):
+            cos = _product(nodes[a:min(a + 32, half)], cols, slice(None))
+            own = (np.arange(cos.shape[0]), np.arange(a, a + cos.shape[0]))
+            for ring, (lo, hi) in bands:
+                keep = (cos >= lo) & (cos < hi)
+                keep[own] = True
+                yield ring * half + a, cos, keep
+
+    counts = np.zeros(len(bands) * half, dtype=np.int64)
+    for seg, _, keep in blocks():
+        counts[seg:seg + keep.shape[0]] = keep.sum(axis=1)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    index, cosine = np.empty(starts[-1], dtype=np.int32), np.empty(starts[-1])
+    for seg, cos, keep in blocks():
+        row, col = np.nonzero(keep)
+        at = slice(starts[seg], starts[seg + keep.shape[0]])
+        index[at], cosine[at] = col, cos[row, col]
+    return index, cosine, starts
+
+
+def _ring_segments(starts, half, depth, rows):
+    """(at, seg_starts, lengths): the table entries `at` of rings 0 to
+    depth-1 of the table rows `rows`, ring by ring (a slice when rows are
+    all the rows), where each segment starts in them and its length."""
+    if rows.size == half:
+        return slice(0, starts[depth * half]), starts[:depth * half], np.diff(starts[:depth * half + 1])
+    seg = (np.arange(depth)[:, None] * half + rows).ravel()
+    lengths = starts[seg + 1] - starts[seg]
+    seg_starts = np.cumsum(lengths) - lengths
+    return np.repeat(starts[seg] - seg_starts, lengths) + np.arange(lengths.sum()), seg_starts, lengths
+
+
+def _support_rows(rows, cols, radii, ring_max):
+    """max(ring_max[j], max_k radii[k] <rows[j], cols[:, k]>) over the
+    columns k that can exceed ring_max[j] if left out of the rings, where
+    their cosine is < L = RING_LEVELS[-1]: those with fl(radii[k] L) >
+    ring_max[j], a prefix of the columns by falling radius. The rows go
+    by how long a prefix they need, _BLOCK at a time."""
+    order = np.argsort(-radii, kind="stable")
+    need = np.searchsorted(-(radii[order] * RING_LEVELS[-1]), -ring_max)
+    out = ring_max.copy()
+    by_need = np.argsort(need, kind="stable")
+    for a in range(0, by_need.size, _BLOCK):
+        block = by_need[a:a + _BLOCK]
+        cand = order[:need[block].max()]
+        if cand.size:
+            dense = _max_rows(rows[block], cols.take(cand, axis=1), col_radii=radii[cand])
+            out[block] = np.maximum(out[block], dense)
+    return out
+
+
+def _ring_scan(table, units, radii, cut, h=None, rows=None, floor=np.inf):
+    """The support (h None) or the hull gaps (h given) of the radial cloud
+    {radii[k] u_k} at the table rows `rows` (default all), over the pairs
+    with cosine >= cut: the rings down to the first level at or below
+    cut. A cut below the last level reduces every ring and completes, by
+    dense rows, the outputs below floor that the rings cannot certify: an
+    entry left out has cosine < L = RING_LEVELS[-1], so its term is at
+    most max(radii) * L for a support and radii[j] * L - min(h) for a
+    gap. An output at or above floor may be left at its ring maximum, a
+    lower bound of it."""
+    index, cosine, starts = table
+    half = (starts.size - 1) // len(RING_LEVELS)
+    rows = np.arange(half) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return np.empty(0)
+    depth = min(1 + sum(level > cut for level in RING_LEVELS), len(RING_LEVELS))
+    at, seg_starts, lengths = _ring_segments(starts, half, depth, rows)
+    if h is None:
+        terms = np.take(radii, index[at])
+    else:
+        terms = np.repeat(np.tile(radii[rows], depth), lengths)
+    terms *= cosine[at]
+    if h is not None:
+        terms -= np.take(h, index[at])
+    out = np.maximum.reduceat(terms, seg_starts).reshape(depth, -1).max(axis=0)
+    if cut < RING_LEVELS[-1]:
+        level = RING_LEVELS[-1]
+        bound = radii.max() * level if h is None else radii[rows] * level - h.min()
+        weak = np.flatnonzero((out < bound) & (out < floor))
+        if weak.size:
+            cols = _c(units.T)
+            if h is None:
+                out[weak] = _support_rows(units[rows[weak]], cols, radii, out[weak])
+            else:
+                out[weak] = _max_rows(units[rows[weak]], cols, h, row_radii=radii[rows[weak]])
+    return out
+
+
+def support_max_dot(cloud, dirs, radial=None, rings=None):
+    """h[j] = max_i <cloud[i], dirs[j]>.
+
+    radial: (radii, units) of a radial cloud, cloud[i] = radii[i] *
+    units[i] with unit rows: each term is taken as radii[i] * <units[i],
+    dirs[j]>, and cloud itself is not read. rings: (table, cut), with
+    dirs == units the nodes of table = ring_table(units): h at the first
+    half of dirs only, over the pairs with cosine >= cut."""
+    if radial is None:
+        return _max_rows(_c(dirs), _c(np.transpose(cloud)))
+    radii, units = _c(radial[0]), _c(radial[1])
+    if rings is None:
+        return _max_rows(_c(dirs), _c(units.T), col_radii=radii)
+    table, cut = rings
+    return _ring_scan(table, units, radii, float(cut))
 
 
 def minkowski_support(rows, offsets, weights, ball_r, dirs):
@@ -82,19 +202,24 @@ def minkowski_support(rows, offsets, weights, ball_r, dirs):
     return out
 
 
-def hull_gaps(cloud, dirs, h, blocks=None):
+def hull_gaps(cloud, dirs, h, radial=None, rings=None):
     """gap[i] = max_j (<cloud[i], dirs[j]> - h[j]); <= 0 when cloud[i] lies
     inside the polytope {x : <x, dirs[j]> <= h[j]}, with equality on active
     constraints.
 
-    blocks: as in support_max_dot; points in no `own` are left unset.
-
-    A block's entries keep the full product's bits in any candidate
-    order, so bodies.hull_depth equals the full scan. Gathered rows,
-    cloud[own] @ dirs[cand].T, rounded the last (len(cand) mod 8) columns
-    an ulp apart on an AVX-512 OpenBLAS; gathered columns matched in all
-    800 blocks of 2-130 x 2-400 entries tried there."""
-    return _max_scan(_c(cloud), _c(np.transpose(dirs)), blocks, _c(h))
+    radial: as in support_max_dot, the terms radii[i] * <units[i],
+    dirs[j]> - h[j]. rings: (table, cut, rows, floor), with dirs == units
+    the nodes of table: the gaps of the points `rows`, increasing indices
+    into the grid's first half, over the pairs with cosine >= cut; a gap
+    at or above floor may come out as any v with floor <= v <= gap."""
+    h = _c(h)
+    if radial is None:
+        return _max_rows(_c(cloud), _c(np.transpose(dirs)), h)
+    radii, units = _c(radial[0]), _c(radial[1])
+    if rings is None:
+        return _max_rows(units, _c(np.transpose(dirs)), h, row_radii=radii)
+    table, cut, rows, floor = rings
+    return _ring_scan(table, units, radii, float(cut), h, rows, floor)
 
 
 def radial_from_support(h, dirs, queries):

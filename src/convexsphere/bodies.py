@@ -124,7 +124,8 @@ class ConvexBody:
             return backend.minkowski_support(*self.terms, self.ball_radius, points)
         if self.n == 2:
             return _polygon_support_interp(self.grid, self.support, points)
-        return backend.support_max_dot(self.radial[:, None] * self.grid.nodes, points)
+        r = self.radial
+        return backend.support_max_dot(r[:, None] * self.grid.nodes, points, radial=(r, self.grid.nodes))
 
 
 def from_terms(grid: SphereGrid, rows, offsets, weights, ball_radius: float = 0.0) -> ConvexBody:
@@ -525,50 +526,65 @@ _GAP_PAD = 1e-12
 
 
 def _radial_support(grid: SphereGrid, r: np.ndarray):
-    """(h, clouds): the support h_j = max_i r_i <u_i, u_j> of the radial
+    """(h, radii): the support h_j = max_i r_i <u_i, u_j> of the radial
     cloud {r_i u_i} over the pairs with <u_i, u_j> >= rmin/rmax, and the
-    clouds scanned on the tiles of the first G/2 nodes: that of r and,
-    unless r is exactly even, that of the flipped radii r[antipode]."""
+    radii scanned on the rings of the first G/2 nodes: r and, unless r is
+    exactly even, the flipped radii r[antipode]."""
     flipped = r[grid.antipode]
-    clouds = [v[:, None] * grid.nodes for v in ([r] if np.array_equal(r, flipped) else [r, flipped])]
-    blocks = grid.neighbourhoods(float(r.min()) / float(r.max()) - _COS_PAD)
-    halves = [backend.support_max_dot(c, grid.nodes, blocks=blocks)[:grid.size // 2] for c in clouds]
-    return np.concatenate([halves[0], halves[-1]]), clouds
+    radii = [r] if np.array_equal(r, flipped) else [r, flipped]
+    rings = (grid.rings, float(r.min()) / float(r.max()) - _COS_PAD)
+    halves = [backend.support_max_dot(v[:, None] * grid.nodes, grid.nodes,
+                                      radial=(v, grid.nodes), rings=rings) for v in radii]
+    return np.concatenate([halves[0], halves[-1]]), radii
 
 
 def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> float:
     """Minimum hull gap of the radial cloud {r_i u_i} on the grid nodes
-    u_i against its own sampled support h_j = max_i <r_i u_i, u_j>.
+    u_i against its own sampled support h_j = max_i r_i <u_i, u_j>.
 
     Zero when every cloud point lies on the hull of the cloud, negative
     by the depth of the deepest dimple otherwise; -inf when r has a
     non-positive entry, since then there is no star body to certify.
     The value is exact when it is below floor, else some v with
     floor <= v <= depth, so hull_depth(grid, r, f) >= f decides
-    depth >= f exactly; the default floor scans every tile.
+    depth >= f exactly; the default floor scans every node.
 
-    Both maxima are taken over the pairs of nodes that can attain them
-    (grid.neighbourhoods), which gives the full scan's value exactly.
-    With r in [rmin, rmax]:
+    Every term is r_i * c_ij, c_ij = <u_i, u_j> the cosine of
+    backend._product, which rounds alike in any block and is stored once
+    in grid.rings. Both maxima are taken over the rings of the pairs that
+    can attain them, which gives the dense scan's value exactly. With r
+    in [rmin, rmax], and c_jj and every h rounding within a few ulps of
+    1 and of the exact support:
 
-    - support: h_j is attained where <u_i, u_j> >= rmin/rmax. Any other
-      i has r_i <u_i, u_j> < rmax * rmin/rmax = rmin <= r_j, the i = j term.
-    - gap: max_j (r_i <u_i, u_j> - h_j) is attained where <u_i, u_j> >=
-      1 - (rmax - rmin)/rmin. Any other j has r_i <u_i, u_j> - h_j <
-      r_i - (rmax - rmin) - rmin <= r_i - h_i, the j = i term, because
-      h_j >= r_j >= rmin, r_i >= rmin and h_i <= rmax.
-    - antipodes: the tiles cover the first G/2 nodes. nodes[G/2:] ==
-      -nodes[:G/2] and negation rounds exactly, so the outputs of r from
-      G/2 on are, bit for bit, the first G/2 of the flipped radii
-      r[antipode] against h[antipode], on the same tiles. An exactly
-      even r is its own flip (h_-j = h_j, gap_-i = gap_i): one scan.
-    - floor: gap_i >= r_i - h_i, the j = i term, which every candidate
-      list holds. So low_i = r_i - h_i - _GAP_PAD * rmax bounds the
-      computed gap from below, and a tile whose members all have
-      low_i >= floor holds no point below the floor: it is not scanned,
-      and its points count with low_i. The other tiles go to one
-      hull_gaps call per cloud as whole blocks, so each scanned gap
-      keeps the full scan's bits.
+    - support: h_j is attained where c_ij >= rmin/rmax - _COS_PAD. Any
+      other i has r_i c_ij < rmax (rmin/rmax - _COS_PAD) = rmin - _COS_PAD
+      rmax, far below r_j c_jj >= rmin (1 - ulps), the i = j term.
+    - gap: max_j (r_i c_ij - h_j) is attained where c_ij >= 1 - (rmax -
+      rmin)/rmin - _COS_PAD. Any other j has r_i c_ij - h_j < r_i - (rmax
+      - rmin) - r_i _COS_PAD - rmin, and the j = i term r_i c_ii - h_i is
+      at least r_i - rmax less a few ulps of rmax, because h_j >= r_j c_jj
+      and h_i <= rmax up to round-off; _COS_PAD * rmin clears those ulps.
+    - rings: a cut at or above RING_LEVELS[-1] reduces only the rings
+      down to the first level at or below it. A wider cut reduces every
+      ring, and an output whose ring maximum reaches the largest value
+      an entry left out can round to (fl(rmax L) for a support,
+      fl(fl(r_i L) - min h) for a gap, L = RING_LEVELS[-1] and rounding
+      monotone) is exact; the others are scanned over every node, but
+      for a gap whose ring maximum already reaches the floor. That
+      maximum is a lower bound of the gap at or above the floor, so the
+      minimum stays exact below the floor and between floor and depth
+      above it.
+    - antipodes: the rings cover the first G/2 nodes. nodes[G/2:] ==
+      -nodes[:G/2] and negation rounds exactly, so c(-u_i, u_j) ==
+      c(u_i, -u_j) and the outputs of r from G/2 on are, bit for bit,
+      the first G/2 of the flipped radii r[antipode] against h[antipode],
+      on the same rings. An exactly even r is its own flip (h_-j = h_j,
+      gap_-i = gap_i): one scan.
+    - floor: gap_i >= r_i c_ii - h_i, the j = i term, which is in every
+      ring. So low_i = r_i - h_i - _GAP_PAD * rmax bounds the computed
+      gap from below, and a point with low_i >= floor is not scanned: it
+      counts with low_i. The other points of each cloud go to one
+      hull_gaps call, and each scanned gap keeps the dense scan's bits.
     - slack: _hull_depth_slack also returns the terms r_i - h_i at the
       outputs, from which find_epsilon bounds a sample's later depths
       and skips the scans that bound passes (its docstring has the proof).
@@ -585,20 +601,17 @@ def _hull_depth_slack(grid: SphereGrid, r: np.ndarray, floor: float = math.inf):
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
         return -math.inf, None
-    h, clouds = _radial_support(grid, r)
+    h, radii = _radial_support(grid, r)
     rmin, rmax = float(r.min()), float(r.max())
     slack = r - h
     low = slack - _GAP_PAD * rmax
-    order, starts = grid.tiles[:2]
     cut = 1.0 - (rmax - rmin) / rmin - _COS_PAD
-    # cloud s outputs r's half s: the flipped cloud's first half, against h turned over
-    for cloud, hs, part in zip(clouds, (h, h[grid.antipode]), low.reshape(2, -1)):
-        near = np.minimum.reduceat(part[order], starts[:-1]) < floor
-        gaps = backend.hull_gaps(cloud, grid.nodes, hs,
-                                 blocks=grid.neighbourhoods(cut, np.flatnonzero(near)))
-        deep = order[np.repeat(near, np.diff(starts))]
-        part[deep] = gaps[deep]
-    outputs = grid.size // 2 * len(clouds)
+    # radii s output r's half s: the flipped radii's first half, against h turned over
+    for v, hs, part in zip(radii, (h, h[grid.antipode]), low.reshape(2, -1)):
+        near = np.flatnonzero(part < floor)
+        part[near] = backend.hull_gaps(v[:, None] * grid.nodes, grid.nodes, hs,
+                                       radial=(v, grid.nodes), rings=(grid.rings, cut, near, floor))
+    outputs = grid.size // 2 * len(radii)
     return float(low[:outputs].min()), slack[:outputs]
 
 

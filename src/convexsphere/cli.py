@@ -74,8 +74,11 @@ def _out_dir(cfg: ExperimentConfig) -> str:
 
 
 def _report(cfg: ExperimentConfig, out: str, name: str, payload: dict) -> str:
+    """Write the report of a command into out; its config leaves out the
+    output directory, so the same run gives the same bytes in any one."""
     path = os.path.join(out, f"{name}.json")
-    dump_json(_finalize({"kind": f"report/{name}", "config": cfg.to_dict(), **payload}), path)
+    config = {k: v for k, v in cfg.to_dict().items() if k != "out"}
+    dump_json(_finalize({"kind": f"report/{name}", "config": config, **payload}), path)
     return path
 
 

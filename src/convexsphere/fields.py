@@ -262,8 +262,8 @@ def find_epsilon(
 
     Certification is depth_certificate: it accepts hull gaps down to
     -DEPTH_TOL * max(r), a fixed dimple depth relative to the body scale;
-    hull_depth takes it as its floor, so only tiles with a point near or
-    below it are scanned for gaps. Bisection runs on the working grid;
+    hull_depth takes it as its floor, so only the points near or below
+    it are scanned for gaps. Bisection runs on the working grid;
     the final eps is re-certified on the 2x-refined grid and the pass
     rate reported (running the refined check inside every bisection step
     would be orders of magnitude more work).
@@ -308,7 +308,7 @@ def find_epsilon(
     elif len(phis) != sample_count or any((p.n, p.d) != (n, d) or p.grid != grid for p in phis):
         raise InputError(f"find_epsilon needs {sample_count} samples of degree {d} on its grid")
     # even to the last bit (the samples are even to round-off), so that
-    # hull_depth scans them once, on the tiles of the first half
+    # hull_depth scans them once, on the rings of the first half
     vals = odd_even_split(grid, np.stack([p.samples for p in phis]))[0]
     mins, tops = vals.min(axis=1), vals.max(axis=1)
     if np.any(mins >= 0):

@@ -8,9 +8,12 @@ of f[antipode]. Measures are unnormalized (lengths 2*pi, 4*pi, 2*pi^2).
 
 A grid is its description: SphereGrid(n, resolution) is frozen, builds
 its nodes, weights, antipode map and (n=2) angles from the two numbers
-when it is made, and marks those arrays read-only. Grids are equal and
-hashed by (n, resolution); the key hashes the nodes as well, so a
-document's stored grid key checks the grid it is rebuilt on.
+when it is made, and marks those arrays read-only. Its derived tables
+(max_gap, key, and the neighbour rings of the hull scans) are built at
+first use, and build_grid hands out one shared grid per (n, resolution),
+so each is built once. Grids are equal and hashed by (n, resolution);
+the key hashes the nodes as well, so a document's stored grid key checks
+the grid it is rebuilt on.
 
 Construction per dimension, with `resolution` R:
 
@@ -44,11 +47,9 @@ from .errors import InputError
 
 DEFAULT_RESOLUTION = {2: 512, 3: 16, 4: 10}
 
-#: Nodes per tile of SphereGrid.tiles, on average.
-TILE_SIZE = 48
-#: Angle added to every tile's reach in SphereGrid.neighbourhoods, far
-#: above the round-off of the angles and dot products it compares.
-_REACH_PAD = 1e-9
+#: Grids kept by build_grid, least recently used first.
+_GRID_CACHE: dict[tuple, "SphereGrid"] = {}
+_GRID_CACHE_SIZE = 8
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -138,63 +139,11 @@ class SphereGrid:
         return backend.max_nn_gap(self.nodes)
 
     @cached_property
-    def tiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(order, starts, centres, radii): the first G/2 nodes in K/2
-        spatially compact tiles of about TILE_SIZE nodes, from 8 rounds of
-        spherical k-means with a fixed seed. Tile t is the nodes
-        order[starts[t]:starts[t+1]], in increasing index, with unit centre
-        centres[t] and radius radii[t], the largest angle from the centre
-        to a member. The second half is not tiled (bodies.hull_depth).
-        Every array is read-only."""
-        half = self.size // 2
-        nodes = self.nodes[:half]
-        k = max(1, half // TILE_SIZE)
-        centres = nodes[np.random.default_rng(0).choice(half, k, replace=False)]
-        for _ in range(8):
-            label = np.argmax(centres @ nodes.T, axis=0)
-            sums = np.zeros_like(centres)
-            np.add.at(sums, label, nodes)
-            norm = np.linalg.norm(sums, axis=1)
-            centres = sums[norm > 0] / norm[norm > 0, None]
-        used, label = np.unique(np.argmax(centres @ nodes.T, axis=0), return_inverse=True)
-        centres = centres[used]
-        order = np.argsort(label, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(np.bincount(label))])
-        # chord -> angle, well conditioned for small angles
-        chord = np.maximum.reduceat(np.linalg.norm(nodes - centres[label], axis=1)[order], starts[:-1])
-        radii = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
-        return read_only(order), read_only(starts), read_only(centres), read_only(radii)
-
-    @cached_property
-    def _tile_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, keys): order[t] all G node indices by decreasing cosine
-        to the centre of tile t (int32, K/2 x G), and keys the flattened
-        3t - cosine of order[t], ascending over all rows since every
-        cosine lies in [-1, 1] and rounding is monotone. 12 bytes per
-        entry, about G^2/96 entries (0.5 MB at G=2048). Both read-only."""
-        centres = self.tiles[2]
-        cos = centres @ self.nodes.T
-        order = np.argsort(-cos, axis=1).astype(np.int32)
-        keys = 3.0 * np.arange(len(centres))[:, None] - np.take_along_axis(cos, order, axis=1)
-        return read_only(order), read_only(keys.ravel())
-
-    def neighbourhoods(self, cos_cut: float, tiles=None) -> list:
-        """[(members, cand)] for each tile of `tiles` (default all), where
-        cand holds at least every node u with <u, v> >= cos_cut for some
-        member v: the nodes within the tile's radius plus arccos(cos_cut)
-        of its centre, or slice(None) for all nodes when that reach covers
-        the sphere. Each cand is a prefix of the tile's row of _tile_order,
-        so one searchsorted over the row-offset cosines cuts every list."""
-        members, starts, _, radii = self.tiles
-        order, keys = self._tile_order
-        g = self.size
-        rows = np.arange(len(radii)) if tiles is None else np.asarray(tiles, dtype=int)
-        reach = radii[rows] + np.arccos(np.clip(cos_cut, -1.0, 1.0)) + _REACH_PAD
-        counts = np.searchsorted(keys, 3.0 * rows - np.cos(np.minimum(reach, np.pi)),
-                                 side="right") - rows * g
-        counts[reach >= np.pi] = g
-        return [(members[starts[t]:starts[t + 1]], slice(None) if k == g else order[t, :k])
-                for t, k in zip(rows.tolist(), counts.tolist())]
+    def rings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(index, cosine, starts): backend.ring_table of the nodes, the
+        neighbour rings of each of the first G/2 nodes that the hull scans
+        reduce (bodies.hull_depth). Built at first use, and read-only."""
+        return tuple(read_only(a) for a in backend.ring_table(self.nodes))
 
     def refined(self) -> "SphereGrid":
         """The grid of twice the resolution."""
@@ -231,10 +180,18 @@ def _half_rule(n: int, r: int):
 
 def build_grid(n: int, resolution: int | None = None) -> SphereGrid:
     """The grid SphereGrid(n, resolution), at DEFAULT_RESOLUTION[n] when
-    no resolution is given."""
+    no resolution is given: one shared grid per (n, resolution), kept in
+    _GRID_CACHE with the tables it has built."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION.get(n, 0)
-    return SphereGrid(n, int(resolution))
+    key = (n, int(resolution))
+    hit = _GRID_CACHE.pop(key, None)
+    if hit is None:
+        hit = SphereGrid(*key)
+        if len(_GRID_CACHE) >= _GRID_CACHE_SIZE:
+            del _GRID_CACHE[next(iter(_GRID_CACHE))]
+    _GRID_CACHE[key] = hit
+    return hit
 
 
 def check_samples(grid: SphereGrid, f) -> np.ndarray:

@@ -118,6 +118,25 @@ def dense_hull_gaps(cloud: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return (dots - dots.max(axis=0)[None, :]).max(axis=1)
 
 
+def grid_cosines(grid) -> np.ndarray:
+    """<u_i, u_j> for every pair of grid nodes, one gemm (numpy hands
+    nodes @ nodes.T to a much slower syrk)."""
+    return grid.nodes @ np.ascontiguousarray(grid.nodes.T)
+
+
+def dense_radial_scan(grid, r) -> tuple[np.ndarray, np.ndarray]:
+    """(h, gaps) of the radial cloud {r_k u_k} on the grid nodes u_k from
+    one full G x G matrix of the terms r_k * <u_k, u_j>, the product the
+    library takes for radial clouds: h_j = max_k r_k <u_k, u_j> and
+    gap_i = max_j (r_i <u_i, u_j> - h_j)."""
+    r = np.asarray(r, dtype=float)
+    terms = grid_cosines(grid)
+    terms *= r[:, None]
+    h = terms.max(axis=0)
+    terms -= h[None, :]
+    return h, terms.max(axis=1)
+
+
 def dense_hull_depth(grid, r, floor=math.inf) -> float:
     """The library's hull_depth(grid, r) from the full G x G matrix,
     pruning nothing: -inf for a non-positive radius, else the minimum gap
@@ -126,14 +145,16 @@ def dense_hull_depth(grid, r, floor=math.inf) -> float:
     r = np.asarray(r, dtype=float)
     if r.min() <= 0:
         return -math.inf
-    return float(dense_hull_gaps(r[:, None] * grid.nodes, grid.nodes).min())
+    return float(dense_radial_scan(grid, r)[1].min())
 
 
 def dense_own_gaps(grid, r) -> np.ndarray:
     """r_j - h_j with h_j = max_k r_k <u_k, u_j> from the full G x G
     matrix: the j = i term of each hull gap, a lower bound on it."""
     r = np.asarray(r, dtype=float)
-    return r - ((r[:, None] * grid.nodes) @ grid.nodes.T).max(axis=0)
+    terms = grid_cosines(grid)
+    terms *= r[:, None]
+    return r - terms.max(axis=0)
 
 
 def dense_bisection(grid, vals, steps: int, depth_tol: float) -> dict:

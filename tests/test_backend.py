@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from convexsphere import backend
+from convexsphere.backend import RING_LEVELS
 from convexsphere.bodies import (
     _hull_depth_slack,
     certify_convex_radial,
@@ -16,7 +17,14 @@ from convexsphere.bodies import (
     hull_depth,
 )
 from convexsphere.sphere import build_grid
-from oracles import dense_hull_depth, dense_hull_gaps, dense_own_gaps, exact_hull_gaps
+from oracles import (
+    dense_hull_depth,
+    dense_hull_gaps,
+    dense_own_gaps,
+    dense_radial_scan,
+    exact_hull_gaps,
+    grid_cosines,
+)
 
 
 def smooth_radii(grid, spread, seed):
@@ -27,36 +35,36 @@ def smooth_radii(grid, spread, seed):
     return 1.0 + spread * f / np.abs(f).max()
 
 
-def _pairs(grid, blocks):
-    """Node pairs that (own, cand) blocks on grid scan."""
-    return sum(m.size * (grid.size if isinstance(c, slice) else c.size) for m, c in blocks)
+def _record_scans(monkeypatch):
+    """Make the two max-scan kernels append [kernel, outputs, ring entries
+    reduced, dense rows scanned, dense pairs scanned] of each call to the
+    returned list."""
+    calls = []
+    segments, max_rows = backend._ring_segments, backend._max_rows
 
-
-def _kept_share(grid, cos_cut):
-    # the tiles cover the first G/2 nodes, and the flipped radii scan as
-    # many pairs on them again
-    return 2 * _pairs(grid, grid.neighbourhoods(cos_cut)) / grid.size**2
-
-
-def _wrap_max_scans(monkeypatch, record):
-    """Make the two max-scan kernels pass the (own, cand) blocks of each
-    call to record."""
-    def recording(kernel):
-        def run(*args, blocks):
-            record(blocks)
-            return kernel(*args, blocks=blocks)
+    def recording(name, kernel):
+        def run(*args, **kwargs):
+            calls.append([name, 0, 0, 0, 0])
+            out = kernel(*args, **kwargs)
+            calls[-1][1] = out.size
+            return out
         return run
 
+    def ring_entries(*args):
+        out = segments(*args)
+        calls[-1][2] += int(out[2].sum())
+        return out
+
+    def dense_pairs(rows, cols, *args, **kwargs):
+        calls[-1][3] += rows.shape[0]
+        calls[-1][4] += rows.shape[0] * cols.shape[1]
+        return max_rows(rows, cols, *args, **kwargs)
+
     for name in ("support_max_dot", "hull_gaps"):
-        monkeypatch.setattr(backend, name, recording(getattr(backend, name)))
-
-
-def _count_scanned_pairs(monkeypatch, grid):
-    """Make the two max-scan kernels append the pairs they scan on grid
-    to the returned list."""
-    pairs = []
-    _wrap_max_scans(monkeypatch, lambda blocks: pairs.append(_pairs(grid, blocks)))
-    return pairs
+        monkeypatch.setattr(backend, name, recording(name, getattr(backend, name)))
+    monkeypatch.setattr(backend, "_ring_segments", ring_entries)
+    monkeypatch.setattr(backend, "_max_rows", dense_pairs)
+    return calls
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -97,28 +105,33 @@ def test_kernels_match_full_matrix_reference(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_blocked_max_scans_equal_the_dense_product_bit_for_bit(n):
-    # hull_depth's equality with the full scan rests on every block
-    # rounding each entry as the one wide product does, whatever the
-    # block's shape: cand lengths 1..17 put every column remainder at the
-    # edge, with the attaining candidate of own[0] last
+    # hull_depth's equality with the dense scan rests on every ring and
+    # every dense row rounding each term as the one wide product does:
+    # row subsets of 1..13 points, cuts at and below each level, and wide
+    # cuts whose rows the rings cannot all certify
     grid = build_grid(n)
     rng = np.random.default_rng(200 + n)
-    cloud = smooth_radii(grid, 0.05, n)[:, None] * grid.nodes
-    dense = cloud @ grid.nodes.T
-    h = dense.max(axis=0)
-    gaps = dense - h
-    assert np.array_equal(backend.support_max_dot(cloud, grid.nodes), h)
-    assert np.array_equal(backend.hull_gaps(cloud, grid.nodes, h), gaps.max(axis=1))
-    for length in range(1, 18):
-        for size in (1, 2, 5, 13):
-            own = rng.choice(grid.size, size, replace=False)
-            cand = rng.choice(grid.size, length, replace=False)
-            support_cand = cand[np.argsort(dense[cand, own[0]])]
-            gap_cand = cand[np.argsort(gaps[own[0], cand])]
-            got = backend.support_max_dot(cloud, grid.nodes, blocks=[(own, support_cand)])
-            assert np.array_equal(got[own], dense[np.ix_(support_cand, own)].max(axis=0))
-            got = backend.hull_gaps(cloud, grid.nodes, h, blocks=[(own, gap_cand)])
-            assert np.array_equal(got[own], gaps[np.ix_(own, gap_cand)].max(axis=1))
+    half, table, nodes = grid.size // 2, grid.rings, grid.nodes
+    for spread in (0.01, 0.4):
+        r = smooth_radii(grid, spread, n)
+        h, gaps = dense_radial_scan(grid, r)
+        cloud = r[:, None] * nodes
+        assert np.array_equal(backend.support_max_dot(cloud, nodes), (cloud @ nodes.T).max(axis=0))
+        assert np.array_equal(backend.hull_gaps(cloud, nodes, h), (cloud @ nodes.T - h).max(axis=1))
+        assert np.array_equal(backend.support_max_dot(cloud, nodes, radial=(r, nodes)), h)
+        assert np.array_equal(backend.hull_gaps(cloud, nodes, h, radial=(r, nodes)), gaps)
+        # the widest cuts that lose no maximum (bodies.hull_depth)
+        support_cut = r.min() / r.max()
+        gap_cut = 1.0 - (r.max() - r.min()) / r.min()
+        for cut in (1.0,) + tuple(np.nextafter(RING_LEVELS, 0.0)) + (0.3, -1.0):
+            rings = (table, min(cut, support_cut))
+            assert np.array_equal(backend.support_max_dot(cloud, nodes, radial=(r, nodes), rings=rings),
+                                  h[:half])
+            for size in (1, 2, 5, 13, half):
+                rows = np.sort(rng.choice(half, size, replace=False))
+                rings = (table, min(cut, gap_cut), rows, math.inf)
+                got = backend.hull_gaps(cloud, nodes, h, radial=(r, nodes), rings=rings)
+                assert np.array_equal(got, gaps[rows])
 
 
 def test_one_direction_rounds_as_its_row_of_a_batch(grid3):
@@ -173,29 +186,97 @@ def test_hull_depth(grid3):
 
 
 @pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
-def test_pruned_hull_depth_equals_dense(n, resolution):
+def test_pruned_hull_depth_equals_dense(monkeypatch, n, resolution):
     grid = build_grid(n, resolution)
+    half_pairs = grid.size**2 // 2
+    calls = _record_scans(monkeypatch)
     for spread in (0.005, 0.02, 0.1, 0.9):
-        rmin, rmax = 1.0 - spread, 1.0 + spread
-        support_share = _kept_share(grid, rmin / rmax)
-        gap_share = _kept_share(grid, 1.0 - (rmax - rmin) / rmin)
-        if spread == 0.005:
-            assert support_share < 0.25 and gap_share < 0.25
-        if spread == 0.9:
-            # the gap caps cover the sphere: every pair is scanned
-            assert gap_share == 1.0
         for seed in range(3):
             r = smooth_radii(grid, spread, seed)
-            cloud = r[:, None] * grid.nodes
-            assert hull_depth(grid, r) == dense_hull_depth(grid, r)
-            dense_h = (cloud @ grid.nodes.T).max(axis=0)
-            assert np.array_equal(from_radial(grid, r).support, dense_h)
             # exactly even radii scan one antipodal half, bit for bit
-            even = 0.5 * (r + r[grid.antipode])
-            cloud = even[:, None] * grid.nodes
-            assert hull_depth(grid, even) == dense_hull_depth(grid, even)
-            assert np.array_equal(from_radial(grid, even).support,
-                                  (cloud @ grid.nodes.T).max(axis=0))
+            for radii in (r, 0.5 * (r + r[grid.antipode])):
+                calls.clear()
+                assert hull_depth(grid, radii) == dense_hull_depth(grid, radii)
+                assert np.array_equal(from_radial(grid, radii).support,
+                                      dense_radial_scan(grid, radii)[0])
+                (_, _, support, _, _), (_, _, gap, _, dense_gap) = calls[0], calls[-1]
+                if spread == 0.005:
+                    assert support < 0.25 * half_pairs and gap < 0.25 * half_pairs
+                if spread == 0.9:
+                    # the gap cut lies below the last ring: rows go dense
+                    assert dense_gap > 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_radial_support_eval_at_the_nodes_is_the_support(n, grid3, grid4):
+    # one product for radial clouds: the dense evaluator off the grid and
+    # the ring scan on it round every term alike
+    grid = grid3 if n == 3 else grid4
+    for spread in (0.02, 0.4):
+        for r in (smooth_radii(grid, spread, 6), 1.0 - 0.6 * np.exp(-8.0 * (1.0 - grid.nodes[:, -1]))):
+            body = from_radial(grid, r)
+            assert np.array_equal(body.support_eval(grid.nodes), body.support)
+
+
+@pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
+def test_radial_product_rounds_within_1e_15_of_the_cloud_product(n, resolution):
+    # r_k <u_k, u_j> and <r_k u_k, u_j> are the same number up to round-off
+    grid = build_grid(n, resolution)
+    for spread in (0.005, 0.1, 0.9):
+        r = smooth_radii(grid, spread, 1)
+        cloud = r[:, None] * grid.nodes
+        h, gaps = dense_radial_scan(grid, r)
+        old_h = (cloud @ grid.nodes.T).max(axis=0)
+        assert np.abs(h - old_h).max() <= 1e-15 * r.max()
+        assert np.abs(gaps - dense_hull_gaps(cloud, grid.nodes)).max() <= 1e-15 * r.max()
+        assert abs(hull_depth(grid, r) - dense_hull_gaps(cloud, grid.nodes).min()) <= 1e-15 * r.max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_spike_attains_the_support_in_each_ring(n, grid2, grid3):
+    # radii 1 with one antipodal pair raised to 1/c, c just above a level:
+    # the supports near the spike are attained at it, some of them in the
+    # ring of that level, which the scan must reduce and no more
+    grid = grid2 if n == 2 else grid3
+    cos = grid_cosines(grid)
+    spike = [grid.size // 4, grid.antipode[grid.size // 4]]
+    for level, upper in zip(RING_LEVELS, (1.0,) + RING_LEVELS[:-1]):
+        r = np.ones(grid.size)
+        r[spike] = 1.0 / (level + 1e-6)
+        h, gaps = dense_radial_scan(grid, r)
+        assert np.any(np.where(cos >= upper, r[:, None] * cos, -np.inf).max(axis=0) != h)
+        assert np.array_equal(from_radial(grid, r).support, h)
+        assert hull_depth(grid, r) == gaps.min()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_wide_cuts_scan_densely_only_the_rows_the_rings_cannot_certify(monkeypatch, n, grid3, grid4):
+    # a cut below the last level: an output whose ring maximum reaches the
+    # largest term a left-out pair can round to is exact; the other rows
+    # are scanned over every node
+    grid = grid3 if n == 3 else grid4
+    half, level = grid.size // 2, RING_LEVELS[-1]
+    r = smooth_radii(grid, 0.3, 2)
+    h, gaps = dense_radial_scan(grid, r)
+    cos = (grid_cosines(grid))[:half]
+    near = cos >= level
+    support_weak = np.where(near, r * cos, -np.inf).max(axis=1) < r.max() * level
+    gap_weak = (np.where(near, r[:half, None] * cos - h, -np.inf).max(axis=1)
+                < r[:half] * level - h.min())
+    calls = _record_scans(monkeypatch)
+    assert hull_depth(grid, r) == gaps.min()
+    (*_, support_rows, support_pairs), _, (*_, gap_rows, gap_pairs), _ = calls
+    assert 0 < support_weak.sum() < half and 0 < gap_weak.sum() < half
+    # a support row meets only the nodes whose radius could beat its rings
+    assert support_rows == support_weak.sum()
+    assert 0 < support_pairs < support_rows * grid.size
+    assert gap_pairs == gap_weak.sum() * grid.size
+    # with a floor, only the gaps whose rings stay below it
+    floor = float(np.sort(gaps[:half][gap_weak])[2])
+    calls.clear()
+    assert hull_depth(grid, r, floor) == gaps.min()
+    ring_gaps = np.where(near, r[:half, None] * cos - h, -np.inf).max(axis=1)
+    assert calls[2][3] == np.count_nonzero(gap_weak & (ring_gaps < floor)) < gap_weak.sum()
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -203,21 +284,21 @@ def test_even_radii_scan_half_the_pairs(monkeypatch, n, grid3, grid4):
     grid = grid3 if n == 3 else grid4
     r = smooth_radii(grid, 0.02, 4)
     r = 0.5 * (r + r[grid.antipode])
-    pairs = _count_scanned_pairs(monkeypatch, grid)
+    calls = _record_scans(monkeypatch)
     assert hull_depth(grid, r) == dense_hull_depth(grid, r)
-    half = pairs[:]
+    even = [c[:] for c in calls]
 
     # one entry off by an ulp, away from rmin and rmax so that the
     # cut-offs stay: every node is scanned, with the dense value
     k = int(np.argsort(r)[grid.size // 2])
     odd = r.copy()
     odd[k] = np.nextafter(odd[k], 2.0)
-    pairs.clear()
+    calls.clear()
     assert hull_depth(grid, odd) == dense_hull_depth(grid, odd)
-    full = pairs[:]
-    # each kernel runs once more, on the flipped radii, with the same pairs
-    assert full == [half[0], half[0], half[1], half[1]]
-    assert half[0] < half[1] < grid.size**2 // 2
+    # each kernel runs once more, on the flipped radii, on the same rings
+    assert calls == [even[0], even[0], even[1], even[1]]
+    assert [c[0] for c in even] == ["support_max_dot", "hull_gaps"]
+    assert 0 < even[0][2] <= even[1][2] < grid.size**2 // 8 and even[1][3] == 0
 
 
 @pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
@@ -236,39 +317,39 @@ def test_slack_of_uneven_radii_equals_the_dense_own_gaps(n, resolution):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_hull_scans_own_only_the_first_half(monkeypatch, n, grid3, grid4):
-    # no block outputs the second half of the grid: it is scanned as the
-    # first half of the flipped radii, on the same tiles
+    # no call outputs the second half of the grid: it is scanned as the
+    # first half of the flipped radii, on the same rings
     grid = grid3 if n == 3 else grid4
-    owned = []
-    _wrap_max_scans(monkeypatch, lambda blocks: owned.extend(own for own, _ in blocks))
+    calls = _record_scans(monkeypatch)
     r = smooth_radii(grid, 0.02, 4)
-    for radii in (r, 0.5 * (r + r[grid.antipode])):
-        owned.clear()
+    for radii, scans in ((r, 4), (0.5 * (r + r[grid.antipode]), 2)):
+        calls.clear()
         assert hull_depth(grid, radii) == dense_hull_depth(grid, radii)
-        assert owned and max(own.max() for own in owned) < grid.size // 2
+        assert [c[1] for c in calls] == [grid.size // 2] * scans
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_floor_skips_tiles_that_clear_it(monkeypatch, n, grid3, grid4):
-    # a body that passes at find_epsilon's floor: the support scan is the
-    # same, and only tiles with a point near or below the floor get gaps
+def test_floor_skips_points_that_clear_it(monkeypatch, n, grid3, grid4):
+    # a body that passes at find_epsilon's floor: the support scans are
+    # the same, and only points near or below the floor get gaps
     grid = grid3 if n == 3 else grid4
     r = smooth_radii(grid, 0.02, 4)
     floor = -5e-3 * r.max()
-    pairs = _count_scanned_pairs(monkeypatch, grid)
+    calls = _record_scans(monkeypatch)
     depth = hull_depth(grid, r)
-    full = pairs[:]
-    pairs.clear()
+    full = [c[:] for c in calls]
+    calls.clear()
     assert floor <= hull_depth(grid, r, floor) <= depth
     # support scans of r and of the flipped radii, then their gap scans
-    assert pairs[:2] == full[:2]
-    assert pairs[2] < full[2] and pairs[3] < full[3]
+    assert calls[:2] == full[:2]
+    for got, want in zip(calls[2:], full[2:]):
+        assert got[1] < want[1] and got[2] < want[2]
 
 
 def test_floor_keeps_the_depth_of_an_own_direction_gap(grid3):
     # on this ellipsoid the deepest point's gap is its own-direction term
     # r_i - h_i, which rounds an ulp above the computed gap: only the pad
-    # keeps its tile scanned when the floor sits at or just above the depth
+    # keeps it scanned when the floor sits at or just above the depth
     axes = np.array([1.174099715796055, 1.0896088398456767, 1.201598463386908])
     r = 1.0 / np.linalg.norm(grid3.nodes / axes, axis=1)
     r = 0.5 * (r + r[grid3.antipode])

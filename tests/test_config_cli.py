@@ -403,6 +403,17 @@ def test_swclass_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert "budget_exceeded" in doc
 
 
+def test_report_bytes_do_not_depend_on_the_output_directory(tmp_path, capsys):
+    # the report's config leaves out `out`, so its content hash and bytes
+    # are the same in any output directory
+    reports = []
+    for name in ("a", "b"):
+        assert cli.main(["swclass", "n=2", "d=3", f"out={tmp_path / name}"]) == 0
+        reports.append((tmp_path / name / "swclass.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert "out" not in load_json(str(tmp_path / "a" / "swclass.json"))["config"]
+
+
 # -- bivec -------------------------------------------------------------------
 
 

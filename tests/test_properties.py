@@ -28,7 +28,7 @@ from convexsphere.fields import DEPTH_TOL, rotate_body, thicken
 from convexsphere.groups import cyclic_rotation_group, random_rotations, sample_group
 from convexsphere.mod2poly import Mod2SymPoly
 from convexsphere.serialize import body_doc, body_from_doc
-from oracles import dense_hull_depth
+from oracles import dense_hull_depth, dense_radial_scan
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -106,31 +106,26 @@ def test_pruned_hull_depth_matches_full_scan(grid3, grid4, n, spread, waves, see
     rng = np.random.default_rng(seed)
     f = np.cos(grid.nodes @ rng.normal(scale=4.0, size=(n, waves)) + 6 * rng.random(waves)).sum(axis=1)
     r = 1.0 + spread * f / np.abs(f).max()
-    assert abs(hull_depth(grid, r) - dense_hull_depth(grid, r)) <= 1e-15
-    cloud = r[:, None] * grid.nodes
-    assert np.abs(from_radial(grid, r).support - (cloud @ grid.nodes.T).max(axis=0)).max() <= 1e-15
-    _check_floor_contract(grid, r, tol=1e-15)
-    # exactly even radii: one antipodal half is scanned, bit for bit
-    r = 0.5 * (r + r[grid.antipode])
-    assert hull_depth(grid, r) == dense_hull_depth(grid, r)
-    cloud = r[:, None] * grid.nodes
-    assert np.array_equal(from_radial(grid, r).support, (cloud @ grid.nodes.T).max(axis=0))
-    _check_floor_contract(grid, r, tol=0.0)
+    # the rings of the first half, and the flipped radii for the other
+    # half, bit for bit; so too exactly even radii, scanned once
+    for radii in (r, 0.5 * (r + r[grid.antipode])):
+        assert hull_depth(grid, radii) == dense_hull_depth(grid, radii)
+        assert np.array_equal(from_radial(grid, radii).support, dense_radial_scan(grid, radii)[0])
+        _check_floor_contract(grid, radii)
 
 
-def _check_floor_contract(grid, r, tol):
+def _check_floor_contract(grid, r):
     """hull_depth(grid, r, floor) is the dense depth when that is below the
-    floor, else between the floor and the dense depth; tol covers the
-    round-off by which the library's full scan and the dense one differ."""
+    floor, else between the floor and the dense depth."""
     dense = dense_hull_depth(grid, r)
     floors = (-math.inf, dense - 1e-3, dense - 1e-9, dense, np.nextafter(dense, math.inf),
               dense + 1e-9, -DEPTH_TOL * float(r.max()))
     for floor in floors:
         v = hull_depth(grid, r, floor)
         if dense < floor:
-            assert abs(v - dense) <= tol
+            assert v == dense
         else:
-            assert floor - tol <= v <= dense + tol
+            assert floor <= v <= dense
 
 
 @st.composite

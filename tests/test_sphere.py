@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from convexsphere.backend import RING_LEVELS
 from convexsphere.errors import InputError
 from convexsphere.sphere import (
     SphereGrid,
@@ -15,7 +16,7 @@ from convexsphere.sphere import (
     sphere_area,
 )
 
-from oracles import sphere_monomial_integral
+from oracles import grid_cosines, sphere_monomial_integral
 
 
 def test_monomial_integral_matches_rational_oracle():
@@ -133,34 +134,51 @@ def test_grid_is_its_description(grid3):
         grid.nodes[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_tile_caches_are_read_only(n):
-    # every pruned hull scan cuts its blocks from these caches
+def _ring_rows(grid):
+    """[[segment of each level] for each of the first G/2 nodes] of
+    grid.rings, as (indices, cosines) pairs."""
+    index, cosine, starts = grid.rings
+    half, levels = grid.size // 2, len(RING_LEVELS)
+    return [[(index[starts[ring * half + j]:starts[ring * half + j + 1]],
+              cosine[starts[ring * half + j]:starts[ring * half + j + 1]]) for ring in range(levels)]
+            for j in range(half)]
+
+
+@pytest.mark.parametrize("n,resolution", [(2, 64), (3, 16), (3, 32), (4, 10)])
+def test_rings_hold_every_node_at_or_above_each_level(n, resolution):
+    # the hull scans reduce the rings down to a cut: a node missing from
+    # them could hold a support or a gap
+    grid = build_grid(n, resolution)
+    cos = grid_cosines(grid)
+    for j, segments in enumerate(_ring_rows(grid)):
+        seen = set()
+        for level, (members, cosines) in zip(RING_LEVELS, segments):
+            assert members.dtype == np.int32 and j in members
+            assert np.all(np.diff(members) > 0)
+            assert np.array_equal(cosines, cos[j, members])
+            others = set(members.tolist()) - {j}
+            assert not others & seen  # the bands are disjoint
+            seen |= others
+            assert seen | {j} == set(np.flatnonzero(cos[j] >= level).tolist()) | {j}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ring_table_is_read_only_and_built_once(n):
     grid = build_grid(n)
-    order, starts, centres, radii = grid.tiles
-    tile_order, keys = grid._tile_order
-    for a in (order, starts, centres, radii, tile_order, keys):
-        assert isinstance(a, np.ndarray)
+    index, cosine, starts = grid.rings
+    assert grid.rings is grid.rings
+    assert starts[0] == 0 and starts[-1] == index.size == cosine.size
+    assert starts.size == len(RING_LEVELS) * grid.size // 2 + 1
+    for a in (index, cosine, starts):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
-    for own, cand in grid.neighbourhoods(0.9):
-        assert not own.flags.writeable
-        assert isinstance(cand, slice) or not cand.flags.writeable
 
 
-@pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
-def test_tiles_partition_the_first_half(n, resolution):
-    # the second half of the nodes is scanned as the first half of the
-    # flipped samples, on the same tiles
-    grid = build_grid(n, resolution)
-    order, starts, centres, radii = grid.tiles
-    half = grid.size // 2
-    assert np.array_equal(np.sort(order), np.arange(half))
-    assert starts[0] == 0 and starts[-1] == half and np.all(np.diff(starts) > 0)
-    for a, b in zip(starts[:-1], starts[1:]):
-        assert np.all(np.diff(order[a:b]) > 0)
-    assert len(centres) == len(radii) == len(starts) - 1
-    assert grid._tile_order[0].shape == (len(radii), grid.size)
+def test_build_grid_shares_one_grid_per_description():
+    # the refined check and every command reuse one grid and its tables
+    assert build_grid(3, 16).refined() is build_grid(3, 32)
+    assert build_grid(3) is build_grid(3, 16) is build_grid(3, 16.0)
+    assert build_grid(4, 10) is not build_grid(4, 12)
 
 
 @pytest.mark.parametrize("resolution", [9, 6, 16.0, None])
