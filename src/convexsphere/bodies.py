@@ -545,6 +545,7 @@ def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> floa
     Zero when every cloud point lies on the hull of the cloud, negative
     by the depth of the deepest dimple otherwise; -inf when r has a
     non-positive entry, since then there is no star body to certify.
+    Radii that are not a finite array of shape (G,) raise InputError.
     The value is exact when it is below floor, else some v with
     floor <= v <= depth, so hull_depth(grid, r, f) >= f decides
     depth >= f exactly; the default floor scans every node.
@@ -585,34 +586,25 @@ def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> floa
       gap from below, and a point with low_i >= floor is not scanned: it
       counts with low_i. The other points of each cloud go to one
       hull_gaps call, and each scanned gap keeps the dense scan's bits.
-    - slack: _hull_depth_slack also returns the terms r_i - h_i at the
-      outputs, from which find_epsilon bounds a sample's later depths
-      and skips the scans that bound passes (its docstring has the proof).
     """
-    return _hull_depth_slack(grid, r, floor)[0]
-
-
-def _hull_depth_slack(grid: SphereGrid, r: np.ndarray, floor: float = math.inf):
-    """(hull_depth(grid, r, floor), r - h at the scanned outputs): the
-    own-direction terms r_i - h_i, G/2 of them when r is exactly even,
-    whose minimum bounds the depth from below up to round-off; None for
-    the slack when r has a non-positive entry. find_epsilon keeps the
-    slack to prove later passes of the same sample without a scan."""
     r = np.asarray(r, dtype=float)
-    if r.min() <= 0:
-        return -math.inf, None
-    h, radii = _radial_support(grid, r)
+    if r.shape != (grid.size,):
+        raise InputError(f"radii of shape {r.shape} on a grid of {grid.size} nodes")
+    # a nan or an infinite entry makes the minimum or the maximum non-finite
     rmin, rmax = float(r.min()), float(r.max())
-    slack = r - h
-    low = slack - _GAP_PAD * rmax
+    if not (math.isfinite(rmin) and math.isfinite(rmax)):
+        raise InputError(f"radii must be finite, got min {rmin} and max {rmax}")
+    if rmin <= 0:
+        return -math.inf
+    h, radii = _radial_support(grid, r)
+    low = r - h - _GAP_PAD * rmax
     cut = 1.0 - (rmax - rmin) / rmin - _COS_PAD
     # radii s output r's half s: the flipped radii's first half, against h turned over
     for v, hs, part in zip(radii, (h, h[grid.antipode]), low.reshape(2, -1)):
         near = np.flatnonzero(part < floor)
         part[near] = backend.hull_gaps(v[:, None] * grid.nodes, grid.nodes, hs,
                                        radial=(v, grid.nodes), rings=(grid.rings, cut, near, floor))
-    outputs = grid.size // 2 * len(radii)
-    return float(low[:outputs].min()), slack[:outputs]
+    return float(low[:grid.size // 2 * len(radii)].min())
 
 
 def group_average(body: ConvexBody, sample: GroupSample) -> ConvexBody:

@@ -31,7 +31,7 @@ from .bodies import (
     from_terms,
     from_vertices,
     hausdorff,
-    _hull_depth_slack,
+    hull_depth,
 )
 from .errors import ConstantPolynomial, InputError, NonpositiveRadius
 from .groups import random_rotations
@@ -228,22 +228,22 @@ DEPTH_TOL = 5e-3
 _SKIP_PAD = 1e-9
 
 
-def depth_certificate(grid: SphereGrid, r: np.ndarray) -> tuple[bool, np.ndarray | None]:
-    """(passes, slack) of find_epsilon's certificate on the radii r:
+def depth_certificate(grid: SphereGrid, r: np.ndarray) -> tuple[bool, float]:
+    """(passes, depth) of find_epsilon's certificate on the radii r:
     hull_depth >= -DEPTH_TOL * max r, decided with that floor, and the
-    slack r - h of the scan (None for a non-positive radius, which fails)."""
+    depth the scan returned (-inf for a non-positive radius, which fails)."""
     floor = -DEPTH_TOL * float(r.max())
-    depth, slack = _hull_depth_slack(grid, r, floor)
-    return depth >= floor, slack
+    depth = hull_depth(grid, r, floor)
+    return depth >= floor, depth
 
 
-def _depth_bound(eps_a: float, slack: np.ndarray, v: np.ndarray, eps: float) -> float:
-    """A lower bound on the hull depth of the radii 1 + eps*v, from the
-    slack r - h of the radii 1 + eps_a*v at its first slack.size nodes
-    (the scanned outputs of hull_depth); find_epsilon proves it."""
+def _depth_bound(eps_a: float, depth: float, vmin: float, vmax: float, eps: float) -> float:
+    """A lower bound on the hull depth of the radii 1 + eps*v, v in
+    [vmin, vmax], from the depth that hull_depth returned for the radii
+    1 + eps_a*v; find_epsilon proves it."""
     delta = eps - eps_a
-    slope = max(float(v.max()), 0.0) if delta >= 0 else max(-float(v.min()), 0.0)
-    return float(np.min(slack + delta * v[:slack.size])) - abs(delta) * slope
+    m = max(vmax, 0.0) if delta >= 0 else max(-vmin, 0.0)
+    return depth - abs(delta) * (max(vmax, -vmin) + m)
 
 
 def find_epsilon(
@@ -269,25 +269,27 @@ def find_epsilon(
     would be orders of magnitude more work).
 
     A round skips the scan of a sample that its latest scan already
-    passes. Fix the sample v, and let that scan be at eps_a, with
-    s = r - h there. At eps = eps_a + D:
+    passes. Fix the sample v, and let that scan be at eps_a, where
+    hull_depth returned d_a, at most the depth there (its floor
+    contract). At eps = eps_a + D, with every radius positive:
 
-    - r_j = 1 + eps*v_j is linear in eps.
+    - r_i = 1 + eps*v_i is linear in eps, so each term r_i <u_i, u_j> of
+      a gap moves by at most |D| max|v|.
     - h_j = max_k r_k <u_k, u_j> is attained at a k with
       0 < <u_k, u_j> <= 1, since h_j >= r_j > 0. The same k at eps_a
       gives h_j(eps_a) >= h_j(eps) - D v_k <u_k, u_j>, so
       h_j(eps) <= h_j(eps_a) + |D| m, with m = max(0, max v) for D >= 0
       and m = max(0, -min v) for D < 0.
-    - Every gap is at least r_j - h_j, the j = i term.
 
-    So depth(eps) >= min_j (s_j + D v_j) - |D| m, which _depth_bound
-    computes over the outputs of the earlier scan: the first G/2 nodes,
-    where the depth of exactly even radii takes its minimum. When the
-    bound clears the floor by _SKIP_PAD * max r, the sample passes at
-    eps and is not scanned. A sample with a non-positive radius at eps
-    is always scanned, and fails. A skipped sample would have passed, so
-    the pass/fail history, limiting_sample and eps_star are those of a
-    scan of every sample. The refined check scans every sample.
+    So every gap max_j (r_i <u_i, u_j> - h_j) falls by at most
+    |D| (max|v| + m), and depth(eps) >= d_a - |D| (max|v| + m), which
+    _depth_bound computes. When the bound clears the floor by
+    _SKIP_PAD * max r, the sample passes at eps and is not scanned. A
+    sample with a non-positive radius at eps is always scanned, and
+    fails; its depth -inf, like that of a sample not yet scanned, proves
+    nothing. A skipped sample would have passed, so the pass/fail
+    history, limiting_sample and eps_star are those of a scan of every
+    sample. The refined check scans every sample.
 
     phis, when given, are the samples sample_unit_F(n, d, sample_count,
     seed, grid) already drawn by the caller; they are used as they are.
@@ -315,15 +317,15 @@ def find_epsilon(
         raise InputError("zero-average sample without negative values")  # pragma: no cover
     hi0 = float(np.min(-1.0 / mins))
 
-    latest = {}  # sample -> (eps, r - h) of its latest scan with positive radii
+    latest = [(0.0, -math.inf)] * len(vals)  # (eps, depth) of each sample's latest scan
 
     def proven(k: int, eps: float) -> bool:
         # min r and max r of 1 + eps * v are 1 + eps * min v and 1 + eps * max v:
         # rounding is monotone
-        if k not in latest or 1.0 + eps * mins[k] <= 0:
+        if 1.0 + eps * mins[k] <= 0:
             return False
         rmax = 1.0 + eps * tops[k]
-        return _depth_bound(*latest[k], vals[k], eps) >= (_SKIP_PAD - DEPTH_TOL) * rmax
+        return _depth_bound(*latest[k], mins[k], tops[k], eps) >= (_SKIP_PAD - DEPTH_TOL) * rmax
 
     limiting = None  # the sample that failed the latest failed round
 
@@ -335,9 +337,8 @@ def find_epsilon(
         for k in first + [k for k in range(len(vals)) if k != limiting]:
             if proven(k, eps):
                 continue
-            ok, slack = depth_certificate(grid, 1.0 + eps * vals[k])
-            if slack is not None:
-                latest[k] = (eps, slack)
+            ok, depth = depth_certificate(grid, 1.0 + eps * vals[k])
+            latest[k] = (eps, depth)
             if not ok:
                 limiting = k
                 return False

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.special import eval_gegenbauer, sph_harm_y
 
 from .errors import ConstantPolynomial, InputError
-from .sphere import SphereGrid, check_samples, derived_field, finite, read_only, sphere_area
+from .sphere import SphereGrid, check_samples, derived_field, finite, lru_get, read_only, sphere_area
 
 MAX_DEGREE = 12
 
@@ -301,16 +301,7 @@ def get_basis(n: int, d: int, grid: SphereGrid) -> Basis:
     """Basis(d, grid) for a grid on S^{n-1}, kept in _BASIS_CACHE."""
     if grid.n != n:
         raise InputError(f"grid dimension {grid.n} != n={n}")
-    key = (d, grid)
-    hit = _BASIS_CACHE.pop(key, None)
-    if hit is not None:
-        _BASIS_CACHE[key] = hit
-        return hit
-    basis = Basis(d, grid)
-    if len(_BASIS_CACHE) >= _BASIS_CACHE_SIZE:
-        del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
-    _BASIS_CACHE[key] = basis
-    return basis
+    return lru_get(_BASIS_CACHE, (d, grid), lambda: Basis(d, grid), _BASIS_CACHE_SIZE)
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,12 +185,19 @@ def build_grid(n: int, resolution: int | None = None) -> SphereGrid:
     if resolution is None:
         resolution = DEFAULT_RESOLUTION.get(n, 0)
     key = (n, int(resolution))
-    hit = _GRID_CACHE.pop(key, None)
+    return lru_get(_GRID_CACHE, key, lambda: SphereGrid(*key), _GRID_CACHE_SIZE)
+
+
+def lru_get(cache: dict, key, build, size: int):
+    """cache[key], made by build() on a miss, with cache changed in place
+    as a least-recently-used store of at most size entries: the entry
+    moves to the newest end, and a miss on a full cache drops the oldest."""
+    hit = cache.pop(key, None)
     if hit is None:
-        hit = SphereGrid(*key)
-        if len(_GRID_CACHE) >= _GRID_CACHE_SIZE:
-            del _GRID_CACHE[next(iter(_GRID_CACHE))]
-    _GRID_CACHE[key] = hit
+        hit = build()
+        if len(cache) >= size:
+            del cache[next(iter(cache))]
+    cache[key] = hit
     return hit
 
 

@@ -148,15 +148,6 @@ def dense_hull_depth(grid, r, floor=math.inf) -> float:
     return float(dense_radial_scan(grid, r)[1].min())
 
 
-def dense_own_gaps(grid, r) -> np.ndarray:
-    """r_j - h_j with h_j = max_k r_k <u_k, u_j> from the full G x G
-    matrix: the j = i term of each hull gap, a lower bound on it."""
-    r = np.asarray(r, dtype=float)
-    terms = grid_cosines(grid)
-    terms *= r[:, None]
-    return r - terms.max(axis=0)
-
-
 def dense_bisection(grid, vals, steps: int, depth_tol: float) -> dict:
     """find_epsilon's bisection over the sample values vals (one row per
     sample, exactly even), scanning every sample of every round with

@@ -10,17 +10,16 @@ import pytest
 from convexsphere import backend
 from convexsphere.backend import RING_LEVELS
 from convexsphere.bodies import (
-    _hull_depth_slack,
     certify_convex_radial,
     from_radial,
     from_vertices,
     hull_depth,
 )
+from convexsphere.errors import InputError
 from convexsphere.sphere import build_grid
 from oracles import (
     dense_hull_depth,
     dense_hull_gaps,
-    dense_own_gaps,
     dense_radial_scan,
     exact_hull_gaps,
     grid_cosines,
@@ -185,6 +184,20 @@ def test_hull_depth(grid3):
     assert not certify_convex_radial(body, tol=-0.999 * depth)
 
 
+def test_hull_depth_refuses_radii_that_are_not_finite_or_not_one_per_node(grid3):
+    # a short array would fail on its antipodes, and a nan or an infinite
+    # radius would read as a depth of nan, which no floor accepts
+    r = np.ones(grid3.size)
+    for bad in (r[:-1], r[:, None], np.append(r, 1.0)):
+        with pytest.raises(InputError, match="shape"):
+            hull_depth(grid3, bad)
+    for value in (math.nan, math.inf, -math.inf):
+        bad = r.copy()
+        bad[5] = value
+        with pytest.raises(InputError, match="finite"):
+            hull_depth(grid3, bad, -5e-3)
+
+
 @pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
 def test_pruned_hull_depth_equals_dense(monkeypatch, n, resolution):
     grid = build_grid(n, resolution)
@@ -302,17 +315,22 @@ def test_even_radii_scan_half_the_pairs(monkeypatch, n, grid3, grid4):
 
 
 @pytest.mark.parametrize("n,resolution", [(3, 16), (3, 32), (4, 10)])
-def test_slack_of_uneven_radii_equals_the_dense_own_gaps(n, resolution):
-    # the far half's slack comes from the scan of the flipped radii
+def test_uneven_radii_meet_the_floor_contract_of_the_dense_depth(n, resolution):
+    # the far half's gaps come from the scan of the flipped radii: the
+    # depth is the dense one below the floor, else between the two
     grid = build_grid(n, resolution)
     for spread in (0.005, 0.1, 0.9):
         for seed in range(2):
             r = smooth_radii(grid, spread, seed)
-            dense = dense_own_gaps(grid, r)
-            for floor in (math.inf, -5e-3 * r.max()):
-                _, slack = _hull_depth_slack(grid, r, floor)
-                assert slack.size == grid.size
-                assert np.array_equal(slack, dense)
+            assert not np.array_equal(r, r[grid.antipode])
+            dense = dense_hull_depth(grid, r)
+            for floor in (-math.inf, -5e-3 * r.max(), dense - 1e-9, dense,
+                          np.nextafter(dense, math.inf), dense + 1e-9, math.inf):
+                v = hull_depth(grid, r, floor)
+                if dense < floor:
+                    assert v == dense
+                else:
+                    assert floor <= v <= dense
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -28,7 +28,7 @@ from convexsphere.fields import (
 from convexsphere.groups import random_frames, random_rotations
 from convexsphere.polynomials import project
 from convexsphere.sphere import build_grid, integrate
-from oracles import dense_bisection, dense_own_gaps
+from oracles import dense_bisection, dense_hull_depth
 
 
 def test_quadform_eigen_order_and_reconstruction():
@@ -254,13 +254,13 @@ def _even_values(phis, grid):
 def _recording_scans(monkeypatch):
     """Make find_epsilon's scans append (grid, radii) to the returned list."""
     seen = []
-    scan = fields._hull_depth_slack
+    scan = fields.hull_depth
 
     def recording(grid, r, floor):
         seen.append((grid, r.copy()))
         return scan(grid, r, floor)
 
-    monkeypatch.setattr(fields, "_hull_depth_slack", recording)
+    monkeypatch.setattr(fields, "hull_depth", recording)
     return seen
 
 
@@ -294,9 +294,9 @@ def test_find_epsilon_decisions_match_dense_scan(monkeypatch, grid3):
 
 
 @pytest.mark.parametrize("n,count,seed,resolution,refined,steps,limiting,rate,eps_star,scans", [
-    (3, 44, 1, None, True, "-----+-+--+++--+++", 35, 43 / 44, 0.02272744760317481, 225),
-    (3, 44, 2, None, True, "-----+--++--++++++", 34, 1.0, 0.02127167673348417, 203),
-    (3, 44, 1, 32, False, "-----+-+-++-++++--", 36, None, 0.02245342729842151, 252),
+    (3, 44, 1, None, True, "-----+-+--+++--+++", 35, 43 / 44, 0.02272744760317481, 226),
+    (3, 44, 2, None, True, "-----+--++--++++++", 34, 1.0, 0.02127167673348417, 211),
+    (3, 44, 1, 32, False, "-----+-+-++-++++--", 36, None, 0.02245342729842151, 251),
     (4, 16, 1, None, False, "----++-++++-++---+", 9, None, 0.06383785037996156, 109),
 ], ids=["n3_G512_seed1", "n3_G512_seed2", "n3_G2048_seed1", "n4_G2000_seed1"])
 def test_find_epsilon_keeps_its_decisions(monkeypatch, n, count, seed, resolution, refined, steps,
@@ -327,22 +327,44 @@ def test_find_epsilon_certifies_exactly_even_radii(monkeypatch, grid3):
 
 @pytest.mark.parametrize("n,resolution", [(3, None), (3, 32), (4, None)],
                          ids=["n3_G512", "n3_G2048", "n4_G2000"])
-def test_depth_bound_never_exceeds_the_dense_own_gaps(n, resolution):
-    # the bound that lets find_epsilon skip a scan, taken from a scan at
-    # eps_a, stays below min_j (r_j - h_j) at eps, from the full matrix,
-    # for eps below and above eps_a; at eps = eps_a it is that minimum
+def test_depth_bound_never_exceeds_the_dense_depth(n, resolution):
+    # the bound that lets find_epsilon skip a scan, taken from the depth a
+    # scan at eps_a returned, stays below the dense depth at eps, for eps
+    # below and above eps_a; at eps = eps_a with no floor it is that
+    # depth. A scan that fails at a finite floor returns its exact depth
     grid = build_grid(n) if resolution is None else build_grid(n, resolution)
-    vals = _even_values(sample_unit_F(n, 8, 4, seed=5, grid=grid), grid)
+    vals = list(_even_values(sample_unit_F(n, 8, 4, seed=5, grid=grid), grid))
+    # a dimple (v = -1) beside a spike (v = 1): as eps rises the depth
+    # falls at nearly the bound's slope max|v| + max v = 2
+    cos = grid.nodes @ grid.nodes[0]
+    cos[0] = -1.0
+    spike = np.zeros(grid.size)
+    spike[[0, int(np.argmax(cos))]] = 1.0, -1.0
+    vals.append(spike)
+    failed, sharpest = 0, math.inf
     for v in vals:
         for eps_a in (0.01, 0.02, 0.04):
-            _, slack = fields._hull_depth_slack(grid, 1.0 + eps_a * v)
+            r_a = 1.0 + eps_a * v
+            dense_a = dense_hull_depth(grid, r_a)
+            floors = (math.inf, -DEPTH_TOL * r_a.max(), 0.5 * dense_a)
+            depths = [hull_depth(grid, r_a, floor) for floor in floors]
+            for floor, depth in zip(floors[1:], depths[1:]):
+                if dense_a < floor:
+                    assert depth == dense_a
+                    failed += 1
             for delta in (-5e-3, -1e-3, -1e-5, 0.0, 1e-5, 1e-3, 5e-3):
                 r = 1.0 + (eps_a + delta) * v
-                own = float(dense_own_gaps(grid, r).min())
-                bound = fields._depth_bound(eps_a, slack, v, eps_a + delta)
-                assert bound <= own + 1e-14 * r.max()
+                dense = dense_hull_depth(grid, r)
+                bounds = [fields._depth_bound(eps_a, depth, v.min(), v.max(), eps_a + delta)
+                          for depth in depths]
+                assert max(bounds) <= dense + 1e-14 * r.max()
                 if delta == 0.0:
-                    assert bound == pytest.approx(own, rel=0.0, abs=1e-14 * r.max())
+                    assert bounds[0] == dense
+                elif delta > 0:
+                    sharpest = min(sharpest, (dense - bounds[0]) / delta)
+    assert failed > 0
+    # so a bound that dropped either term would exceed the dense depth
+    assert sharpest < 0.1
 
 
 def test_separation_delta_positive_for_nonballs(grid3):

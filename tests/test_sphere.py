@@ -10,6 +10,7 @@ from convexsphere.sphere import (
     SphereGrid,
     build_grid,
     integrate,
+    lru_get,
     monomial_samples,
     monomial_sphere_integral,
     norms,
@@ -179,6 +180,19 @@ def test_build_grid_shares_one_grid_per_description():
     assert build_grid(3, 16).refined() is build_grid(3, 32)
     assert build_grid(3) is build_grid(3, 16) is build_grid(3, 16.0)
     assert build_grid(4, 10) is not build_grid(4, 12)
+
+
+def test_lru_get_drops_the_least_recently_used_entry_in_place():
+    # build_grid and get_basis share it
+    cache, built = {}, []
+
+    def get(key):
+        return lru_get(cache, key, lambda: built.append(key) or key.upper(), 3)
+
+    assert [get(k) for k in "abca"] == ["A", "B", "C", "A"]
+    assert get("d") == "D" and list(cache) == ["c", "a", "d"]
+    assert get("b") == "B" and list(cache) == ["a", "d", "b"]
+    assert built == ["a", "b", "c", "d", "b"]
 
 
 @pytest.mark.parametrize("resolution", [9, 6, 16.0, None])
