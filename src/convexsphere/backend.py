@@ -23,9 +23,6 @@ import numpy as np
 
 _BLOCK = 256  # rows per block; bounds temporary memory at G*BLOCK
 
-#: Smallest <query, dir> that radial_from_support counts as positive.
-_POS_TOL = 1e-9
-
 #: Cosine levels of ring_table, falling: ring l of a node holds the nodes
 #: whose cosine to it lies in [RING_LEVELS[l], RING_LEVELS[l-1]).
 RING_LEVELS = (0.9875, 0.975, 0.95, 0.9)
@@ -223,18 +220,11 @@ def hull_gaps(cloud, dirs, h, radial=None, rings=None):
 
 
 def radial_from_support(h, dirs, queries):
-    """r[q] = min over dirs with <q, dir> > _POS_TOL of h/<q,dir>.
-    -1 marks queries with no positive-dot direction (should not happen on
-    antipodal grids)."""
-    h, cols, queries = _c(h), _c(np.transpose(dirs)), _c(queries)
-    out = np.empty(queries.shape[0])
-    for a in range(0, queries.shape[0], _BLOCK):
-        b = min(a + _BLOCK, queries.shape[0])
-        dot = _product(queries[a:b], cols, slice(None))
-        ratio = np.where(dot > _POS_TOL, h[None, :] / np.where(dot > _POS_TOL, dot, 1.0), np.inf)
-        m = ratio.min(axis=1)
-        out[a:b] = np.where(np.isfinite(m), m, -1.0)
-    return out
+    """r[q] = 1 / max_j <q, dirs[j] / h[j]>: the radial function of the
+    outer body {x : <x, dirs[j]> <= h[j]}, h > 0, at the unit rows of
+    queries, by one scan of the polar points dirs[j] / h[j]."""
+    polar = _c(np.transpose(dirs)) / _c(h)
+    return 1.0 / _max_rows(_c(queries), polar)
 
 
 def max_nn_gap(nodes):

@@ -18,9 +18,11 @@ Polytopes, balls, thickenings, rotations, scalings and group
 averages of term bodies stay term bodies, each one array operation on
 rows and weights, which is what makes exact-group invariance defects
 drop to floating-point level instead of the O(grid gap^2) floor of
-interpolated evaluation. Other bodies evaluate support off the grid
-through the inscribed radial cloud (n >= 3) or the exact outer-polygon
-interpolation formula (n = 2).
+interpolated evaluation. Off the grid every body evaluates the support
+of what describes it: a radial body that of its cloud, and a body of
+support samples that of the vertices of its outer polytope, the polars
+of the facets of conv(u_j / h_j) (Schneider, Convex Bodies: The
+Brunn-Minkowski Theory, 2nd ed., 2014, section 1.6).
 
 The sandwich distance between origin-interior bodies is
 log(max_u hB/hA / min_u hB/hA); it vanishes exactly for scalings,
@@ -116,14 +118,22 @@ class ConvexBody:
             return read_only(1.0 + eps * phi.samples)
         return read_only(radial_from_support(self))
 
+    @cached_property
+    def outer_vertices(self) -> np.ndarray:
+        """Vertices of the outer polytope {x : <x,u_j> <= h_j} of positive
+        support samples (OriginNotInterior otherwise)."""
+        return read_only(polar_vertices(self.grid.nodes / _positive_support(self)[:, None]))
+
     def support_eval(self, points: np.ndarray) -> np.ndarray:
-        """Support values at arbitrary unit directions, via the best
-        available evaluator."""
+        """Support values at arbitrary unit directions of the body the
+        description fixes: the terms, the outer polytope of support
+        samples (its outer_vertices), or the hull of the radial cloud of
+        radial samples or a profile."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.terms is not None:
             return backend.minkowski_support(*self.terms, self.ball_radius, points)
-        if self.n == 2:
-            return _polygon_support_interp(self.grid, self.support, points)
+        if self.sampled_support is not None:
+            return backend.support_max_dot(self.outer_vertices, points)
         r = self.radial
         return backend.support_max_dot(r[:, None] * self.grid.nodes, points, radial=(r, self.grid.nodes))
 
@@ -186,23 +196,6 @@ def from_radial(grid: SphereGrid, r) -> ConvexBody:
     if np.min(r) <= 0:
         raise NonpositiveRadius(f"min radial sample {np.min(r):.3e}")
     return ConvexBody(grid=grid, sampled_radial=r)
-
-
-def _polygon_support_interp(grid: SphereGrid, h, points) -> np.ndarray:
-    """Exact support of the outer polygon {x : <x,u_j> <= h_j} at
-    arbitrary angles (n = 2). Between consecutive grid normals the
-    support is attained at the vertex solving the two active
-    constraints."""
-    ang = np.arctan2(points[:, 1], points[:, 0]) % (2 * np.pi)
-    th = grid.angles
-    m = th.size
-    j = np.searchsorted(th, ang, side="right") - 1
-    j = np.clip(j, 0, m - 1)
-    j1 = (j + 1) % m
-    t0 = th[j]
-    t1 = np.where(j1 == 0, th[0] + 2 * np.pi, th[j1])
-    d = t1 - t0
-    return (h[j] * np.sin(t1 - ang) + h[j1] * np.sin(ang - t0)) / np.sin(d)
 
 
 _VALIDATE_TOL = 1e-9  # slack of validate_body's unit-ball and Lipschitz checks
@@ -375,16 +368,27 @@ def _polish_extreme(fun, u0: np.ndarray, maximize: bool):
     return sgn * res.fun
 
 
-def _facet_normals(rows: np.ndarray) -> np.ndarray:
-    """Unit outer facet normals of conv(rows), which must hold the origin
-    in its interior (OriginNotInterior otherwise)."""
+def _facets(points: np.ndarray) -> np.ndarray:
+    """Facet equations <a, x> + b = 0, a unit and b < 0, of conv(points),
+    which must hold the origin in its interior (OriginNotInterior
+    otherwise)."""
     try:
-        eq = ConvexHull(rows).equations
+        eq = ConvexHull(points).equations
     except QhullError:
         raise OriginNotInterior("polytope is flat, so the origin is not interior") from None
     if np.any(eq[:, -1] >= 0):
         raise OriginNotInterior("the origin lies on or outside a facet of the polytope")
-    return eq[:, :-1]
+    return eq
+
+
+def polar_vertices(points: np.ndarray) -> np.ndarray:
+    """Vertices of the polar {x : <x, p> <= 1 for every row p of points}
+    of conv(points), the origin interior to it: the facet <a, x> + b = 0
+    gives the vertex -a / b. qhull splits a facet with more than n
+    coplanar points into simplices that repeat its equation, so exact
+    duplicate rows are dropped."""
+    eq = _facets(points)
+    return np.unique(-eq[:, :-1] / eq[:, -1:], axis=0)
 
 
 def _ratio_max_directions(a: ConvexBody, b: ConvexBody) -> np.ndarray | None:
@@ -399,7 +403,7 @@ def _ratio_max_directions(a: ConvexBody, b: ConvexBody) -> np.ndarray | None:
     term that is at a direction of one of b's rows."""
     rows, offsets, _ = a.terms
     if offsets.size == 2 and a.ball_radius == 0:
-        return _facet_normals(rows)
+        return _facets(rows)[:, :-1]
     if not rows.any() and b.terms[1].size == 2:
         v = b.terms[0]
         norm = np.linalg.norm(v, axis=1)
@@ -450,18 +454,18 @@ def bm_distance(a: ConvexBody, b: ConvexBody, refine: bool = False) -> float:
     return math.log(t_star / s_star)
 
 
-def radial_from_support(body: ConvexBody) -> np.ndarray:
-    """Radial function of the outer body {x : <x,u_j> <= h_j} at the
-    grid nodes."""
+def _positive_support(body: ConvexBody) -> np.ndarray:
     h = body.support
     if h.min() <= 0:
-        raise OriginNotInterior(
-            f"radial evaluation needs positive support, min={h.min():.3e}"
-        )
-    r = backend.radial_from_support(h, body.grid.nodes, body.grid.nodes)
-    if np.any(r <= 0):
-        raise OriginNotInterior("support cone does not surround the origin")
-    return r
+        raise OriginNotInterior(f"the outer body needs positive support, min={h.min():.3e}")
+    return h
+
+
+def radial_from_support(body: ConvexBody) -> np.ndarray:
+    """Radial function of the outer body {x : <x,u_j> <= h_j} at the
+    grid nodes. Every radius is positive: at node i the scan's own term
+    1/h_i > 0 bounds its maximum from below."""
+    return backend.radial_from_support(_positive_support(body), body.grid.nodes, body.grid.nodes)
 
 
 def distances_to_ball(bodies) -> list[float]:

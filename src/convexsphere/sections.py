@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, QhullError
 
-from .bodies import ConvexBody, from_support_samples, from_vertices
+from .bodies import ConvexBody, from_support_samples, from_vertices, polar_vertices
 from .errors import InputError, OriginNotInterior
 from .fourier2d import fourier_analyze, harmonic_energy
 from .groups import random_frames
@@ -99,13 +99,7 @@ def plane_section(family: SectionFamily, frame: np.ndarray) -> ConvexBody:
         qinv = np.linalg.inv(q2)
         h = np.sqrt(np.einsum("gi,ij,gj->g", grid.nodes, qinv, grid.nodes))
         return from_support_samples(grid, h)
-    polar = (family.normals @ frame.T) / family.offsets[:, None]
-    try:
-        # hull edges <a, p> + b = 0 with b < 0; edge (a, b) is the polar of vertex -a / b
-        edges = ConvexHull(polar).equations
-    except QhullError:
-        raise InputError("section is empty or degenerate") from None
-    return from_vertices(grid, -edges[:, :2] / edges[:, 2:])
+    return from_vertices(grid, polar_vertices((family.normals @ frame.T) / family.offsets[:, None]))
 
 
 def _coordinate_frames2(big_n: int) -> list:

@@ -411,22 +411,88 @@ def test_value_types_with_arrays_compare_by_identity(grid3, make):
     assert len({a, b, a}) == 2
 
 
-def test_support_only_body_scans_its_radial_once(grid3, monkeypatch):
-    # the radial cloud behind support_eval is derived once per body, not
-    # once per evaluation
-    from convexsphere import backend
+def _support_sample_bodies(grid):
+    # the support samples of a random 12-point polytope and of the cube
+    polytope = random_polytope(grid, 12, np.random.default_rng(0))
+    return [from_support_samples(grid, b.support) for b in (polytope, _cube(grid))]
 
-    calls = []
-    scan = backend.radial_from_support
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_support_samples_evaluate_their_outer_polytope(n):
+    # each sampled plane of a convex body touches it, so the outer
+    # polytope {x : <x,u_j> <= h_j} has the samples as its support at the
+    # nodes: support_eval gives them back, and the identity neither moves
+    # nor averages them
+    grid = build_grid(n)
+    identity = sample_group("user", n, elements=np.eye(n)[None])
+    for body in _support_sample_bodies(grid):
+        scale = body.support.max()
+        assert np.abs(body.support_eval(grid.nodes) - body.support).max() <= 1e-13 * scale
+        assert invariance_defect(body, identity) <= 1e-13 * scale
+        assert np.abs(group_average(body, identity).support - body.support).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 512])
+def test_planar_radial_body_evaluates_its_cloud_off_the_grid(resolution):
+    # a radial body is the hull of its cloud at n = 2 as at n >= 3
+    grid = build_grid(2, resolution)
+    r = 1.0 + 0.2 * np.cos(2.0 * grid.angles)
+    t = np.linspace(0.0, 2.0 * np.pi, 1001)
+    dirs = np.column_stack([np.cos(t), np.sin(t)])
+    want = ((r[:, None] * grid.nodes) @ dirs.T).max(axis=0)
+    assert np.abs(from_radial(grid, r).support_eval(dirs) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_vertices_match_the_brute_force_oracle(n):
+    # the oracle solves every n facets' system without a hull and repeats a
+    # vertex where more than n facets meet; the library keeps one row each
+    from convexsphere.bodies import polar_vertices as hull_polar_vertices
+
+    cloud = np.random.default_rng(n).normal(size=(12, n))
+    for points in (_cube(build_grid(n)).terms[0], cloud - cloud.mean(axis=0)):
+        got, want = hull_polar_vertices(points), polar_vertices(points)
+        dist = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
+        assert dist.min(axis=1).max() <= 1e-12 and dist.min(axis=0).max() <= 1e-12
+        assert got.shape[0] == np.unique(np.round(want, 9), axis=0).shape[0]
+
+
+def test_pm_average_of_an_even_radial_body_is_its_support(grid3):
+    x, y, z = grid3.nodes.T
+    body = from_radial(grid3, 1.0 + 0.3 * z**2 + 0.1 * x * y)
+    assert np.array_equal(group_average(body, sample_group("pm", 3)).support, body.support)
+
+
+def test_certify_refuses_a_planar_body_with_a_nonpositive_radius(grid2):
+    # from_radial refuses such samples; a body made around them is not convex
+    for low in (0.0, -0.5):
+        r = 1.0 + 0.2 * np.cos(2.0 * grid2.angles)
+        r[3] = low
+        assert certify_convex_radial(ConvexBody(grid=grid2, sampled_radial=r)) is False
+
+
+def test_support_only_body_builds_its_outer_polytope_once(grid3, monkeypatch):
+    # the outer polytope behind support_eval is built once per body, not
+    # once per evaluation, and no radial scan stands behind it
+    from convexsphere import backend, bodies
+
+    builds, scans = [], []
+    build, scan = bodies.polar_vertices, backend.radial_from_support
+
+    def counted_build(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    def counted_scan(*args, **kwargs):
+        scans.append(1)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(backend, "radial_from_support", counted)
+    monkeypatch.setattr(bodies, "polar_vertices", counted_build)
+    monkeypatch.setattr(backend, "radial_from_support", counted_scan)
     body = from_support_samples(grid3, _cube(grid3).support)
     invariance_defect(body, sample_group("so", 3, 16, seed=1))
-    assert len(calls) == 1
+    assert len(builds) == 1
+    assert scans == []
 
 
 def test_c0_l2_constant_positive_and_monotone_inputs():

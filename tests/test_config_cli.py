@@ -5,6 +5,7 @@ inspect exit codes plus the JSON reports, so the whole argparse ->
 config -> driver -> serialize path is covered without subprocesses.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import convexsphere
 from convexsphere import cli
-from convexsphere.bodies import ball, from_vertices
+from convexsphere.bodies import ball, from_support_samples, from_vertices
 from convexsphere.fields import thicken
 from convexsphere.config import ExperimentConfig
 from convexsphere.errors import BudgetExceeded, ConfigError
@@ -354,6 +355,17 @@ def test_symmetrize_pm_group(tmp_path, grid3, capsys):
     # node-sampled d_h slightly undershoots 0.3 because no grid node
     # points exactly along the shift direction
     assert 0.29 < doc["hausdorff_to_average"] <= 0.3 + 1e-12
+
+
+def test_symmetrize_pm_of_a_centred_cube_support_document(tmp_path, grid3, capsys):
+    # a support document is its outer polytope, here the centred cube,
+    # which pm already leaves fixed
+    cube = from_vertices(grid3, np.array(list(itertools.product((-0.5, 0.5), repeat=3))))
+    path = tmp_path / "cube.json"
+    save_body(from_support_samples(grid3, cube.support), str(path))
+    assert cli.main(["symmetrize", f"body={path}", "group=pm", f"out={tmp_path}"]) == 0
+    capsys.readouterr()
+    assert load_json(str(tmp_path / "symmetrize.json"))["defect_before"] <= 1e-12
 
 
 # -- swclass -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -452,6 +453,50 @@ def test_rotate_body_rotates_support(grid3):
     a = rotate_body(from_vertices(grid3, verts), r)
     b = from_vertices(grid3, verts @ r.T)
     assert np.abs(a.support - b.support).max() < 1e-12
+
+
+def _azimuth_step(grid3):
+    """The rotation by one azimuth step of the grid about the z axis, and
+    the permutation p of the nodes with nodes @ rot == nodes[p] up to
+    round-off: the support samples of the rotated body are support[p]."""
+    step = np.pi / grid3.resolution
+    c, s = np.cos(step), np.sin(step)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    moved = grid3.nodes @ rot
+    perm = np.argmax(moved @ grid3.nodes.T, axis=1)
+    assert np.abs(grid3.nodes[perm] - moved).max() < 1e-12
+    assert np.unique(perm).size == grid3.size
+    return rot, perm
+
+
+def test_rotate_body_of_support_samples_permutes_them(grid3):
+    from convexsphere.bodies import from_support_samples, from_vertices, random_polytope
+
+    rot, perm = _azimuth_step(grid3)
+    polytope = random_polytope(grid3, 12, np.random.default_rng(0))
+    cube = from_vertices(grid3, np.array(list(itertools.product((-1.0, 1.0), repeat=3))))
+    for h in (polytope.support, cube.support):
+        rotated = rotate_body(from_support_samples(grid3, h), rot)
+        assert np.abs(rotated.support - h[perm]).max() <= 1e-13 * h.max()
+
+
+def test_rotate_body_of_radial_samples_permutes_their_support(grid3):
+    from convexsphere.bodies import from_radial
+
+    rot, perm = _azimuth_step(grid3)
+    x, y, z = grid3.nodes.T
+    r = 1.0 + 0.3 * x**2 + 0.2 * y * z + 0.1 * x
+    body = from_radial(grid3, r)
+    assert np.abs(rotate_body(body, rot).support - body.support[perm]).max() <= 1e-13 * r.max()
+
+
+def test_thicken_adds_its_radius_to_the_support_of_radial_samples(grid3):
+    from convexsphere.bodies import from_radial
+
+    body = from_radial(grid3, 1.0 + 0.2 * grid3.nodes[:, 0] ** 2)
+    thick = thicken(body, 0.25)
+    assert thick.sampled_support is not None
+    assert np.array_equal(thick.support, body.support + 0.25)
 
 
 def test_rotated_profile_body_is_the_rotated_profile(grid3):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ellipe
 
 from convexsphere.bodies import from_vertices
 from convexsphere.errors import Degenerate, InputError, OriginNotInterior
@@ -203,6 +204,18 @@ def test_round_section_search_honest_on_cube(grid2):
     assert np.isfinite(out["radius"])
     trace = out["trace"]
     assert all(trace[i] >= trace[i + 1] - 1e-15 for i in range(len(trace) - 1))
+
+
+def test_round_section_search_of_a_planar_body(grid2):
+    # in R^2 the one section is the body: the disk is round at radius 1,
+    # and the ellipse of axes 1, 2 is not; its radius is the mean a0 of
+    # its support sqrt(cos^2 t + 4 sin^2 t), the perimeter over 2 pi
+    disk = round_section_search(ellipsoid_family((1.0, 1.0), grid=grid2))
+    assert disk["converged"]
+    assert disk["radius"] == pytest.approx(1.0, abs=1e-14)
+    ellipse = round_section_search(ellipsoid_family((1.0, 2.0), grid=grid2))
+    assert not ellipse["converged"]
+    assert ellipse["radius"] == pytest.approx(8.0 * ellipe(0.75) / (2.0 * math.pi), abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 0, -5])

@@ -41,6 +41,20 @@ def test_torus_elements_preserve_coordinate_blocks():
     assert np.abs(s.elements[:, 2:4, 0:2]).max() == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_torus_below_n_4_is_one_block_of_equidistributed_angles(n):
+    # one rotation block in the first coordinate plane, the rest fixed,
+    # at angles a shifted lattice of step 2 pi / count
+    s = sample_group("torus", n, count=12, seed=5)
+    el = s.elements
+    assert np.array_equal(el[:, 2:, 2:], np.broadcast_to(np.eye(n - 2), (12, n - 2, n - 2)))
+    assert not el[:, :2, 2:].any() and not el[:, 2:, :2].any()
+    assert np.array_equal(el[:, 0, 0], el[:, 1, 1]) and np.array_equal(el[:, 0, 1], -el[:, 1, 0])
+    ang = np.sort(np.arctan2(el[:, 1, 0], el[:, 0, 0]) % (2.0 * np.pi))
+    gaps = np.diff(np.append(ang, ang[0] + 2.0 * np.pi))
+    assert np.abs(gaps - 2.0 * np.pi / 12).max() < 1e-12
+
+
 def test_torus_seed_reproducible():
     a = sample_group("torus", 4, count=16, seed=9)
     b = sample_group("torus", 4, count=16, seed=9)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from convexsphere.bodies import ball, from_radial, from_vertices
+from convexsphere.bodies import ball, from_radial, from_support_samples, from_vertices
 from convexsphere.errors import InputError
 from convexsphere.fields import (
     ambient_quad_field,
@@ -125,6 +125,21 @@ def test_body_roundtrip_plain_radial(tmp_path, grid2):
     back = load_body(str(path))
     assert np.abs(back.radial - body.radial).max() < 1e-15
     assert np.abs(back.support - body.support).max() < 1e-15
+
+
+def test_body_roundtrip_support_samples(tmp_path, grid3):
+    # the samples reload bit for bit, and so does the outer polytope
+    # evaluated off the grid
+    rng = np.random.default_rng(4)
+    body = from_support_samples(grid3, 1.0 + 0.2 * rng.random(grid3.size))
+    path = tmp_path / "outer.json"
+    save_body(body, str(path))
+    back = load_body(str(path))
+    dirs = rng.normal(size=(50, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    assert back.sampled_support is not None
+    assert np.array_equal(back.support, body.support)
+    assert np.array_equal(back.support_eval(dirs), body.support_eval(dirs))
 
 
 def _field(grid, big_n, count, seed):
