@@ -12,20 +12,20 @@ The two max-scans, support_max_dot and hull_gaps, also take radial
 clouds {r_i u_i} (radial=(r, units)). Their terms are then r_i times the
 cosine <u_i, d_j>, one product for every scan of a radial cloud. On a
 grid the cosines come from ring_table: for each node of the grid's
-first half, the nodes whose cosine to it clears each of RING_LEVELS,
-stored once as disjoint rings. A scan with a cosine cut (rings=...) then
-reduces, with np.maximum.reduceat, only the rings that the cut needs,
-and falls back to dense rows only for the outputs that the rings cannot
-certify (bodies.hull_depth proves both).
+first half and each of RING_LEVELS, the cap of nodes whose cosine to it
+clears the level. A scan with a cosine cut (rings=...) then reduces, with
+np.maximum.reduceat, one cap per output, that of the first level at or
+below the cut, and falls back to dense rows only for the outputs that
+the caps cannot certify (bodies.hull_depth proves both).
 """
 
 import numpy as np
 
 _BLOCK = 256  # rows per block; bounds temporary memory at G*BLOCK
 
-#: Cosine levels of ring_table, falling: ring l of a node holds the nodes
-#: whose cosine to it lies in [RING_LEVELS[l], RING_LEVELS[l-1]).
-RING_LEVELS = (0.9875, 0.975, 0.95, 0.9)
+#: Cosine levels of ring_table, falling: cap l of a node holds the nodes
+#: whose cosine to it is at least RING_LEVELS[l].
+RING_LEVELS = (0.95, 0.9)
 
 
 def _c(a):
@@ -66,26 +66,22 @@ def ring_table(nodes):
     """(index, cosine, starts) of the unit rows `nodes` (G of them): for
     each of the first G/2 nodes j and each level l of RING_LEVELS, the
     segment s = l * G/2 + j is index[starts[s]:starts[s+1]] (int32), the
-    nodes k with RING_LEVELS[l] <= <u_j, u_k> < RING_LEVELS[l-1] in
-    increasing order, with their cosines. Node j itself is in every
-    segment, so none is empty; no other node is in two. The cosines are
+    cap of nodes k with <u_j, u_k> >= RING_LEVELS[l] in increasing order,
+    with their cosines. Node j itself is in every cap, so none is empty,
+    and each cap holds the one of the level before it. The cosines are
     _product's, 32 rows at a time: one pass counts the entries and a
     second one fills them in, which keeps the temporaries to the table
     and a few 32 G blocks of cosines."""
     nodes = _c(nodes)
     half, cols = nodes.shape[0] // 2, _c(nodes.T)
-    bands = list(enumerate(zip(RING_LEVELS, (np.inf,) + RING_LEVELS[:-1])))
 
     def blocks():
         for a in range(0, half, 32):
             cos = _product(nodes[a:min(a + 32, half)], cols, slice(None))
-            own = (np.arange(cos.shape[0]), np.arange(a, a + cos.shape[0]))
-            for ring, (lo, hi) in bands:
-                keep = (cos >= lo) & (cos < hi)
-                keep[own] = True
-                yield ring * half + a, cos, keep
+            for cap, level in enumerate(RING_LEVELS):
+                yield cap * half + a, cos, cos >= level
 
-    counts = np.zeros(len(bands) * half, dtype=np.int64)
+    counts = np.zeros(len(RING_LEVELS) * half, dtype=np.int64)
     for seg, _, keep in blocks():
         counts[seg:seg + keep.shape[0]] = keep.sum(axis=1)
     starts = np.concatenate([[0], np.cumsum(counts)])
@@ -97,27 +93,27 @@ def ring_table(nodes):
     return index, cosine, starts
 
 
-def _ring_segments(starts, half, depth, rows):
-    """(at, seg_starts, lengths): the table entries `at` of rings 0 to
-    depth-1 of the table rows `rows`, ring by ring (a slice when rows are
-    all the rows), where each segment starts in them and its length."""
-    if rows.size == half:
-        return slice(0, starts[depth * half]), starts[:depth * half], np.diff(starts[:depth * half + 1])
-    seg = (np.arange(depth)[:, None] * half + rows).ravel()
+def _ring_segments(starts, half, cap, rows):
+    """(at, seg_starts, lengths): the table entries `at` of the caps of
+    level `cap` of the table rows `rows` (a slice when rows are all the
+    rows), where each cap starts in them and its length."""
+    seg = cap * half + rows
     lengths = starts[seg + 1] - starts[seg]
+    if rows.size == half:
+        return slice(starts[seg[0]], starts[seg[-1] + 1]), starts[seg] - starts[seg[0]], lengths
     seg_starts = np.cumsum(lengths) - lengths
     return np.repeat(starts[seg] - seg_starts, lengths) + np.arange(lengths.sum()), seg_starts, lengths
 
 
-def _support_rows(rows, cols, radii, ring_max):
-    """max(ring_max[j], max_k radii[k] <rows[j], cols[:, k]>) over the
-    columns k that can exceed ring_max[j] if left out of the rings, where
+def _support_rows(rows, cols, radii, cap_max):
+    """max(cap_max[j], max_k radii[k] <rows[j], cols[:, k]>) over the
+    columns k that can exceed cap_max[j] if left out of the cap, where
     their cosine is < L = RING_LEVELS[-1]: those with fl(radii[k] L) >
-    ring_max[j], a prefix of the columns by falling radius. The rows go
+    cap_max[j], a prefix of the columns by falling radius. The rows go
     by how long a prefix they need, _BLOCK at a time."""
     order = np.argsort(-radii, kind="stable")
-    need = np.searchsorted(-(radii[order] * RING_LEVELS[-1]), -ring_max)
-    out = ring_max.copy()
+    need = np.searchsorted(-(radii[order] * RING_LEVELS[-1]), -cap_max)
+    out = cap_max.copy()
     by_need = np.argsort(need, kind="stable")
     for a in range(0, by_need.size, _BLOCK):
         block = by_need[a:a + _BLOCK]
@@ -131,28 +127,25 @@ def _support_rows(rows, cols, radii, ring_max):
 def _ring_scan(table, units, radii, cut, h=None, rows=None, floor=np.inf):
     """The support (h None) or the hull gaps (h given) of the radial cloud
     {radii[k] u_k} at the table rows `rows` (default all), over the pairs
-    with cosine >= cut: the rings down to the first level at or below
-    cut. A cut below the last level reduces every ring and completes, by
-    dense rows, the outputs below floor that the rings cannot certify: an
-    entry left out has cosine < L = RING_LEVELS[-1], so its term is at
-    most max(radii) * L for a support and radii[j] * L - min(h) for a
-    gap. An output at or above floor may be left at its ring maximum, a
-    lower bound of it."""
+    with cosine >= cut: one cap per output, that of the first level at or
+    below cut. A cut below the last level reduces the last cap and
+    completes, by dense rows, the outputs below floor that the cap cannot
+    certify: an entry left out has cosine < L = RING_LEVELS[-1], so its
+    term is at most max(radii) * L for a support and radii[j] * L - min(h)
+    for a gap. An output at or above floor may be left at its cap
+    maximum, a lower bound of it."""
     index, cosine, starts = table
     half = (starts.size - 1) // len(RING_LEVELS)
     rows = np.arange(half) if rows is None else np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return np.empty(0)
-    depth = min(1 + sum(level > cut for level in RING_LEVELS), len(RING_LEVELS))
-    at, seg_starts, lengths = _ring_segments(starts, half, depth, rows)
-    if h is None:
-        terms = np.take(radii, index[at])
-    else:
-        terms = np.repeat(np.tile(radii[rows], depth), lengths)
+    cap = min(sum(level > cut for level in RING_LEVELS), len(RING_LEVELS) - 1)
+    at, seg_starts, lengths = _ring_segments(starts, half, cap, rows)
+    terms = np.take(radii, index[at]) if h is None else np.repeat(radii[rows], lengths)
     terms *= cosine[at]
     if h is not None:
         terms -= np.take(h, index[at])
-    out = np.maximum.reduceat(terms, seg_starts).reshape(depth, -1).max(axis=0)
+    out = np.maximum.reduceat(terms, seg_starts)
     if cut < RING_LEVELS[-1]:
         level = RING_LEVELS[-1]
         bound = radii.max() * level if h is None else radii[rows] * level - h.min()
@@ -199,24 +192,17 @@ def minkowski_support(rows, offsets, weights, ball_r, dirs):
     return out
 
 
-def hull_gaps(cloud, dirs, h, radial=None, rings=None):
-    """gap[i] = max_j (<cloud[i], dirs[j]> - h[j]); <= 0 when cloud[i] lies
-    inside the polytope {x : <x, dirs[j]> <= h[j]}, with equality on active
-    constraints.
-
-    radial: as in support_max_dot, the terms radii[i] * <units[i],
-    dirs[j]> - h[j]. rings: (table, cut, rows, floor), with dirs == units
-    the nodes of table: the gaps of the points `rows`, increasing indices
-    into the grid's first half, over the pairs with cosine >= cut; a gap
-    at or above floor may come out as any v with floor <= v <= gap."""
-    h = _c(h)
-    if radial is None:
-        return _max_rows(_c(cloud), _c(np.transpose(dirs)), h)
-    radii, units = _c(radial[0]), _c(radial[1])
-    if rings is None:
-        return _max_rows(units, _c(np.transpose(dirs)), h, row_radii=radii)
+def hull_gaps(cloud, dirs, h, radial, rings):
+    """gap[i] = max_j (<cloud[i], dirs[j]> - h[j]) of a radial cloud on a
+    grid, <= 0 when cloud[i] lies inside {x : <x, dirs[j]> <= h[j]}.
+    radial = (radii, units) and rings = (table, cut, rows, floor) as in
+    support_max_dot, with the terms radii[i] * <units[i], dirs[j]> - h[j]:
+    the gaps of the points `rows`, increasing indices into the grid's
+    first half, over the pairs with cosine >= cut; a gap at or above floor
+    may come out as any v with floor <= v <= gap. cloud and dirs are not
+    read."""
     table, cut, rows, floor = rings
-    return _ring_scan(table, units, radii, float(cut), h, rows, floor)
+    return _ring_scan(table, _c(radial[1]), _c(radial[0]), float(cut), _c(h), rows, floor)
 
 
 def radial_from_support(h, dirs, queries):

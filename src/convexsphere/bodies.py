@@ -203,7 +203,9 @@ _VALIDATE_TOL = 1e-9  # slack of validate_body's unit-ball and Lipschitz checks
 
 def validate_body(body: ConvexBody, in_unit_ball: bool = False) -> dict:
     """Check the sampled-support invariants; raises InputError on hard
-    failures, returns a diagnostics dict."""
+    failures (OriginNotInterior on support samples that are not positive),
+    returns a diagnostics dict. Every sample is attained: support_excess,
+    the largest of support - support_eval at the nodes, is <= 1e-12 max|h|."""
     h = finite(body.support, "support sample")
     report = {"min_support": float(h.min()), "max_support": float(h.max())}
     if in_unit_ball:
@@ -222,6 +224,11 @@ def validate_body(body: ConvexBody, in_unit_ball: bool = False) -> dict:
         report["lipschitz_excess"] = worst
         if worst > _VALIDATE_TOL:
             raise InputError(f"support violates 1-Lipschitz compatibility by {worst:.3e}")
+    excess = h - body.support_eval(body.grid.nodes)
+    k = int(np.argmax(excess))
+    report["support_excess"] = float(excess[k])
+    if excess[k] > 1e-12 * np.abs(h).max():
+        raise InputError(f"support sample {h[k]} at node {k} lies {excess[k]:.3e} above the support")
     return report
 
 
@@ -532,7 +539,7 @@ _GAP_PAD = 1e-12
 def _radial_support(grid: SphereGrid, r: np.ndarray):
     """(h, radii): the support h_j = max_i r_i <u_i, u_j> of the radial
     cloud {r_i u_i} over the pairs with <u_i, u_j> >= rmin/rmax, and the
-    radii scanned on the rings of the first G/2 nodes: r and, unless r is
+    radii scanned on the caps of the first G/2 nodes: r and, unless r is
     exactly even, the flipped radii r[antipode]."""
     flipped = r[grid.antipode]
     radii = [r] if np.array_equal(r, flipped) else [r, flipped]
@@ -555,8 +562,8 @@ def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> floa
     depth >= f exactly; the default floor scans every node.
 
     Every term is r_i * c_ij, c_ij = <u_i, u_j> the cosine of
-    backend._product, which rounds alike in any block and is stored once
-    in grid.rings. Both maxima are taken over the rings of the pairs that
+    backend._product, which rounds alike in any block and is stored in
+    grid.rings. Both maxima are taken over the caps of the pairs that
     can attain them, which gives the dense scan's value exactly. With r
     in [rmin, rmax], and c_jj and every h rounding within a few ulps of
     1 and of the exact support:
@@ -569,24 +576,25 @@ def hull_depth(grid: SphereGrid, r: np.ndarray, floor: float = math.inf) -> floa
       - rmin) - r_i _COS_PAD - rmin, and the j = i term r_i c_ii - h_i is
       at least r_i - rmax less a few ulps of rmax, because h_j >= r_j c_jj
       and h_i <= rmax up to round-off; _COS_PAD * rmin clears those ulps.
-    - rings: a cut at or above RING_LEVELS[-1] reduces only the rings
-      down to the first level at or below it. A wider cut reduces every
-      ring, and an output whose ring maximum reaches the largest value
-      an entry left out can round to (fl(rmax L) for a support,
-      fl(fl(r_i L) - min h) for a gap, L = RING_LEVELS[-1] and rounding
-      monotone) is exact; the others are scanned over every node, but
-      for a gap whose ring maximum already reaches the floor. That
-      maximum is a lower bound of the gap at or above the floor, so the
-      minimum stays exact below the floor and between floor and depth
-      above it.
-    - antipodes: the rings cover the first G/2 nodes. nodes[G/2:] ==
+    - rings: each output reduces one cap of grid.rings, that of the first
+      level at or below the cut, which holds every pair the cut keeps if
+      the cut is at or above L = RING_LEVELS[-1] (a maximum over more
+      pairs that holds the maximiser is the same number). Below L, an
+      output whose cap maximum reaches the largest value an entry left
+      out can round to (fl(rmax L) for a support, fl(fl(r_i L) - min h)
+      for a gap, rounding monotone) is exact; the others are scanned over
+      every node, but for a gap whose cap maximum already reaches the
+      floor. That maximum is a lower bound of the gap at or above the
+      floor, so the minimum stays exact below the floor and between
+      floor and depth above it.
+    - antipodes: the caps cover the first G/2 nodes. nodes[G/2:] ==
       -nodes[:G/2] and negation rounds exactly, so c(-u_i, u_j) ==
       c(u_i, -u_j) and the outputs of r from G/2 on are, bit for bit,
       the first G/2 of the flipped radii r[antipode] against h[antipode],
-      on the same rings. An exactly even r is its own flip (h_-j = h_j,
+      on the same caps. An exactly even r is its own flip (h_-j = h_j,
       gap_-i = gap_i): one scan.
     - floor: gap_i >= r_i c_ii - h_i, the j = i term, which is in every
-      ring. So low_i = r_i - h_i - _GAP_PAD * rmax bounds the computed
+      cap. So low_i = r_i - h_i - _GAP_PAD * rmax bounds the computed
       gap from below, and a point with low_i >= floor is not scanned: it
       counts with low_i. The other points of each cloud go to one
       hull_gaps call, and each scanned gap keeps the dense scan's bits.

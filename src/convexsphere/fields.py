@@ -310,7 +310,7 @@ def find_epsilon(
     elif len(phis) != sample_count or any((p.n, p.d) != (n, d) or p.grid != grid for p in phis):
         raise InputError(f"find_epsilon needs {sample_count} samples of degree {d} on its grid")
     # even to the last bit (the samples are even to round-off), so that
-    # hull_depth scans them once, on the rings of the first half
+    # hull_depth scans them once, on the caps of the first half
     vals = odd_even_split(grid, np.stack([p.samples for p in phis]))[0]
     mins, tops = vals.min(axis=1), vals.max(axis=1)
     if np.any(mins >= 0):

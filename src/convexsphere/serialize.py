@@ -13,7 +13,8 @@ documents carry beside them are covered by the hash and otherwise
 ignored). Terms are listed one by one, {"weight", "vertices"} each, and
 bodies.from_terms refuses negative or non-finite weights and radii and
 empty or non-finite vertex sets; fields.radial_body refuses a profile
-that is not even or not positive. Every invalid document is refused
+that is not even or not positive; validate_body refuses support samples
+that are not positive or not all attained. Every invalid document is refused
 with an InputError naming its path. Nothing here writes timestamps; rerunning
 a command on the same input produces byte-identical files.
 """
@@ -23,7 +24,7 @@ import os
 
 import numpy as np
 
-from .bodies import ConvexBody, from_radial, from_support_samples, from_terms
+from .bodies import ConvexBody, from_radial, from_support_samples, from_terms, validate_body
 from .errors import ConvexSphereError, InputError
 from .fields import BodyField, radial_body
 from .polynomials import SphericalPoly, get_basis
@@ -188,7 +189,10 @@ def body_from_doc(doc: dict, grid: SphereGrid | None = None) -> ConvexBody:
                 raise InputError(
                     f"{key} sample count {samples.shape} does not match grid size {grid.size}"
                 )
-            return build(grid, samples)
+            body = build(grid, samples)
+            if key == "support":
+                validate_body(body)
+            return body
     raise InputError("body document has no geometry")
 
 

@@ -9,7 +9,7 @@ of f[antipode]. Measures are unnormalized (lengths 2*pi, 4*pi, 2*pi^2).
 A grid is its description: SphereGrid(n, resolution) is frozen, builds
 its nodes, weights, antipode map and (n=2) angles from the two numbers
 when it is made, and marks those arrays read-only. Its derived tables
-(max_gap, key, and the neighbour rings of the hull scans) are built at
+(max_gap, key, and the hull scans' neighbour caps) are built at
 first use, and build_grid hands out one shared grid per (n, resolution),
 so each is built once. Grids are equal and hashed by (n, resolution);
 the key hashes the nodes as well, so a document's stored grid key checks
@@ -141,8 +141,9 @@ class SphereGrid:
     @cached_property
     def rings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(index, cosine, starts): backend.ring_table of the nodes, the
-        neighbour rings of each of the first G/2 nodes that the hull scans
-        reduce (bodies.hull_depth). Built at first use, and read-only."""
+        nested neighbour caps of each of the first G/2 nodes, one per
+        level of backend.RING_LEVELS, of which a hull scan reduces one per
+        output (bodies.hull_depth). Built at first use, and read-only."""
         return tuple(read_only(a) for a in backend.ring_table(self.nodes))
 
     def refined(self) -> "SphereGrid":

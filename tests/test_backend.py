@@ -36,14 +36,14 @@ def smooth_radii(grid, spread, seed):
 
 def _record_scans(monkeypatch):
     """Make the two max-scan kernels append [kernel, outputs, ring entries
-    reduced, dense rows scanned, dense pairs scanned] of each call to the
-    returned list."""
+    reduced, dense rows scanned, dense pairs scanned, ring segments
+    reduced] of each call to the returned list."""
     calls = []
     segments, max_rows = backend._ring_segments, backend._max_rows
 
     def recording(name, kernel):
         def run(*args, **kwargs):
-            calls.append([name, 0, 0, 0, 0])
+            calls.append([name, 0, 0, 0, 0, 0])
             out = kernel(*args, **kwargs)
             calls[-1][1] = out.size
             return out
@@ -52,6 +52,7 @@ def _record_scans(monkeypatch):
     def ring_entries(*args):
         out = segments(*args)
         calls[-1][2] += int(out[2].sum())
+        calls[-1][5] += len(out[1])
         return out
 
     def dense_pairs(rows, cols, *args, **kwargs):
@@ -75,14 +76,12 @@ def test_kernels_match_full_matrix_reference(n):
     offsets = np.array([0, 7, 12, 18])
     weights = np.array([0.5, 1.25, 0.25])
     queries = dirs[:: max(1, dirs.shape[0] // 97)]
-    cloud = (1.0 + 0.1 * rng.random(dirs.shape[0]))[:, None] * dirs
 
     h = (points @ dirs.T).max(axis=0)
     dot_rows = rows @ dirs.T
     mink = 0.3 + sum(
         w * dot_rows[a:b].max(axis=0) for w, a, b in zip(weights, offsets[:-1], offsets[1:])
     )
-    hc = (cloud @ dirs.T).max(axis=0)
     qd = queries @ dirs.T
     pos = qd > 1e-9
     radial = np.where(pos, (h + 2.0)[None, :] / np.where(pos, qd, 1.0), np.inf).min(axis=1)
@@ -93,7 +92,6 @@ def test_kernels_match_full_matrix_reference(n):
     for got, want in [
         (backend.support_max_dot(points, dirs), h),
         (backend.minkowski_support(rows, offsets, weights, 0.3, dirs), mink),
-        (backend.hull_gaps(cloud, dirs, hc), dense_hull_gaps(cloud, dirs)),
         (backend.radial_from_support(h + 2.0, dirs, queries), radial),
     ]:
         assert got.dtype == np.float64
@@ -116,9 +114,7 @@ def test_blocked_max_scans_equal_the_dense_product_bit_for_bit(n):
         h, gaps = dense_radial_scan(grid, r)
         cloud = r[:, None] * nodes
         assert np.array_equal(backend.support_max_dot(cloud, nodes), (cloud @ nodes.T).max(axis=0))
-        assert np.array_equal(backend.hull_gaps(cloud, nodes, h), (cloud @ nodes.T - h).max(axis=1))
         assert np.array_equal(backend.support_max_dot(cloud, nodes, radial=(r, nodes)), h)
-        assert np.array_equal(backend.hull_gaps(cloud, nodes, h, radial=(r, nodes)), gaps)
         # the widest cuts that lose no maximum (bodies.hull_depth)
         support_cut = r.min() / r.max()
         gap_cut = 1.0 - (r.max() - r.min()) / r.min()
@@ -212,7 +208,9 @@ def test_pruned_hull_depth_equals_dense(monkeypatch, n, resolution):
                 assert hull_depth(grid, radii) == dense_hull_depth(grid, radii)
                 assert np.array_equal(from_radial(grid, radii).support,
                                       dense_radial_scan(grid, radii)[0])
-                (_, _, support, _, _), (_, _, gap, _, dense_gap) = calls[0], calls[-1]
+                # one cap per output, whatever the cut
+                assert all(c[5] == c[1] for c in calls)
+                support, gap, dense_gap = calls[0][2], calls[-1][2], calls[-1][4]
                 if spread == 0.005:
                     assert support < 0.25 * half_pairs and gap < 0.25 * half_pairs
                 if spread == 0.9:
@@ -278,7 +276,7 @@ def test_wide_cuts_scan_densely_only_the_rows_the_rings_cannot_certify(monkeypat
                 < r[:half] * level - h.min())
     calls = _record_scans(monkeypatch)
     assert hull_depth(grid, r) == gaps.min()
-    (*_, support_rows, support_pairs), _, (*_, gap_rows, gap_pairs), _ = calls
+    (*_, support_rows, support_pairs, _), _, (*_, gap_rows, gap_pairs, _), _ = calls
     assert 0 < support_weak.sum() < half and 0 < gap_weak.sum() < half
     # a support row meets only the nodes whose radius could beat its rings
     assert support_rows == support_weak.sum()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from convexsphere.bodies import ball, from_radial, from_support_samples, from_vertices
+from convexsphere.bodies import ball, from_radial, from_support_samples, from_vertices, random_polytope
 from convexsphere.errors import InputError
 from convexsphere.fields import (
     ambient_quad_field,
@@ -128,10 +128,10 @@ def test_body_roundtrip_plain_radial(tmp_path, grid2):
 
 
 def test_body_roundtrip_support_samples(tmp_path, grid3):
-    # the samples reload bit for bit, and so does the outer polytope
-    # evaluated off the grid
-    rng = np.random.default_rng(4)
-    body = from_support_samples(grid3, 1.0 + 0.2 * rng.random(grid3.size))
+    # the samples of a random polytope reload bit for bit, and so does the
+    # outer polytope evaluated off the grid
+    rng = np.random.default_rng(0)
+    body = from_support_samples(grid3, random_polytope(grid3, 12, rng).support)
     path = tmp_path / "outer.json"
     save_body(body, str(path))
     back = load_body(str(path))
@@ -140,6 +140,23 @@ def test_body_roundtrip_support_samples(tmp_path, grid3):
     assert back.sampled_support is not None
     assert np.array_equal(back.support, body.support)
     assert np.array_equal(back.support_eval(dirs), body.support_eval(dirs))
+
+
+def test_unattained_support_samples_are_refused_at_load(tmp_path, grid3):
+    # random samples: most planes miss the outer polytope of the others,
+    # so the document would load as a body whose support is not its samples
+    rng = np.random.default_rng(4)
+    body = from_support_samples(grid3, 1.0 + 0.2 * rng.random(grid3.size))
+    path = tmp_path / "outer.json"
+    save_body(body, str(path))
+    with pytest.raises(InputError, match="above the support"):
+        load_body(str(path))
+    # and a sample at or below 0 leaves no outer polytope to evaluate
+    h = body.support.copy()
+    h[0] = -0.5
+    save_body(from_support_samples(grid3, h), str(path))
+    with pytest.raises(InputError, match="positive support"):
+        load_body(str(path))
 
 
 def _field(grid, big_n, count, seed):

@@ -136,31 +136,31 @@ def test_grid_is_its_description(grid3):
 
 
 def _ring_rows(grid):
-    """[[segment of each level] for each of the first G/2 nodes] of
+    """[[cap of each level] for each of the first G/2 nodes] of
     grid.rings, as (indices, cosines) pairs."""
     index, cosine, starts = grid.rings
     half, levels = grid.size // 2, len(RING_LEVELS)
-    return [[(index[starts[ring * half + j]:starts[ring * half + j + 1]],
-              cosine[starts[ring * half + j]:starts[ring * half + j + 1]]) for ring in range(levels)]
+    return [[(index[starts[cap * half + j]:starts[cap * half + j + 1]],
+              cosine[starts[cap * half + j]:starts[cap * half + j + 1]]) for cap in range(levels)]
             for j in range(half)]
 
 
 @pytest.mark.parametrize("n,resolution", [(2, 64), (3, 16), (3, 32), (4, 10)])
 def test_rings_hold_every_node_at_or_above_each_level(n, resolution):
-    # the hull scans reduce the rings down to a cut: a node missing from
-    # them could hold a support or a gap
+    # a hull scan reduces one cap per output, that of the first level at
+    # or below its cut: a node missing from it could hold a support or a gap
     grid = build_grid(n, resolution)
     cos = grid_cosines(grid)
     for j, segments in enumerate(_ring_rows(grid)):
-        seen = set()
+        inner = {j}
         for level, (members, cosines) in zip(RING_LEVELS, segments):
-            assert members.dtype == np.int32 and j in members
+            assert members.dtype == np.int32
             assert np.all(np.diff(members) > 0)
             assert np.array_equal(cosines, cos[j, members])
-            others = set(members.tolist()) - {j}
-            assert not others & seen  # the bands are disjoint
-            seen |= others
-            assert seen | {j} == set(np.flatnonzero(cos[j] >= level).tolist()) | {j}
+            cap = set(members.tolist())
+            assert cap == set(np.flatnonzero(cos[j] >= level).tolist()) | {j}
+            assert inner <= cap  # each cap holds the one before it
+            inner = cap
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
