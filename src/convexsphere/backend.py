@@ -4,9 +4,13 @@ Each kernel is a quadratic scan with a tiny inner dimension (n <= 4).
 The dense scans go through BLAS in blocks of `_BLOCK` rows, which bounds
 the temporary at G * _BLOCK doubles instead of G^2. Every entry point
 coerces its array arguments to contiguous float64, and every product of
-every kernel goes through _product, so an entry rounds the same in a
-block of one row or one column as in a larger one: a single direction's
-support equals its row of a batch.
+every kernel goes through _product, gemm at every shape. With the
+OpenBLAS measured, an entry then rounds the same in a block of any rows
+as in the full product, so a single direction's support equals its row
+of a batch; but not in a product against gathered columns, which
+rounded 21 entries (n = 3, G = 2048) and 2470 (n = 4, G = 2000) an ulp
+apart. So the dense completion of _support_rows, which gathers columns,
+can differ from a full scan in the last bit.
 
 The two max-scans, support_max_dot and hull_gaps, also take radial
 clouds {r_i u_i} (radial=(r, units)). Their terms are then r_i times the

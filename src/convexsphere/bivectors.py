@@ -17,8 +17,6 @@ inverts this in closed form.
 """
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.spatial.transform import Rotation
 
 from .errors import InputError, NotARotation, NotDecomposable, ZeroBivector
 from .util import principal_angles
@@ -161,6 +159,7 @@ def wedge_like(frame: np.ndarray) -> np.ndarray:
 def rotation_planes(rot: np.ndarray) -> list:
     """Invariant 2-planes of a rotation of R^4 from its real Schur
     form (unique when the two rotation angles differ)."""
+    from scipy.linalg import schur
     _check_rotation(rot, 4)
     _, q = schur(rot, output="real")
     return [q[:, :2].T, q[:, 2:].T]
@@ -221,6 +220,7 @@ def rho_preimage(target: np.ndarray, sign: int = +1) -> dict:
     """A rotation of R^4 mapping to the target under rho_pm: the
     isoclinic exponential of E+- c with c = -sign * v / sqrt2, where v is
     the target's rotation vector (see the module docstring)."""
+    from scipy.spatial.transform import Rotation
     target = np.asarray(target, dtype=float)
     _check_rotation(target, 3)
     basis = E_PLUS if sign > 0 else E_MINUS

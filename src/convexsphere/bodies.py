@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from . import backend
 from .errors import (
@@ -360,6 +358,7 @@ def _polish_extreme(fun, u0: np.ndarray, maximize: bool):
     supports without a closed form; a local search, it can stall on a
     ridge of that ratio below the true extreme.
     """
+    from scipy.optimize import minimize
     frame = _tangent_frames(u0[None])[0]
     sgn = -1.0 if maximize else 1.0
 
@@ -379,6 +378,7 @@ def _facets(points: np.ndarray) -> np.ndarray:
     """Facet equations <a, x> + b = 0, a unit and b < 0, of conv(points),
     which must hold the origin in its interior (OriginNotInterior
     otherwise)."""
+    from scipy.spatial import ConvexHull, QhullError
     try:
         eq = ConvexHull(points).equations
     except QhullError:

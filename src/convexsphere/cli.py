@@ -19,52 +19,21 @@ import os
 import sys
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import __version__, bivectors as bv
-from .bodies import (
-    bm_distance,
-    check_c0_l2_bound,
-    distance_to_ball,
-    group_average,
-    hausdorff,
-    invariance_defect,
-)
+from .bodies import (bm_distance, check_c0_l2_bound, distance_to_ball, group_average, hausdorff,
+                     invariance_defect)
 from .config import ExperimentConfig, _parse_pairs
-from .errors import (
-    BudgetExceeded,
-    ConvexSphereError,
-    GridMismatch,
-    InputError,
-    NonpositiveRadius,
-)
-from .fields import (
-    depth_certificate,
-    find_epsilon,
-    quad_pair_field,
-    radial_body,
-    sample_unit_F,
-    separation_delta,
-)
+from .errors import BudgetExceeded, ConvexSphereError, GridMismatch, InputError, NonpositiveRadius
+from .fields import (depth_certificate, find_epsilon, quad_pair_field, radial_body, sample_unit_F,
+                     separation_delta)
 from .groups import random_rotations, sample_group
 from .mod2poly import express_elementary, stiefel_whitney_top, sw_product_chain
 from .polynomials import odd_even_split
-from .sections import (
-    cube_family,
-    ellipsoid_family,
-    polytope_family,
-    round_section_search,
-)
-from .serialize import (
-    _finalize,
-    dump_json,
-    load_body,
-    load_json,
-    poly_doc,
-    save_body,
-    write_csv,
-)
+from .sections import cube_family, ellipsoid_family, polytope_family, round_section_search
+from .serialize import _finalize, dump_json, load_body, load_json, poly_doc, save_body, write_csv
 from .sphere import build_grid, integrate
+from .util import skew_exp
 
 
 def _out_dir(cfg: ExperimentConfig) -> str:
@@ -120,9 +89,7 @@ def _octahedron_field_sweep(grid, seed: int) -> dict:
     w0 = np.linalg.qr(rng.normal(size=(5, 3)))[0].T
     skew = rng.normal(size=(5, 5))
     skew = skew - skew.T
-    frames = np.stack(
-        [w0 @ expm(s * skew) for s in np.linspace(0.0, 0.4, _SWEEP_FRAMES)]
-    )
+    frames = w0 @ skew_exp(skew, np.linspace(0.0, 0.4, _SWEEP_FRAMES))
     rep = quad_pair_field(grid, frames, amb[0], amb[1]).continuity_report()
     return {
         "frames": _SWEEP_FRAMES,

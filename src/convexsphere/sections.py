@@ -19,14 +19,13 @@ returned with converged=False rather than an error.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import ConvexBody, from_support_samples, from_vertices, polar_vertices
 from .errors import InputError, OriginNotInterior
 from .fourier2d import fourier_analyze, harmonic_energy
 from .groups import random_frames
 from .sphere import SphereGrid, build_grid, hold_copies
+from .util import skew_exp
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +68,7 @@ def cube_family(big_n: int, grid: SphereGrid | None = None) -> SectionFamily:
 
 def polytope_family(vertices: np.ndarray, grid: SphereGrid | None = None) -> SectionFamily:
     """Sections of the hull of a vertex set (origin must be interior)."""
+    from scipy.spatial import ConvexHull, QhullError
     vertices = np.asarray(vertices, dtype=float)
     try:
         hull = ConvexHull(vertices)
@@ -126,9 +126,7 @@ def _chart(frame: np.ndarray):
         s = np.zeros((big_n, big_n))
         s[:2, 2:] = k
         s[2:, :2] = -k.T
-        w, v = np.linalg.eigh(1j * s)
-        rot = (v * np.exp(-1j * w)) @ v.conj().T
-        return (basis @ rot.real)[:, :2].T
+        return (basis @ skew_exp(s))[:, :2].T
 
     return at
 
@@ -149,6 +147,7 @@ def round_section_search(
     tol through degrees 1..d. Coarse Stiefel sampling plus coordinate
     planes, then Nelder-Mead descent in Grassmannian charts around the
     best candidates."""
+    from scipy.optimize import minimize
     if d < 2:
         raise InputError(f"a round section search needs degree d >= 2, got d={d}")
     big_n = family.ambient_dim

@@ -1,4 +1,4 @@
-"""Small shared helpers: content hashing, principal angles."""
+"""Small shared helpers: hashing, principal angles, skew exponentials."""
 
 import hashlib
 import json
@@ -42,3 +42,14 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     k = min(cosv.size, sinv.size)
     return np.arctan2(sinv[:k], cosv[:k])
 
+
+def skew_exp(skew: np.ndarray, t=1.0) -> np.ndarray:
+    """exp(t S) of a real skew-symmetric S, for a scalar t or a stack over
+    an array of t: with A = sqrt(S^T S), which S commutes with since
+    S^T S = -S^2, exp(t S) = cos(t A) + S sin(t A) / A, from one eigh of
+    S^T S in real arithmetic."""
+    s = np.asarray(skew, dtype=float)
+    lam, v = np.linalg.eigh(s.T @ s)
+    tt = np.multiply.outer(t, np.sqrt(np.maximum(lam, 0.0)))
+    tsinc = np.asarray(t)[..., None] * np.sinc(tt / np.pi)
+    return (v * np.cos(tt)[..., None, :]) @ v.T + s @ ((v * tsinc[..., None, :]) @ v.T)

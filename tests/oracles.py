@@ -5,7 +5,8 @@ different algorithms and different numeric machinery than the library
 under test: exact rational arithmetic for sphere integrals, a
 constrained quadratic program for set distances, linear programs and
 brute-force vertex enumeration for sandwich ratios, the exact hull of a
-point cloud from qhull, and a dictionary-based GF(2) polynomial ring.
+point cloud from qhull, the harmonic basis from scipy's special
+functions in angle charts, and a dictionary-based GF(2) polynomial ring.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.spatial import ConvexHull
+from scipy.special import eval_gegenbauer, roots_gegenbauer, sph_harm_y
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +60,71 @@ def sphere_monomial_integral(n: int, alpha) -> float:
     den, pden = _gamma_half(sum(alpha) + n)
     pi_pow -= pden
     return float(num / den) * math.pi ** (pi_pow / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the orthonormal harmonic basis from scipy's special functions
+# ---------------------------------------------------------------------------
+
+
+def _real_sph_harm_table(d: int, theta, phi) -> dict:
+    """Real orthonormal spherical harmonics for all l <= d, m in [-l, l],
+    keyed (l, m): scipy's complex harmonics (with the Condon-Shortley
+    phase) combined into the real form without it."""
+    out = {}
+    for l in range(d + 1):
+        out[(l, 0)] = np.real(sph_harm_y(l, 0, theta, phi))
+        for m in range(1, l + 1):
+            y = sph_harm_y(l, m, theta, phi)
+            s = np.sqrt(2.0) * (-1.0) ** m
+            out[(l, m)] = s * np.real(y)
+            out[(l, -m)] = s * np.imag(y)
+    return out
+
+
+def _angles_3(points):
+    z = np.clip(points[:, 2], -1.0, 1.0)
+    return np.arccos(z), np.arctan2(points[:, 1], points[:, 0])
+
+
+def _gegenbauer_norm(j: int, lam: float) -> float:
+    """Integral of C_j^(lam)(t)^2 (1 - t^2)^(lam - 1/2) over [-1, 1], by
+    Gauss-Gegenbauer quadrature, exact at j + 1 nodes."""
+    t, w = roots_gegenbauer(j + 1, lam)
+    return float(np.sum(w * eval_gegenbauer(j, lam, t) ** 2))
+
+
+def harmonic_family(n: int, d: int, points: np.ndarray) -> np.ndarray:
+    """Orthonormal harmonic basis of P^d at unit vectors, (P, dim), in
+    angle charts: 1, cos and sin of multiples of the angle on S^1; the
+    real spherical harmonics of (theta, phi) on S^2, in the order (l, m);
+    on S^3, Gegenbauer C_{k-l}^(l+1)(x_1) times s^l Y_lm(omega) for
+    x = (x_1, s omega), in the order (k, l, m). Each column is divided by
+    its L2 norm on the sphere."""
+    p = np.asarray(points, dtype=float)
+    if n == 2:
+        ang = np.arctan2(p[:, 1], p[:, 0])
+        cols = [np.full(p.shape[0], 1.0 / math.sqrt(2.0 * math.pi))]
+        for q in range(1, d + 1):
+            cols += [np.cos(q * ang) / math.sqrt(math.pi), np.sin(q * ang) / math.sqrt(math.pi)]
+    elif n == 3:
+        tab = _real_sph_harm_table(d, *_angles_3(p))
+        cols = [tab[(l, m)] for l in range(d + 1) for m in range(-l, l + 1)]
+    elif n == 4:
+        t = np.clip(p[:, 0], -1.0, 1.0)
+        s = np.linalg.norm(p[:, 1:], axis=1)
+        omega = p[:, 1:] / np.where(s > 1e-300, s, 1.0)[:, None]
+        omega[s <= 1e-300] = (0.0, 0.0, 1.0)
+        tab = _real_sph_harm_table(d, *_angles_3(omega))
+        cols = []
+        for k in range(d + 1):
+            for l in range(k + 1):
+                radial = eval_gegenbauer(k - l, l + 1.0, t) * s**l
+                radial /= math.sqrt(_gegenbauer_norm(k - l, l + 1.0))
+                cols += [radial * tab[(l, m)] for m in range(-l, l + 1)]
+    else:
+        raise ValueError(f"unsupported sphere dimension n={n}")
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

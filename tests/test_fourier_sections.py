@@ -23,6 +23,7 @@ from convexsphere.sections import (
     polytope_family,
     round_section_search,
 )
+from convexsphere.util import skew_exp
 from oracles import halfplane_polygon_vertices
 
 
@@ -224,3 +225,19 @@ def test_round_section_search_refuses_degree_below_2(d, grid2):
     # below 2 would call every section round
     with pytest.raises(InputError, match=f"d={d}"):
         round_section_search(cube_family(3, grid=grid2), d=d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_skew_exp_matches_scipy_expm(n):
+    # the real cos/sin form of the Grassmannian charts and the octahedron
+    # sweep, for a scalar or a stack of t (t = 0 among them), orthogonal
+    from scipy.linalg import expm
+
+    a = np.random.default_rng(n).normal(size=(n, n))
+    s = a - a.T
+    ts = np.linspace(0.0, 1.5, 7)
+    got = skew_exp(s, ts)
+    assert got.shape == (7, n, n)
+    assert np.abs(got - np.stack([expm(t * s) for t in ts])).max() <= 1e-13
+    assert np.abs(skew_exp(s) - expm(s)).max() <= 1e-13
+    assert np.abs(got.transpose(0, 2, 1) @ got - np.eye(n)).max() <= 1e-13

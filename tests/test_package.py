@@ -43,6 +43,27 @@ def test_package_root_binds_only_the_version():
     assert out[1] == "False"
 
 
+def test_modules_and_the_counterexample_command_need_no_scipy(tmp_path):
+    # scipy is imported only inside the functions that call it: with the
+    # import blocked, every module loads and the counterexample runs
+    code = (
+        "import sys, pkgutil, importlib\n"
+        "sys.modules['scipy'] = None\n"
+        "import convexsphere\n"
+        "for m in pkgutil.iter_modules(convexsphere.__path__):\n"
+        "    importlib.import_module('convexsphere.' + m.name)\n"
+        "from convexsphere import cli\n"
+        f"rc = cli.main(['counterexample', 'n=3', 'samples=4', 'seed=1', 'out={tmp_path}'])\n"
+        "print(rc, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split("\n")
+    assert out[-2] == "0 ['scipy']"
+    assert (tmp_path / "counterexample.json").is_file()
+
+
 def test_version_is_written_once():
     # pyproject.toml reads the version from convexsphere.__version__, the one
     # every report and document embeds as toolkit_version

@@ -27,6 +27,7 @@ from convexsphere.polynomials import (
     to_F_space,
 )
 from convexsphere.sphere import SphereGrid, build_grid, integrate
+from oracles import harmonic_family
 
 
 def test_space_dimension_frozen_values():
@@ -59,15 +60,38 @@ def test_basis_is_orthonormal(n, d, grid2, grid3, grid4):
 
 @pytest.mark.parametrize("n,d", CASES)
 def test_basis_eval_matches_harmonic_family(n, d, grid2, grid3, grid4):
-    # the monomial form reproduces the harmonic construction off the grid:
-    # the basis is family @ inv(R), R the family's coefficients in the basis
+    # the monomial form reproduces scipy's harmonic construction off the
+    # grid: the basis is family @ inv(R), R the family's coefficients in
+    # the basis
     grid = {2: grid2, 3: grid3, 4: grid4}[n]
     basis = get_basis(n, d, grid)
     assert basis.monomial_form[0].shape == (basis.dim, n)
-    r = basis.samples.T @ (grid.weights[:, None] * _family(n, d, grid.nodes)[0])
+    r = basis.samples.T @ (grid.weights[:, None] * harmonic_family(n, d, grid.nodes))
     pts = _unit_vectors(n, 2000, seed=n * 100 + d)
-    fam, _ = _family(n, d, pts)
+    fam = harmonic_family(n, d, pts)
     assert np.abs(basis.eval(pts) - fam @ np.linalg.inv(r)).max() <= 1e-11
+
+
+# the degrees at which the recurrences are checked, each on the coarsest
+# standard grid exact to 2d (only n = 4, d = 12 needs a finer one)
+FAMILY_CASES = [(n, d) for n in (2, 3, 4) for d in (0, 1, 2, 8, 12)]
+
+
+@pytest.mark.parametrize("n,d", FAMILY_CASES)
+def test_closed_form_family_matches_scipy_harmonics(n, d):
+    # column for column, on the nodes and off them, the recurrences give
+    # scipy's orthonormal harmonics, and the basis built from them with no
+    # orthogonalization is orthonormal on the grid
+    grid = build_grid(n) if 2 * d <= build_grid(n).max_exact_degree else build_grid(n, 14)
+    assert 2 * d <= grid.max_exact_degree
+    fam = _family(n, d, grid.nodes)
+    assert fam.shape == (grid.size, space_dimension(n, d))
+    assert np.abs(fam - harmonic_family(n, d, grid.nodes)).max() <= 1e-13
+    pts = _unit_vectors(n, 500, seed=10 * n + d)
+    assert np.abs(_family(n, d, pts) - harmonic_family(n, d, pts)).max() <= 1e-13
+    basis = Basis(d, grid)
+    gram = basis.samples.T @ (grid.weights[:, None] * basis.samples)
+    assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n,d", CASES)
