@@ -9,9 +9,10 @@ the script runs `perfbench/run.py` in the parent and in this checkout,
 --pairs times, alternating which side runs first. It adds one traced
 `epsilon` run per side, an in-process probe per side (the ring entries
 and dense pairs each `epsilon` pass reduces in the two max-scan kernels,
-and the hull scans of each of its solves; the find_epsilon decisions and values; the
-counterexample report) and interleaved timings
-of find_epsilon(3, 200, seed=1) on the 2048-node grid. Every run is one
+and the hull scans and tracemalloc peak of each of its solves; the
+find_epsilon decisions and values; the counterexample report) and
+interleaved timings of find_epsilon(3, 200, seed=1) on the 2048-node
+grid, each with its process's maximum resident set. Every run is one
 process at a time.
 """
 
@@ -36,12 +37,15 @@ LAYERS = ("backend.hull_gaps.s", "backend.support_max_dot.s", "backend.hull_gaps
 
 def probe(seeds, out_dir):
     """In-process, on the convexsphere on PYTHONPATH: ring entries and
-    dense pairs reduced, hull scans (hull_gaps calls) per solve and manifests of the epsilon
-    workload's four solves at each seed, two more manifests, and the
-    counterexample report's hash and values."""
+    dense pairs reduced, hull scans (hull_gaps calls) per solve, the
+    tracemalloc peak of each solve above what was held before it (MiB;
+    numpy reports its array buffers to tracemalloc) and manifests of the
+    epsilon workload's four solves at each seed, two more manifests, and
+    the counterexample report's hash and values."""
     import collections
     import contextlib
     import io
+    import tracemalloc
 
     from convexsphere import backend, cli, fields, sphere
 
@@ -83,12 +87,16 @@ def probe(seeds, out_dir):
         pairs.clear()
         solves = [(3, 44, seed, g512, True), (3, 44, seed + 1, g512, True),
                   (3, 44, seed, g2048, False), (4, 16, seed, g2000, False)]
-        scans = []
+        scans, peaks = [], []
         for n, k, s, g, rc in solves:
             before = pairs["hull_gaps_calls"]
+            tracemalloc.start()
+            held = tracemalloc.get_traced_memory()[0]
             manifests.append(fields.find_epsilon(n, k, s, grid=g, refined_check=rc))
+            peaks.append(round((tracemalloc.get_traced_memory()[1] - held) / 2**20, 3))
+            tracemalloc.stop()
             scans.append(pairs["hull_gaps_calls"] - before)
-        per_pass[f"seed{seed}"] = dict(pairs, hull_scans_per_solve=scans)
+        per_pass[f"seed{seed}"] = dict(pairs, hull_scans_per_solve=scans, solve_peak_mib=peaks)
     for name, kernel in wrapped.items():
         setattr(backend, name, kernel)
     manifests += [fields.find_epsilon(3, 40, seed=1), fields.find_epsilon(4, 12, seed=2)]
@@ -107,12 +115,16 @@ def probe(seeds, out_dir):
 
 
 def time_solve():
+    """[seconds, maximum resident set in MB] of find_epsilon(3, 200,
+    seed=1) on the 2048-node grid, the set of the whole process."""
+    import resource
+
     from convexsphere import fields, sphere
 
     grid = sphere.build_grid(3, 32)
     t = time.perf_counter()
     fields.find_epsilon(3, 200, seed=1, grid=grid)
-    return time.perf_counter() - t
+    return [time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]
 
 
 def child(side, *args):
@@ -193,10 +205,12 @@ def main():
     probes = {s: child(sides[s], "--probe", str(scratch / "cx"), "--seeds", *map(str, args.seeds))
               for s in sides}
     shutil.rmtree(scratch)
-    solve = {s: [] for s in sides}
+    solve, solve_rss = {s: [] for s in sides}, {s: [] for s in sides}
     for k in range(3):
         for s in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            solve[s].append(round(child(sides[s], "--time-solve"), 3))
+            seconds, rss = child(sides[s], "--time-solve")
+            solve[s].append(round(seconds, 3))
+            solve_rss[s].append(round(rss, 2))
 
     doc = {
         "what": args.what,
@@ -204,7 +218,7 @@ def main():
         "method": f"{args.pairs} interleaved parent/change pairs per workload and seed, the side "
                   "that runs first alternating; medians and quartiles (inclusive) of per-run values; "
                   "one traced epsilon run per side; ring entries, dense pairs and hull scans "
-                  "counted in-process from the kernels' calls",
+                  "counted in-process from the kernels' calls, with each solve's tracemalloc peak",
         "record": records["change"],
         "record_parent": records["parent"],
         "not_controlled": ["shared host: other tenants' load varies between and within runs",
@@ -224,6 +238,7 @@ def main():
             "counterexample": {s: probes[s]["counterexample"] for s in sides},
         },
         "find_epsilon_3_200_seed1_G2048_s": solve,
+        "find_epsilon_3_200_seed1_G2048_maxrss_mb": solve_rss,
         "lines": {s: {d: lines(sides[s], d) for d in ("src", "tests")} for s in sides},
     }
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=1) + "\n")

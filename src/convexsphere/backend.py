@@ -1,16 +1,19 @@
 """Hot numeric kernels: blocked numpy scans over point/direction pairs.
 
 Each kernel is a quadratic scan with a tiny inner dimension (n <= 4).
-The dense scans go through BLAS in blocks of `_BLOCK` rows, which bounds
-the temporary at G * _BLOCK doubles instead of G^2. Every entry point
-coerces its array arguments to contiguous float64, and every product of
-every kernel goes through _product, gemm at every shape. With the
-OpenBLAS measured, an entry then rounds the same in a block of any rows
-as in the full product, so a single direction's support equals its row
-of a batch; but not in a product against gathered columns, which
-rounded 21 entries (n = 3, G = 2048) and 2470 (n = 4, G = 2000) an ulp
-apart. So the dense completion of _support_rows, which gathers columns,
-can differ from a full scan in the last bit.
+The dense scans go through BLAS in blocks of `_BLOCK` rows, and each
+block is freed before the next one is made, so one temporary of G *
+_BLOCK doubles is alive at a time, not G^2. minkowski_support takes the
+rows of its terms in chunks of about _CHUNK, so its block is _CHUNK *
+_BLOCK doubles however many terms a body has. Every entry point coerces
+its array arguments to contiguous float64, and every product of every
+kernel goes through _product, gemm at every shape. With the OpenBLAS
+measured, an entry then rounds the same in a block of any rows as in the
+full product, so a single direction's support equals its row of a batch;
+but not in a product against gathered columns, which rounded 21 entries
+(n = 3, G = 2048) and 2470 (n = 4, G = 2000) an ulp apart. So the dense
+completion of _support_rows, which gathers columns, can differ from a
+full scan in the last bit.
 
 The two max-scans, support_max_dot and hull_gaps, also take radial
 clouds {r_i u_i} (radial=(r, units)). Their terms are then r_i times the
@@ -26,6 +29,9 @@ the caps cannot certify (bodies.hull_depth proves both).
 import numpy as np
 
 _BLOCK = 256  # rows per block; bounds temporary memory at G*BLOCK
+
+#: Term rows per product block of minkowski_support.
+_CHUNK = 8 * _BLOCK
 
 #: Cosine levels of ring_table, falling: cap l of a node holds the nodes
 #: whose cosine to it is at least RING_LEVELS[l].
@@ -63,6 +69,7 @@ def _max_rows(rows, cols, h=None, col_radii=None, row_radii=None):
         if h is not None:
             dot -= h
         out[a:a + _BLOCK] = dot.max(axis=1)
+        del dot  # freed before the next block is made
     return out
 
 
@@ -180,19 +187,52 @@ def support_max_dot(cloud, dirs, radial=None, rings=None):
     return _ring_scan(table, units, radii, float(cut))
 
 
+def _term_chunks(offsets):
+    """[(t0, t1, runs)]: the terms cut into chunks t0..t1-1 of at most
+    _CHUNK rows, or of one longer term, each with its runs (r0, r1, k) of
+    consecutive terms of k rows each."""
+    chunks, t0, size = [], 0, np.diff(offsets)
+    while t0 < size.size:
+        t1 = max(t0 + 1, int(np.searchsorted(offsets, offsets[t0] + _CHUNK, "right")) - 1)
+        cuts = np.flatnonzero(np.diff(size[t0:t1])) + 1 + t0
+        bounds = [t0, *cuts.tolist(), t1]
+        chunks.append((t0, t1, [(r0, r1, int(size[r0])) for r0, r1 in zip(bounds[:-1], bounds[1:])]))
+        t0 = t1
+    return chunks
+
+
 def minkowski_support(rows, offsets, weights, ball_r, dirs):
     """Support of  sum_t w_t * conv(rows[offsets[t]:offsets[t+1]])  (+ ball_r
-    on unit directions)."""
+    on unit directions).
+
+    Each block of _BLOCK directions takes the term rows one chunk of
+    _term_chunks at a time, so a product block holds at most _CHUNK *
+    _BLOCK doubles whatever the number of terms (more only for a single
+    term longer than _CHUNK). A run of equal-size terms is maximized
+    by one reshape, and the weighted maxima are added in term order to a
+    running sum by np.add.reduce over the first axis of at least two
+    columns: that adds row by row, as a loop over the terms does, where
+    one column would be summed pairwise. So the result has the bits of
+    acc += w_t * max_t, term after term."""
     rows, weights, cols = _c(rows), _c(weights), _c(np.transpose(dirs))
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     out = np.full(cols.shape[1], float(ball_r))
+    chunks = _term_chunks(offsets)
     for a in range(0, cols.shape[1], _BLOCK):
         b = min(a + _BLOCK, cols.shape[1])
-        dot = _product(rows, cols, slice(a, b))
-        acc = np.zeros(b - a)
-        for t in range(len(weights)):
-            acc += weights[t] * dot[offsets[t]:offsets[t + 1]].max(axis=0)
-        out[a:b] += acc
+        acc = np.zeros(max(b - a, 2))
+        for t0, t1, runs in chunks:
+            dot = _product(rows[offsets[t0]:offsets[t1]], cols, slice(a, b))
+            terms = np.zeros((t1 - t0 + 1, acc.size))
+            terms[0] = acc
+            for r0, r1, k in runs:
+                at = offsets[r0] - offsets[t0]
+                block = dot[at:at + (r1 - r0) * k].reshape(r1 - r0, k, b - a)
+                terms[1 + r0 - t0:1 + r1 - t0, :b - a] = block.max(axis=1)
+            del dot, block
+            terms[1:] *= weights[t0:t1, None]
+            acc = np.add.reduce(terms, axis=0)
+        out[a:b] += acc[:b - a]
     return out
 
 
@@ -227,5 +267,6 @@ def max_nn_gap(nodes):
         dot = _product(nodes[a:b], cols, slice(None))
         dot[np.arange(b - a), np.arange(a, b)] = -2.0  # exclude self-pairs
         best = np.arccos(np.clip(dot.max(axis=1), -1.0, 1.0))
+        del dot
         worst = max(worst, best.max())
     return float(worst)

@@ -254,6 +254,10 @@ _POLISH_HALVINGS = 40
 #: Longest chart step of the Newton polish (a 45 degree move).
 _POLISH_MAX_STEP = 1.0
 
+#: Smallest model gain of a Newton step, relative to the value, that the
+#: polish still tries to take (four ulps; see _newton_ascent).
+_POLISH_MIN_GAIN = 2.0 ** -50
+
 
 def _tangent_frames(u: np.ndarray) -> np.ndarray:
     """Orthonormal tangent frames (P, n, n-1) at the unit rows of u: the
@@ -290,6 +294,17 @@ def _newton_ascent(exps: np.ndarray, coef: np.ndarray, u: np.ndarray) -> np.ndar
     every |g| is at most POLISH_GTOL or after POLISH_MAXITER steps, so no
     value ends below its start. Each row follows its own trajectory,
     whatever rows are polished with it.
+
+    A row is also done, before its halvings, when its step cannot gain
+    more than round-off. With A = |H| as above, the step is x = A^-1 g,
+    and the ascent model q + g^T y - y^T A y / 2 gains t (1 - t/2) g^T
+    A^-1 g along y = t x, at most m = g^T A^-1 g / 2 (at t = 1); a capped
+    or halved step gains less, and near a maximum the model is the
+    second-order expansion of q. The value is a sum of monomial terms
+    rounded to float64, so it is known to about an ulp of |q| (at most
+    2^-52 |q|), no better; a row with m <= _POLISH_MIN_GAIN |q|, four
+    such ulps, could be raised only by round-off, and its halvings would
+    spend up to _POLISH_HALVINGS jet evaluations looking for that.
     """
     u = np.array(u, dtype=float)
     val, grad, hess = monomial_jet(exps, coef, u)
@@ -309,6 +324,10 @@ def _newton_ascent(exps: np.ndarray, coef: np.ndarray, u: np.ndarray) -> np.ndar
         mag = np.abs(lam)
         mag = np.maximum(mag, 1e-8 * mag.max(axis=1, keepdims=True))
         step = _short_sum(vec * (_short_sum(vec * g[:, :, None], 1) / mag)[:, None, :], 2)
+        gaining = 0.5 * _short_sum(g * step, 1) > _POLISH_MIN_GAIN * np.abs(val[active])
+        active, frame, step = active[gaining], frame[gaining], step[gaining]
+        if active.size == 0:
+            break
         step *= np.minimum(1.0, _POLISH_MAX_STEP / np.sqrt(_short_sum(step * step, 1)))[:, None]
         pending = np.ones(active.size, dtype=bool)
         for _ in range(_POLISH_HALVINGS):

@@ -50,6 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .backend import _BLOCK
 from .errors import ConstantPolynomial, InputError
 from .sphere import SphereGrid, check_samples, derived_field, finite, lru_get, read_only, sphere_area
 
@@ -218,15 +219,19 @@ def _fit_monomials(exponents: np.ndarray, nodes: np.ndarray, weights: np.ndarray
     is a projection: the monomials are samples @ C with C = samples^T W
     monomials (exact, since the monomials lie in the span of the samples
     and the quadrature is exact at twice their degree), and T = C^-1.
-    C has the singular values of the weighted monomial matrix, so its
-    condition number is the fit's; above MAX_FIT_CONDITION the fit is
-    refused with InputError. Solving the G x m least-squares problem
-    directly instead gave errors of 3e-12 rather than 3e-14 at (n, d) =
-    (3, 12).
+    C is summed over blocks of _BLOCK nodes, so the monomials are never
+    held at every node at once. C has the singular values of the
+    weighted monomial matrix, so its condition number is the fit's;
+    above MAX_FIT_CONDITION the fit is refused with InputError. Solving
+    the G x m least-squares problem directly instead gave errors of
+    3e-12 rather than 3e-14 at (n, d) = (3, 12).
     """
-    mono = _monomials(exponents, _powers(nodes, int(exponents.max())))
-    mono *= weights[:, None]
-    coef = samples.T @ mono
+    deg = int(exponents.max())
+    coef = np.zeros((samples.shape[1], exponents.shape[0]))
+    for a in range(0, nodes.shape[0], _BLOCK):
+        mono = _monomials(exponents, _powers(nodes[a:a + _BLOCK], deg))
+        mono *= weights[a:a + _BLOCK, None]
+        coef += samples[a:a + _BLOCK].T @ mono
     cond = np.linalg.cond(coef)
     if not cond <= MAX_FIT_CONDITION:
         raise InputError(
@@ -239,14 +244,14 @@ def _fit_monomials(exponents: np.ndarray, nodes: np.ndarray, weights: np.ndarray
 class Basis:
     """Orthonormal basis of P^d on a grid: the closed-form harmonic family
     at the grid nodes, orthonormal on a grid exact to degree 2d, which is
-    required. samples is the family (C-ordered) and _proj its weighted
-    transpose. Equal and hashed by (d, grid)."""
+    required. samples (C-ordered) is the one G x m matrix it holds:
+    projections weight the samples they are given instead. Equal and
+    hashed by (d, grid)."""
 
     d: int
     grid: SphereGrid = field(repr=False)
     samples: np.ndarray = derived_field()   # (G, m), b_i at grid nodes
     degrees: np.ndarray = derived_field()
-    _proj: np.ndarray = derived_field()     # (m, G), c = _proj @ f
 
     def __post_init__(self):
         grid, d = self.grid, self.d
@@ -261,7 +266,6 @@ class Basis:
         dims = [space_dimension(grid.n, k) for k in range(d + 1)]
         object.__setattr__(self, "samples", read_only(fam))
         object.__setattr__(self, "degrees", read_only(np.repeat(np.arange(d + 1), np.diff(dims, prepend=0))))
-        object.__setattr__(self, "_proj", read_only((fam * grid.weights[:, None]).T))
 
     @property
     def n(self) -> int:
@@ -291,13 +295,15 @@ class Basis:
         return _monomials(exps, _powers(points, self.d)) @ mat
 
     def project_samples(self, f: np.ndarray) -> np.ndarray:
-        """L2 coefficients of grid samples (exact for polynomials within
-        the grid's exact degree)."""
-        return self._proj @ f
+        """L2 coefficients of grid samples f, of shape (G,) or (G, k)
+        (exact for polynomials within the grid's exact degree):
+        samples^T (w f), the weights w broadcast on axis 0."""
+        w = self.grid.weights
+        return self.samples.T @ (w.reshape(w.shape + (1,) * (np.ndim(f) - 1)) * f)
 
 
-#: Bases kept by get_basis, least recently used first. Each holds two G x m
-#: matrices (1.3 MB each at G=2048, n=3, d=8), so the cache is bounded.
+#: Bases kept by get_basis, least recently used first. Each holds one G x m
+#: matrix (1.3 MB at G=2048, n=3, d=8), so the cache is bounded.
 _BASIS_CACHE: dict[tuple, Basis] = {}
 _BASIS_CACHE_SIZE = 8
 

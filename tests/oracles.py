@@ -185,6 +185,28 @@ def dense_hull_gaps(cloud: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return (dots - dots.max(axis=0)[None, :]).max(axis=1)
 
 
+def minkowski_support_loop(rows, offsets, weights, ball_r, dirs) -> np.ndarray:
+    """The support sum_t w_t max_{p in V_t} <p, v> + ball_r of Minkowski
+    terms V_t = rows[offsets[t]:offsets[t+1]], one term at a time: a
+    running sum acc += w_t * max_t over the terms in order, in blocks of
+    the library's _BLOCK directions, each block one product of every row
+    through the library's _product. It shares the products with
+    backend.minkowski_support and checks how that kernel reduces them."""
+    from convexsphere.backend import _BLOCK, _product
+
+    rows = np.ascontiguousarray(rows, dtype=float)
+    cols = np.ascontiguousarray(np.transpose(dirs), dtype=float)
+    out = np.full(cols.shape[1], float(ball_r))
+    for a in range(0, cols.shape[1], _BLOCK):
+        b = min(a + _BLOCK, cols.shape[1])
+        dot = _product(rows, cols, slice(a, b))
+        acc = np.zeros(b - a)
+        for t in range(len(weights)):
+            acc += weights[t] * dot[offsets[t]:offsets[t + 1]].max(axis=0)
+        out[a:b] += acc
+    return out
+
+
 def grid_cosines(grid) -> np.ndarray:
     """<u_i, u_j> for every pair of grid nodes, one gemm (numpy hands
     nodes @ nodes.T to a much slower syrk)."""

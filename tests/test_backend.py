@@ -3,6 +3,7 @@ hull-depth certificate built on them: its pruned scans against the full
 matrix, and its depth against the exact hull from qhull."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from convexsphere.backend import RING_LEVELS
 from convexsphere.bodies import (
     certify_convex_radial,
     from_radial,
+    from_terms,
     from_vertices,
+    group_average,
     hull_depth,
 )
 from convexsphere.errors import InputError
+from convexsphere.fields import thicken
+from convexsphere.groups import sample_group
 from convexsphere.sphere import build_grid
 from oracles import (
     dense_hull_depth,
@@ -23,6 +28,7 @@ from oracles import (
     dense_radial_scan,
     exact_hull_gaps,
     grid_cosines,
+    minkowski_support_loop,
 )
 
 
@@ -149,6 +155,85 @@ def test_one_direction_rounds_as_its_row_of_a_batch(grid3):
         np.fill_diagonal(dot, -2.0)
         want = float(np.arccos(np.clip(dot.max(axis=1), -1.0, 1.0)).max())
         assert backend.max_nn_gap(nodes) == want
+
+
+def _term_bodies(grid, rng):
+    """Equal-size group averages, mixed-size term bodies and thickened
+    bodies on grid, several of them longer than one chunk of term rows
+    (backend._CHUNK) and one with a single term longer than a chunk."""
+    n = grid.n
+    cube = from_vertices(grid, np.array(np.meshgrid(*[[-0.5, 0.5]] * n, indexing="ij")).reshape(n, -1).T)
+    poly = rng.normal(size=(7, n))
+    averages = [group_average(cube, sample_group("torus", n, 300, seed=1)),
+                group_average(from_vertices(grid, poly), sample_group("so", n, 400, seed=2)),
+                group_average(from_vertices(grid, poly), sample_group("pm", n))]
+    sizes = [rng.integers(1, 40, size=150), np.repeat([5, 3, 9, 1], [300, 500, 100, 40]),
+             np.array([3, 2500, 1, 1, 4])]
+    mixed = []
+    for size in sizes:
+        offsets = np.concatenate([[0], np.cumsum(size)])
+        mixed.append(from_terms(grid, rng.normal(size=(offsets[-1], n)), offsets,
+                                rng.random(size.size) + 0.1))
+    thick = [thicken(averages[0], 0.3), thicken(mixed[0], 1.5),
+             thicken(from_vertices(grid, rng.normal(size=(1, n))), 1.0)]
+    return averages + mixed + thick
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_minkowski_support_equals_the_term_loop_bit_for_bit(n):
+    # chunks of terms, runs of equal-size terms reduced by one reshape and
+    # the weighted maxima added by np.add.reduce keep the bits of a running
+    # sum over the terms, also for blocks of one and two directions
+    grid = build_grid(n)
+    rng = np.random.default_rng(300 + n)
+    x = rng.normal(size=(300, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    for body in _term_bodies(grid, rng):
+        want = minkowski_support_loop(*body.terms, body.ball_radius, grid.nodes)
+        assert np.array_equal(body.support, want)
+        for dirs in (x[:1], x[:2], x[:257], x):
+            got = backend.minkowski_support(*body.terms, body.ball_radius, dirs)
+            assert np.array_equal(got, minkowski_support_loop(*body.terms, body.ball_radius, dirs))
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    """Peak traced allocation of fn(*args, **kwargs) above what is held
+    before it (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_kernels_hold_one_block_at_a_time():
+    # a block of _BLOCK rows by 2048 columns is 4 MiB; the output and the
+    # block maxima add 600 + 256 doubles, so one block alive stays below
+    # 1.25 blocks, and two would not
+    rng = np.random.default_rng(5)
+    rows, cols = rng.normal(size=(600, 3)), np.ascontiguousarray(rng.normal(size=(3, 2048)))
+    radii = rng.random(2048)
+    block = backend._BLOCK * 2048 * 8
+    assert _peak_bytes(backend._max_rows, rows, cols) < 1.25 * block
+    assert _peak_bytes(backend._max_rows, rows, cols, col_radii=radii) < 1.25 * block
+
+
+def test_minkowski_support_holds_one_chunk_of_products(grid4):
+    # criterion 10's torus average: 2000 terms of 16 rows, 32 000 rows,
+    # whose product with one block of directions took 62.5 MiB. A chunk is
+    # at most _CHUNK rows here (its terms are shorter than a chunk), so the
+    # product block is _CHUNK * _BLOCK doubles (4 MiB); the maxima of its
+    # terms and the weighted ones with the running sum add twice
+    # _CHUNK / 16 + 1 rows of _BLOCK (0.5 MiB), and the directions and the
+    # output O(G) doubles, inside a quarter block more
+    cube = from_vertices(grid4, 0.5 * np.array(np.meshgrid(*[[-1.0, 1.0]] * 4, indexing="ij")).reshape(4, -1).T)
+    avg = group_average(cube, sample_group("torus", 4, 2000, seed=7))
+    rows, offsets, weights = avg.terms
+    assert rows.shape[0] == 32000
+    bound = 1.25 * backend._CHUNK * backend._BLOCK * 8
+    assert _peak_bytes(backend.minkowski_support, rows, offsets, weights, 0.0, grid4.nodes) < bound
 
 
 def test_radial_matches_support_on_ball():

@@ -257,6 +257,28 @@ def test_newton_polish_leaves_indefinite_starts_uphill(grid3):
     assert np.all(_newton_ascent(exps, signed, u) >= monomial_jet(exps, signed, u)[0])
 
 
+def test_newton_polish_stops_where_only_round_off_is_left(grid3, monkeypatch):
+    # separation_delta of the counterexample's bodies at 12 samples: rows
+    # whose step could gain only round-off once spent every halving on a
+    # jet (90 monomial_jet calls in one polish at seed 8, 43 at seed 17);
+    # a polish from grid nodes is one jet plus a handful of Newton steps
+    from convexsphere import bodies
+    from convexsphere.fields import find_epsilon, radial_body, sample_unit_F, separation_delta
+
+    calls = []
+    jet = bodies.monomial_jet
+    monkeypatch.setattr(bodies, "monomial_jet", lambda *args: calls.append(1) or jet(*args))
+    per_polish = {}
+    for seed in range(1, 21):
+        phis = sample_unit_F(3, 8, 12, seed, grid3)
+        eps = find_epsilon(3, 12, seed, grid=grid3, phis=phis)["eps_star"]
+        profiles = [radial_body(grid3, phi, eps) for phi in phis]
+        calls.clear()
+        separation_delta(profiles)
+        per_polish[seed] = len(calls)
+    assert max(per_polish.values()) <= 8, per_polish
+
+
 def test_distances_to_ball_refuse_mixed_profiles(grid3):
     from convexsphere.fields import radial_body, sample_unit_F
 

@@ -365,8 +365,12 @@ def test_basis_is_its_description(grid3):
     assert basis == cached and hash(basis) == hash(cached)
     assert np.array_equal(basis.samples, cached.samples)
     assert basis != Basis(4, grid3) and basis.n == 3
-    derived = [basis.samples, basis.degrees, basis._proj, basis.f_mask, *basis.monomial_form]
+    derived = [basis.samples, basis.degrees, basis.f_mask, *basis.monomial_form]
     assert not any(a.flags.writeable for a in derived)
+    # samples is the one G x m matrix a basis holds, derived fields included
+    held = [a for v in vars(basis).values() for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray) and a.size >= basis.samples.size]
+    assert len(held) == 1 and held[0] is basis.samples
     with pytest.raises(dataclasses.FrozenInstanceError):
         basis.d = 2
     with pytest.raises(InputError, match="degree d=13 outside"):
@@ -375,3 +379,18 @@ def test_basis_is_its_description(grid3):
         Basis(8, build_grid(3, 8))
     with pytest.raises(InputError, match="grid dimension 3 != n=4"):
         get_basis(4, 2, grid3)
+
+
+@pytest.mark.parametrize("n,res", [(3, None), (3, 32), (4, None)])
+def test_projection_matches_the_weighted_transpose(n, res):
+    # samples^T (w f) against the weighted transpose (samples w)^T f that
+    # a basis once held: the two round each product apart, by far less
+    # than 1e-15 of |f|
+    grid = build_grid(n, res) if res else build_grid(n)
+    basis = get_basis(n, 8, grid)
+    rng = np.random.default_rng(n)
+    weighted = (basis.samples * grid.weights[:, None]).T
+    for f in (rng.normal(size=grid.size), rng.normal(size=(grid.size, 3))):
+        got = basis.project_samples(f)
+        assert got.shape == (basis.dim,) + f.shape[1:]
+        assert np.abs(got - weighted @ f).max() <= 1e-15 * np.linalg.norm(f)
